@@ -18,7 +18,6 @@ from .linalg import (
     chain_from_dict,
     chain_from_json,
     is_commutable,
-    mat_inverse,
     partition,
 )
 from .markov import (
@@ -102,7 +101,6 @@ __all__ = [
     "format_rational",
     "inversion_product",
     "is_commutable",
-    "mat_inverse",
     "moment_anb",
     "moment_k_convolved",
     "moment_n1_closed",

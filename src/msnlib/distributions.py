@@ -334,7 +334,7 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
         chain = dist.chain
         dim_n = chain.p_n.rows
         ones_n = RationalMatrix.ones_column(dim_n)
-        v = (RationalMatrix.identity(dim_n) - chain.p_n).inverse()
+        v = chain.swapped().resolvent
         mean = 1 + (chain.p_mn @ v @ ones_n)[0, 0]
         total = chain.p_m[0, 0] * qpow(1 - mean, m)
         pn_pow = RationalMatrix.identity(dim_n)

@@ -1,15 +1,25 @@
 """Exact dense matrix arithmetic over rationals, and partitioned chains.
 
 Matrices are immutable, dense, and small (the intended use is transition
-matrices of a handful of states).  Inversion uses fraction-free (Bareiss)
-forward elimination on an integer-scaled copy, which keeps intermediate
-growth polynomial instead of letting denominators compound, followed by an
-exact rational back-substitution.
+matrices of a handful of states).  A :class:`RationalMatrix` stores one
+integer numerator matrix ``num`` over one shared denominator ``den > 0``,
+kept canonical with ``gcd(den, *num) == 1`` (the representation of FLINT's
+``fmpq_mat``).  Every operation works on the integers and reduces once per
+result, so equal matrices have equal ``(num, den)`` and compare and hash as
+tuples.  Entries are handed out as reduced :class:`~fractions.Fraction`
+values built on demand.
+
+Inversion is fraction-free (Bareiss) Gauss-Jordan elimination on ``num``:
+every intermediate is an exact integer minor, and the eliminated augmented
+matrix holds ``det(num)`` on the left and ``adj(num)`` (up to the common
+sign) on the right, so the inverse is ``den * adj(num) / det(num)`` with no
+rational arithmetic at all.
 
 :class:`PartitionedChain` is a stochastic matrix split by a state subset M
 into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
 throughout the code), together with the products Q = P_NM @ P_MN and
-Qbar = P_MN @ P_NM and the constant block row sums when those exist.
+Qbar = P_MN @ P_NM, the constant block row sums when those exist, and the
+resolvent (I - P_M)^-1 that partitioning computes to check the chain.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import chain as _flatten
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .exact import RationalLike, as_rational, format_rational
@@ -36,40 +48,73 @@ class ChainError(ValueError):
 
 
 class RationalMatrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals: integer ``num`` over ``den``."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows_data: Sequence[Sequence[RationalLike]]):
-        data = tuple(tuple(as_rational(v) for v in row) for row in rows_data)
+        data = [[as_rational(v) for v in row] for row in rows_data]
         if not data or not data[0]:
             raise ValueError("matrix must have positive dimensions")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("rows have inconsistent lengths")
+        # the lcm of reduced denominators leaves gcd(den, *num) == 1
+        den = lcm(*(v.denominator for row in data for v in row))
         self.rows = len(data)
         self.cols = width
-        self.entries = data
+        self.num = tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row) for row in data
+        )
+        self.den = den
+
+    @classmethod
+    def _raw(cls, num: tuple, den: int) -> "RationalMatrix":
+        """Wrap an already canonical numerator tuple and denominator."""
+        obj = object.__new__(cls)
+        obj.rows = len(num)
+        obj.cols = len(num[0])
+        obj.num = num
+        obj.den = den
+        return obj
+
+    @classmethod
+    def _reduced(cls, num, den: int) -> "RationalMatrix":
+        """Divide integer rows ``num`` and ``den > 0`` by their common gcd."""
+        if den != 1:
+            g = gcd(den, *_flatten.from_iterable(num))
+            if g != 1:
+                den //= g
+                num = [[v // g for v in row] for row in num]
+        return cls._raw(tuple(map(tuple, num)), den)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._raw(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._raw(((0,) * cols,) * rows, 1)
 
     @classmethod
     def ones_column(cls, n: int) -> "RationalMatrix":
-        return cls([[1] for _ in range(n)])
+        return cls._raw(((1,),) * n, 1)
 
     @classmethod
     def row_vector(cls, values: Sequence[RationalLike]) -> "RationalMatrix":
         return cls([list(values)])
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as reduced Fractions, row by row."""
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in self.num)
+
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
@@ -84,35 +129,39 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.den, self.num))
+
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """``self + sign * other`` over the least common denominator."""
+        self._same_shape(other)
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = sign * (den // other.den)
+        return RationalMatrix._reduced(
+            [
+                [a * fa + b * fb for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.num, other.num)
+            ],
+            den,
+        )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         s = as_rational(scalar)
-        return RationalMatrix([[s * v for v in row] for row in self.entries])
+        p = s.numerator
+        return RationalMatrix._reduced(
+            [[p * v for v in row] for row in self.num], self.den * s.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -121,12 +170,10 @@ class RationalMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        ot = list(zip(*other.entries))
-        return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.entries
-            ]
+        cols = tuple(zip(*other.num))
+        return RationalMatrix._reduced(
+            [[sum(map(mul, row, col)) for col in cols] for row in self.num],
+            self.den * other.den,
         )
 
     def __pow__(self, n: int) -> "RationalMatrix":
@@ -145,60 +192,56 @@ class RationalMatrix:
         return result
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)))
+        return RationalMatrix._raw(tuple(zip(*self.num)), self.den)
 
     def row_sums(self) -> list[Fraction]:
-        return [sum(row) for row in self.entries]
+        return [Fraction(sum(row), self.den) for row in self.num]
 
     def _same_shape(self, other: "RationalMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse via fraction-free elimination.
+        """Exact inverse via fraction-free Gauss-Jordan elimination on ``num``.
 
-        The matrix is scaled to integers, reduced to upper-triangular form by
-        Bareiss two-term updates (each exact integer division by the previous
-        pivot), and finished by rational back-substitution on the augmented
-        identity.  Pivoting swaps in the first row with a nonzero entry.
+        ``[num | I]`` is reduced by Bareiss two-term updates applied to every
+        row but the pivot row (each an exact integer division by the previous
+        pivot), until it reads ``[d I | E]`` with ``d`` the last pivot, the
+        determinant of the row-permuted ``num``, and ``E = d num^-1``.  The
+        inverse of ``num / den`` is then ``den E / d``.  Pivoting swaps in the
+        first row with a nonzero entry.
         """
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        scale = lcm(*(v.denominator for row in self.entries for v in row))
-        aug = [
-            [int(v * scale) for v in row] + [0] * n for row in self.entries
-        ]
+        aug = [list(row) + [0] * n for row in self.num]
         for i in range(n):
             aug[i][n + i] = 1
 
         prev = 1
         for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if aug[r][col] != 0), None
-            )
+            pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
             if pivot_row is None:
                 raise SingularMatrixError(col)
             if pivot_row != col:
                 aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            p = aug[col][col]
-            for r in range(col + 1, n):
-                f = aug[r][col]
-                row_r, row_c = aug[r], aug[col]
-                for x in range(col + 1, 2 * n):
-                    row_r[x] = (p * row_r[x] - f * row_c[x]) // prev
-                row_r[col] = 0
+            pivot = aug[col]
+            p = pivot[col]
+            tail = pivot[col + 1 :]
+            # columns up to `col` are never read again, so only the tail moves
+            for r in range(n):
+                if r != col:
+                    row = aug[r]
+                    f = row[col]
+                    row[col + 1 :] = [
+                        (p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)
+                    ]
             prev = p
 
-        # back-substitution over exact rationals
-        inv_rows: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n - 1, -1, -1):
-            for j in range(n):
-                acc = Fraction(aug[i][n + j])
-                for t in range(i + 1, n):
-                    acc -= aug[i][t] * inv_rows[t][j]
-                inv_rows[i][j] = acc / aug[i][i]
-        return RationalMatrix(inv_rows) * scale
+        scale = self.den if prev > 0 else -self.den
+        return RationalMatrix._reduced(
+            [[scale * v for v in row[n:]] for row in aug], abs(prev)
+        )
 
     def __repr__(self):
         body = "; ".join(
@@ -207,8 +250,14 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
-def mat_inverse(matrix: RationalMatrix) -> RationalMatrix:
-    return matrix.inverse()
+def powers(matrix: RationalMatrix, up_to: int) -> list[RationalMatrix]:
+    """``[I, A, A^2, ..., A^up_to]`` for a square matrix ``A``."""
+    pows = [RationalMatrix.identity(matrix.rows)]
+    if up_to >= 1:
+        pows.append(matrix)
+    for _ in range(up_to - 1):
+        pows.append(pows[-1] @ matrix)
+    return pows
 
 
 def _constant_row_sum(block: RationalMatrix) -> Fraction | None:
@@ -217,12 +266,22 @@ def _constant_row_sum(block: RationalMatrix) -> Fraction | None:
     return first if all(s == first for s in sums) else None
 
 
+def _resolvent(block: RationalMatrix, label: str) -> RationalMatrix:
+    """``(I - block)^-1``, or a ChainError naming ``label`` when singular."""
+    try:
+        return (RationalMatrix.identity(block.rows) - block).inverse()
+    except SingularMatrixError as exc:
+        raise ChainError(f"{label} is singular; no passage moments exist") from exc
+
+
 @dataclass(frozen=True)
 class PartitionedChain:
     """Stochastic matrix split by a 1-based index set M.
 
     ``q = p_nm @ p_mn`` and ``q_bar = p_mn @ p_nm``; ``s_m`` / ``s_n`` are the
     common row sums of the diagonal blocks when all rows agree, else None.
+    ``resolvent`` is ``(I - p_m)^-1``; it is determined by ``p_m`` and so
+    takes no part in comparison.
     """
 
     p: RationalMatrix
@@ -236,7 +295,9 @@ class PartitionedChain:
     q_bar: RationalMatrix
     s_m: Fraction | None
     s_n: Fraction | None
-    _swapped_cache: list = field(default_factory=list, repr=False, compare=False)
+    resolvent: RationalMatrix = field(repr=False, compare=False)
+    # (I - p_n)^-1 once swapped() has computed it
+    _n_resolvent: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -245,11 +306,27 @@ class PartitionedChain:
     def swapped(self) -> "PartitionedChain":
         """The same matrix partitioned by the complement of M.
 
-        Requires I - P_N invertible, since that block becomes the new P_M.
+        Requires I - P_N invertible, since that block becomes the new P_M;
+        otherwise raises ChainError naming I - P_N.  Both resolvents are
+        kept, so swapping back and forth inverts nothing again.
         """
-        if not self._swapped_cache:
-            self._swapped_cache.append(partition(self.p, self.n_indices))
-        return self._swapped_cache[0]
+        if not self._n_resolvent:
+            self._n_resolvent.append(_resolvent(self.p_n, "I - P_N"))
+        return PartitionedChain(
+            p=self.p,
+            m_indices=self.n_indices,
+            n_indices=self.m_indices,
+            p_m=self.p_n,
+            p_mn=self.p_nm,
+            p_nm=self.p_mn,
+            p_n=self.p_m,
+            q=self.q_bar,
+            q_bar=self.q,
+            s_m=self.s_n,
+            s_n=self.s_m,
+            resolvent=self._n_resolvent[0],
+            _n_resolvent=[self.resolvent],
+        )
 
 
 def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
@@ -262,10 +339,10 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
     if not p.is_square:
         raise ChainError(f"transition matrix must be square, got {p.rows}x{p.cols}")
     n = p.rows
-    for idx, row in enumerate(p.entries):
-        if any(v < 0 or v > 1 for v in row):
+    for idx, row in enumerate(p.num):
+        if any(v < 0 or v > p.den for v in row):
             raise ChainError(f"row {idx + 1} has an entry outside [0, 1]")
-        total = sum(row)
+        total = Fraction(sum(row), p.den)
         if total != 1:
             raise ChainError(
                 f"row {idx + 1} sums to {format_rational(total)}, expected 1"
@@ -280,19 +357,14 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
     n_set = [i for i in range(1, n + 1) if i not in m_set]
 
     def block(row_idx, col_idx):
-        return RationalMatrix(
-            [[p.entries[i - 1][j - 1] for j in col_idx] for i in row_idx]
+        return RationalMatrix._reduced(
+            [[p.num[i - 1][j - 1] for j in col_idx] for i in row_idx], p.den
         )
 
     p_m = block(m_set, m_set)
     p_mn = block(m_set, n_set)
     p_nm = block(n_set, m_set)
     p_n = block(n_set, n_set)
-
-    try:
-        (RationalMatrix.identity(p_m.rows) - p_m).inverse()
-    except SingularMatrixError as exc:
-        raise ChainError("I - P_M is singular; no passage moments exist") from exc
 
     return PartitionedChain(
         p=p,
@@ -306,6 +378,7 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
         q_bar=p_mn @ p_nm,
         s_m=_constant_row_sum(p_m),
         s_n=_constant_row_sum(p_n),
+        resolvent=_resolvent(p_m, "I - P_M"),
     )
 
 
@@ -323,9 +396,8 @@ def is_commutable(chain: PartitionedChain, side: str) -> bool:
         inner, outer, lift, drop = chain.p_m, chain.p_n, chain.p_nm, chain.p_mn
     else:
         raise ValueError(f"side must be 'M' or 'Mbar', got {side!r}")
-    inner_pows = _powers(inner, inner.rows)
-    outer_pows = _powers(outer, outer.rows)
-    for s_pow in inner_pows:
+    outer_pows = powers(outer, outer.rows - 1)
+    for s_pow in powers(inner, inner.rows - 1):
         round_trip = lift @ s_pow @ drop
         for r_pow in outer_pows:
             if round_trip @ r_pow != r_pow @ round_trip:
@@ -333,21 +405,21 @@ def is_commutable(chain: PartitionedChain, side: str) -> bool:
     return True
 
 
-def _powers(matrix: RationalMatrix, count: int) -> list[RationalMatrix]:
-    pows = [RationalMatrix.identity(matrix.rows)]
-    for _ in range(count - 1):
-        pows.append(pows[-1] @ matrix)
-    return pows
-
-
 def chain_from_dict(obj: dict) -> PartitionedChain:
     """Build a chain from the JSON schema {"P": [["1/2", ...], ...], "M": [1]}."""
-    if "P" not in obj or "M" not in obj:
+    if not isinstance(obj, dict) or "P" not in obj or "M" not in obj:
         raise ChainError('chain JSON needs keys "P" and "M"')
     matrix = RationalMatrix(obj["P"])
     return partition(matrix, [int(i) for i in obj["M"]])
 
 
 def chain_from_json(path: str) -> PartitionedChain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chain_from_dict(json.load(fh))
+    """Read a chain file; a file that cannot be read or parsed is a ChainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ChainError(f"cannot read chain file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ChainError(f"chain file {path!r} is not valid JSON: {exc}") from exc
+    return chain_from_dict(obj)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RationalLike, as_rational, binom, qpow
-from .linalg import PartitionedChain, RationalMatrix, is_commutable
+from .linalg import PartitionedChain, RationalMatrix, is_commutable, powers
 from .msn import msn_direct
 
 
@@ -61,7 +61,7 @@ def _n1_moment_list(chain: PartitionedChain, m_max: int) -> list[RationalMatrix]
     M_0 = (I-P_M)^-1 P_MN and, for m >= 1,
     M_m = (I-P_M)^-1 (P_MN + P_M sum_{j<m} C(m,j) M_j).
     """
-    u = (RationalMatrix.identity(chain.p_m.rows) - chain.p_m).inverse()
+    u = chain.resolvent
     out = [u @ chain.p_mn]
     for m in range(1, m_max + 1):
         acc = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
@@ -157,7 +157,7 @@ def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    u = (RationalMatrix.identity(chain.p_m.rows) - chain.p_m).inverse()
+    u = chain.resolvent
     p_pow = RationalMatrix.identity(chain.p_m.rows)
     u_pow = u
     acc = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
@@ -174,7 +174,7 @@ def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    v = (RationalMatrix.identity(chain.p_n.rows) - chain.p_n).inverse()
+    v = chain.swapped().resolvent
     p_pow = RationalMatrix.identity(chain.p_n.rows)
     v_pow = v
     acc = RationalMatrix.zeros(chain.p_n.rows, chain.p_nm.cols)
@@ -205,11 +205,10 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     _require_commutable(chain)
-    v = (RationalMatrix.identity(chain.p_n.rows) - chain.p_n).inverse()
-    pm_pows = _pow_list(chain.p_m, k)
-    pn_pows = _pow_list(chain.p_n, m)
-    v_pows = _pow_list(v, m + k)
-    q_pows = _pow_list(chain.q, k - 1)
+    pm_pows = powers(chain.p_m, k)
+    pn_pows = powers(chain.p_n, m)
+    v_pows = powers(chain.swapped().resolvent, m + k)
+    q_pows = powers(chain.q, k - 1)
 
     total = qpow(k, m) * pm_pows[k]
     for r in range(1, k + 1):
@@ -294,11 +293,10 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     _require_commutable(chain)
-    u = (RationalMatrix.identity(chain.p_m.rows) - chain.p_m).inverse()
-    pm_pows = _pow_list(chain.p_m, m)
-    pn_pows = _pow_list(chain.p_n, k - 1)
-    u_pows = _pow_list(u, m + k)
-    q_pows = _pow_list(chain.q, k - 1)
+    pm_pows = powers(chain.p_m, m)
+    pn_pows = powers(chain.p_n, k - 1)
+    u_pows = powers(chain.resolvent, m + k)
+    q_pows = powers(chain.q, k - 1)
     total = None
     for r in range(k):
         tail = chain.p_mn @ pn_pows[k - 1 - r] @ q_pows[r]
@@ -391,10 +389,3 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     for j in range(m + 1):
         total += binom(j + k - 1, k - 1) * msn_direct(m, j, k) * qpow(w, j)
     return total
-
-
-def _pow_list(matrix: RationalMatrix, up_to: int) -> list[RationalMatrix]:
-    pows = [RationalMatrix.identity(matrix.rows)]
-    for _ in range(up_to):
-        pows.append(pows[-1] @ matrix)
-    return pows

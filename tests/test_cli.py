@@ -164,6 +164,30 @@ class TestMarkov:
         doc = json.loads(out)
         assert doc["status"]["code"] == "precondition-failed"
 
+    def _markov_on(self, capsys, path):
+        return invoke(
+            capsys, "markov", "--chain", str(path), "--var", "N", "--k", "1", "--m", "1"
+        )
+
+    def test_missing_chain_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out = self._markov_on(capsys, path)
+        assert code == 3
+        assert str(path) in out and "No such file" in out
+
+    def test_unreadable_chain_file_exits_3(self, capsys, tmp_path):
+        # a directory cannot be opened as a file, whatever the user's rights
+        code, out = self._markov_on(capsys, tmp_path)
+        assert code == 3
+        assert str(tmp_path) in out and "cannot read chain file" in out
+
+    def test_invalid_json_chain_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"P": [["1/2", "1/2"]')
+        code, out = self._markov_on(capsys, path)
+        assert code == 3
+        assert str(path) in out and "not valid JSON" in out
+
 
 class TestDist:
     def test_negbinomial_raw(self, capsys):

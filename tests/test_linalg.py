@@ -1,35 +1,38 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain, scalar_block_chain
+from msnlib.exact import format_rational
 from msnlib.linalg import (
     ChainError,
     RationalMatrix,
     SingularMatrixError,
     chain_from_dict,
     is_commutable,
-    mat_inverse,
     partition,
 )
 
 
 class TestInverse:
     def test_identity(self):
-        assert mat_inverse(RationalMatrix([[1]])) == RationalMatrix([[1]])
+        assert RationalMatrix([[1]]).inverse() == RationalMatrix([[1]])
 
     def test_scalar(self):
-        assert mat_inverse(RationalMatrix([[Fraction(1, 2)]])) == RationalMatrix([[2]])
+        assert RationalMatrix([[Fraction(1, 2)]]).inverse() == RationalMatrix([[2]])
 
     def test_singular_reports_column(self):
         with pytest.raises(SingularMatrixError) as err:
-            mat_inverse(RationalMatrix([[1, 1], [1, 1]]))
+            RationalMatrix([[1, 1], [1, 1]]).inverse()
         assert err.value.pivot_col == 1
 
     def test_needs_pivot_swap(self):
         m = RationalMatrix([[0, 1], [1, 0]])
-        assert mat_inverse(m) == m
+        assert m.inverse() == m
 
     def test_random_round_trip(self):
         rng = random.Random(20240917)
@@ -43,7 +46,7 @@ class TestInverse:
                 ]
             )
             try:
-                inv = mat_inverse(m)
+                inv = m.inverse()
             except SingularMatrixError:
                 continue
             produced += 1
@@ -129,6 +132,17 @@ class TestPartition:
         assert shuffled.m_indices == (1, 3)
         assert shuffled.p_m[0, 1] == c.p[0, 2]
 
+    def test_resolvent_kept(self, two_state_chain):
+        c = two_state_chain
+        assert c.resolvent == (RationalMatrix.identity(1) - c.p_m).inverse()
+        assert c.swapped().resolvent == (RationalMatrix.identity(1) - c.p_n).inverse()
+
+    def test_swapped_names_singular_complement(self):
+        # state 2 is absorbing: I - P_M = (1/2) is fine, I - P_N = (0) is not
+        c = partition(RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [0, 1]]), [1])
+        with pytest.raises(ChainError, match=r"I - P_N is singular"):
+            c.swapped()
+
     def test_swapped_roles(self, two_state_chain):
         sw = two_state_chain.swapped()
         assert sw.p_m == two_state_chain.p_n
@@ -140,6 +154,8 @@ class TestPartition:
         assert c.p_m[0, 0] == Fraction(1, 2)
         with pytest.raises(ChainError):
             chain_from_dict({"P": [["1"]]})
+        with pytest.raises(ChainError):
+            chain_from_dict([["1"]])
 
 
 def _brute_commutable(chain, side, r_max, s_max):
@@ -199,3 +215,139 @@ class TestCommutability:
     def test_bad_side_rejected(self, two_state_chain):
         with pytest.raises(ValueError):
             is_commutable(two_state_chain, "X")
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a plain-Fraction reference: lists of lists of
+# Fraction, a schoolbook product and Gauss-Jordan elimination with the same
+# pivot rule (first row with a nonzero entry in the column).
+
+
+def ref_matmul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def ref_inverse(a):
+    """Inverse over Fraction, or the column where no pivot was found."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            return col
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+fractions_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+scalars_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 9)),
+)
+
+
+def lists_st(rows, cols):
+    return st.lists(
+        st.lists(fractions_st, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+dims_st = st.integers(1, 6)
+
+
+@st.composite
+def square_st(draw):
+    n = draw(dims_st)
+    rows = draw(lists_st(n, n))
+    if n > 1 and draw(st.booleans()):
+        # force singularity: one row a rational multiple of another
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(scalars_st)
+        rows[j] = [c * v for v in rows[i]]
+    return rows
+
+
+def assert_matches(matrix, ref):
+    """Exact equality with the reference, canonical storage, reduced accessors."""
+    assert matrix.den > 0
+    assert gcd(matrix.den, *(v for row in matrix.num for v in row)) == 1
+    assert matrix.entries == tuple(tuple(row) for row in ref)
+    assert matrix.to_lists() == ref
+    assert matrix.to_strings() == [[format_rational(v) for v in row] for row in ref]
+    for i, row in enumerate(ref):
+        for j, v in enumerate(row):
+            got = matrix[i, j]
+            assert (got.numerator, got.denominator) == (v.numerator, v.denominator)
+    assert matrix == RationalMatrix(ref)
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(dims_st, dims_st, dims_st).flatmap(
+        lambda d: st.tuples(lists_st(d[0], d[1]), lists_st(d[1], d[2]))
+    ))
+    def test_matmul(self, pair):
+        a, b = pair
+        assert_matches(RationalMatrix(a) @ RationalMatrix(b), ref_matmul(a, b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(dims_st, dims_st).flatmap(
+        lambda d: st.tuples(lists_st(*d), lists_st(*d), scalars_st)
+    ))
+    def test_add_sub_scale(self, triple):
+        a, b, s = triple
+        ma, mb = RationalMatrix(a), RationalMatrix(b)
+        add = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        sub = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        scaled = [[s * x for x in row] for row in a]
+        assert_matches(ma + mb, add)
+        assert_matches(ma - mb, sub)
+        assert_matches(s * ma, scaled)
+        assert_matches(ma * s, scaled)
+        assert_matches(ma.transpose(), [list(col) for col in zip(*a)])
+        assert ma.row_sums() == [sum(row, Fraction(0)) for row in a]
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_st(), st.integers(0, 5))
+    def test_power(self, a, e):
+        ref = [[Fraction(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+        for _ in range(e):
+            ref = ref_matmul(ref, a)
+        assert_matches(RationalMatrix(a) ** e, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_st())
+    def test_inverse_or_singular_column(self, a):
+        ref = ref_inverse(a)
+        if isinstance(ref, int):
+            with pytest.raises(SingularMatrixError) as err:
+                RationalMatrix(a).inverse()
+            assert err.value.pivot_col == ref
+        else:
+            assert_matches(RationalMatrix(a).inverse(), ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(dims_st, dims_st).flatmap(lambda d: lists_st(*d)), st.integers(2, 50))
+    def test_scaled_inputs_compare_and_hash_equal(self, a, t):
+        m = RationalMatrix(a)
+        unreduced = RationalMatrix(
+            [[f"{v.numerator * t}/{v.denominator * t}" for v in row] for row in a]
+        )
+        rescaled = (m * t) * Fraction(1, t)
+        via_sum = (m + m) - m
+        for other in (unreduced, rescaled, via_sum):
+            assert other == m
+            assert hash(other) == hash(m)
+            assert (other.num, other.den) == (m.num, m.den)
