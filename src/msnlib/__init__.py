@@ -37,7 +37,15 @@ from .markov import (
     moment_rk_commutable,
     moment_rk_scalar,
 )
-from .msn import MsnTable, msn_direct, msn_shift, msn_table, stirling2, surjection_count
+from .msn import (
+    MsnTable,
+    msn_direct,
+    msn_row,
+    msn_shift,
+    msn_table,
+    stirling2,
+    surjection_count,
+)
 from .msn1 import Msn1Table, inversion_product, msn1, msn1_table, stirling1
 from .series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
 from .distributions import (
@@ -115,6 +123,7 @@ __all__ = [
     "msn1",
     "msn1_table",
     "msn_direct",
+    "msn_row",
     "msn_shift",
     "msn_table",
     "multinom",

@@ -169,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _matrix_strings(matrix) -> list[list[str]]:
-    return matrix.to_strings()
-
-
 def _cmd_msn(args):
     value = msn_direct(args.i, args.j, args.k)
     return {"value": format_rational(value)}, format_rational(value)
@@ -228,12 +224,13 @@ def _cmd_invcheck(args):
         ]
     )
     ok = product == expected
+    product_strings = product.to_strings()
     payload = {
-        "product": _matrix_strings(product),
-        "expected": _matrix_strings(expected),
+        "product": product_strings,
+        "expected": expected.to_strings(),
         "pass": ok,
     }
-    lines = ["\n".join(" ".join(row) for row in _matrix_strings(product))]
+    lines = ["\n".join(" ".join(row) for row in product_strings)]
     lines.append("PASS" if ok else "FAIL")
     if not ok:
         raise _CheckFailed(payload, "\n".join(lines))
@@ -310,14 +307,15 @@ def _cmd_markov(args):
         )
     else:
         value = moment_k_convolved(chain, var, k, m)
+    strings = value.to_strings()
     payload = {
         "variable": var,
         "k": k,
         "m": m,
         "method": args.method,
-        "moment": _matrix_strings(value),
+        "moment": strings,
     }
-    text = "\n".join(" ".join(row) for row in _matrix_strings(value))
+    text = "\n".join(" ".join(row) for row in strings)
     return payload, text
 
 

@@ -29,7 +29,7 @@ from typing import Sequence, Union
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, partition
 from .markov import moment_anb, moment_nb, moment_recursive
-from .msn import msn_direct
+from .msn import msn_row
 from .msn1 import stirling1_triangle
 
 
@@ -146,17 +146,19 @@ def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     if isinstance(dist, Binomial):
+        row = msn_row(m, 0)
         return sum(
             (
-                msn_direct(m, j, 0) * binom(dist.n, j) * qpow(dist.p, j)
+                row[j] * binom(dist.n, j) * qpow(dist.p, j)
                 for j in range(min(m, dist.n) + 1)
             ),
             Fraction(0),
         )
     if isinstance(dist, Poisson):
+        row = msn_row(m, 0)
         return sum(
             (
-                msn_direct(m, j, 0) * qpow(dist.lam, j) / math.factorial(j)
+                row[j] * qpow(dist.lam, j) / math.factorial(j)
                 for j in range(m + 1)
             ),
             Fraction(0),
@@ -167,11 +169,9 @@ def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
         return moment_anb(dist.p, dist.q, dist.k, m)
     if isinstance(dist, DiscreteUniform):
         # lower index j+1, which is what reproduces M_1 = (n-1)/2 on {0..n-1}
+        row = msn_row(m, 0)
         return sum(
-            (
-                msn_direct(m, j, 0) * binom(dist.n, j + 1)
-                for j in range(m + 1)
-            ),
+            (row[j] * binom(dist.n, j + 1) for j in range(m + 1)),
             Fraction(0),
         ) / dist.n
     if isinstance(dist, PhaseType):
@@ -205,16 +205,16 @@ def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
 def raw_from_factorial(factorial: Sequence[RationalLike]) -> list[Fraction]:
     """M_m = sum_j b(m, j, 0) F_j / j!, the forward direction."""
     factorial = [as_rational(v) for v in factorial]
-    return [
-        sum(
-            (
-                msn_direct(m, j, 0) * factorial[j] / math.factorial(j)
-                for j in range(m + 1)
-            ),
-            Fraction(0),
+    out = []
+    for m in range(len(factorial)):
+        row = msn_row(m, 0)
+        out.append(
+            sum(
+                (row[j] * factorial[j] / math.factorial(j) for j in range(m + 1)),
+                Fraction(0),
+            )
         )
-        for m in range(len(factorial))
-    ]
+    return out
 
 
 def central_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
@@ -243,9 +243,10 @@ def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction
     if m >= len(factorial):
         raise ValueError(f"need factorial moments up to order {m}")
     mean = factorial[1] if len(factorial) > 1 else Fraction(0)
+    row = msn_row(m, -mean)
     total = Fraction(0)
     for j in range(m + 1):
-        total += msn_direct(m, j, -mean) * factorial[j] / math.factorial(j)
+        total += row[j] * factorial[j] / math.factorial(j)
     return total
 
 
@@ -259,30 +260,29 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     if isinstance(dist, Binomial):
-        shift = -dist.n * dist.p
+        row = msn_row(m, -dist.n * dist.p)
         return sum(
             (
-                msn_direct(m, j, shift) * binom(dist.n, j) * qpow(dist.p, j)
+                row[j] * binom(dist.n, j) * qpow(dist.p, j)
                 for j in range(min(m, dist.n) + 1)
             ),
             Fraction(0),
         )
     if isinstance(dist, Poisson):
+        row = msn_row(m, -dist.lam)
         return sum(
             (
-                msn_direct(m, j, -dist.lam) * qpow(dist.lam, j) / math.factorial(j)
+                row[j] * qpow(dist.lam, j) / math.factorial(j)
                 for j in range(m + 1)
             ),
             Fraction(0),
         )
     if isinstance(dist, NegBinomial):
-        shift = dist.k * (1 - Fraction(1) / dist.p)
+        row = msn_row(m, dist.k * (1 - Fraction(1) / dist.p))
         w = (1 - dist.p) / dist.p
         return sum(
             (
-                binom(j + dist.k - 1, dist.k - 1)
-                * msn_direct(m, j, shift)
-                * qpow(w, j)
+                binom(j + dist.k - 1, dist.k - 1) * row[j] * qpow(w, j)
                 for j in range(m + 1)
             ),
             Fraction(0),
@@ -299,19 +299,15 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
         total = Fraction(0)
         for r in range(k):
             inner = Fraction(0)
+            row = msn_row(m, k + r - mean)
             for j in range(m + 1):
-                inner += (
-                    msn_direct(m, j, k + r - mean) * binom(j + r, j) * qpow(w, j)
-                )
+                inner += row[j] * binom(j + r, j) * qpow(w, j)
             total += binom(k - 1, r) * qpow(1 - q, r) * qpow(q, k - 1 - r) * inner
         return total
     if isinstance(dist, DiscreteUniform):
-        shift = -Fraction(dist.n - 1, 2)
+        row = msn_row(m, -Fraction(dist.n - 1, 2))
         return sum(
-            (
-                msn_direct(m, j, shift) * binom(dist.n, j + 1)
-                for j in range(m + 1)
-            ),
+            (row[j] * binom(dist.n, j + 1) for j in range(m + 1)),
             Fraction(0),
         ) / dist.n
     if isinstance(dist, PhaseType):
@@ -323,8 +319,7 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
         total = defect * qpow(1 - mean, m)
         res_pow = RationalMatrix.identity(dim)
         mat_pow = RationalMatrix.identity(dim)
-        for j in range(m + 1):
-            coeff = msn_direct(m, j, 2 - mean)
+        for coeff in msn_row(m, 2 - mean):
             if coeff != 0:
                 total += coeff * (dist.a @ mat_pow @ res_pow @ ones)[0, 0]
             mat_pow = mat_pow @ dist.mat
@@ -339,8 +334,7 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
         total = chain.p_m[0, 0] * qpow(1 - mean, m)
         pn_pow = RationalMatrix.identity(dim_n)
         v_pow = v
-        for j in range(m + 1):
-            coeff = msn_direct(m, j, 2 - mean)
+        for coeff in msn_row(m, 2 - mean):
             if coeff != 0:
                 total += coeff * (chain.p_mn @ pn_pow @ v_pow @ chain.p_nm)[0, 0]
             pn_pow = pn_pow @ chain.p_n
@@ -350,25 +344,35 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
 
 
 def spec_from_dict(obj: dict) -> DistributionSpec:
-    """Parse the CLI JSON schema, e.g. {"type": "negbinomial", "p": "1/2", "k": 3}."""
+    """Parse the CLI JSON schema, e.g. {"type": "negbinomial", "p": "1/2", "k": 3}.
+
+    A missing field raises ``ValueError("<type> spec needs field '<name>'")``.
+    """
     kind = str(obj.get("type", "")).lower()
+
+    def field(name: str):
+        try:
+            return obj[name]
+        except KeyError:
+            raise ValueError(f"{kind} spec needs field {name!r}") from None
+
     if kind == "binomial":
-        return Binomial(n=int(obj["n"]), p=as_rational(obj["p"]))
+        return Binomial(n=int(field("n")), p=as_rational(field("p")))
     if kind == "poisson":
-        return Poisson(lam=as_rational(obj["lambda"]))
+        return Poisson(lam=as_rational(field("lambda")))
     if kind == "negbinomial":
-        return NegBinomial(p=as_rational(obj["p"]), k=int(obj["k"]))
+        return NegBinomial(p=as_rational(field("p")), k=int(field("k")))
     if kind == "altnegbinomial":
         return AltNegBinomial(
-            p=as_rational(obj["p"]), q=as_rational(obj["q"]), k=int(obj["k"])
+            p=as_rational(field("p")), q=as_rational(field("q")), k=int(field("k"))
         )
     if kind == "uniform":
-        return DiscreteUniform(n=int(obj["N"]))
+        return DiscreteUniform(n=int(field("N")))
     if kind == "phasetype":
         return PhaseType(
-            a=RationalMatrix.row_vector(obj["a"]), mat=RationalMatrix(obj["A"])
+            a=RationalMatrix.row_vector(field("a")), mat=RationalMatrix(field("A"))
         )
     if kind == "recurrence":
-        matrix = RationalMatrix(obj["P"])
-        return Recurrence(chain=partition(matrix, [int(i) for i in obj["M"]]))
+        matrix = RationalMatrix(field("P"))
+        return Recurrence(chain=partition(matrix, [int(i) for i in field("M")]))
     raise ValueError(f"unknown distribution type: {obj.get('type')!r}")

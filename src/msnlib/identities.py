@@ -16,6 +16,8 @@ negatives, the shift rules need nonnegative integers).
 from __future__ import annotations
 
 import math
+import os
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +30,11 @@ from .series import TruncatedSeries, egf_coeffs, exp_x, ogf_coeffs
 K_SET: tuple[Fraction, ...] = tuple(
     as_rational(v) for v in (-5, -3, -1, "-1/2", 0, "1/3", 1, 2, 5)
 )
+
+
+# the largest i read by the checks whose ranges are fixed rather than tied
+# to i_max or order (a36, a37, a38, a41, a42, a44)
+FIXED_I = 8
 
 
 class IdentityFailure(AssertionError):
@@ -50,12 +57,12 @@ class Context:
         self._c_tables: dict[Fraction, Msn1Table] = {}
 
     def table(self, k) -> MsnTable:
-        # several checks have hard-coded ranges up to i = 8 regardless of
-        # i_max, so never build tables smaller than that
         k = as_rational(k)
         tab = self._tables.get(k)
         if tab is None:
-            tab = msn_table(max(self.i_max, 8) + 1, k)
+            # the highest row any check reads: i_max + 1 in the recurrences
+            # (a12, a15, a16, a23, n3, ...), order in the ogf and egf series
+            tab = msn_table(max(self.i_max + 1, self.order, FIXED_I), k)
             self._tables[k] = tab
         return tab
 
@@ -739,7 +746,7 @@ def check_a36(ctx: Context) -> int:
     for js, ks in _A36_PAIRS + _A36_TRIPLES:
         j_total = sum(js)
         k_total = sum(as_rational(k) for k in ks)
-        for i in range(9):
+        for i in range(FIXED_I + 1):
             total = Fraction(0)
             for parts in compositions(i, len(js)):
                 prod = Fraction(multinom(i, parts))
@@ -762,7 +769,7 @@ def check_a37(ctx: Context) -> int:
     for js in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]:
         l = len(js)
         for k in range(4):
-            for i in range(9):
+            for i in range(FIXED_I + 1):
                 total = Fraction(0)
                 for parts in compositions(i, l + k):
                     prod = Fraction(multinom(i, parts))
@@ -784,7 +791,7 @@ def check_a38(ctx: Context) -> int:
         for k in range(4):
             if j + k == 0:
                 continue
-            for i in range(9):
+            for i in range(FIXED_I + 1):
                 total = sum(
                     (
                         Fraction(multinom(i, parts))
@@ -910,7 +917,7 @@ def check_a41(ctx: Context) -> int:
     with (e^x)^k computed by repeated series multiplication.
     """
     cases = 0
-    order = 8
+    order = FIXED_I
     em1 = exp_x(order) - TruncatedSeries.constant(1, order)
     ex_pow = TruncatedSeries.constant(1, order)
     for k in range(6):
@@ -931,7 +938,7 @@ def check_a41(ctx: Context) -> int:
 def check_a42(ctx: Context) -> int:
     """Slice in z of e^(k x) exp((e^x - 1) z): coefficient of x^i z^j is b/(i! j!)."""
     cases = 0
-    order = 8
+    order = FIXED_I
     em1 = exp_x(order) - TruncatedSeries.constant(1, order)
     for k in range(5):
         ekx = exp_x(order, k)
@@ -982,7 +989,7 @@ def check_a44(ctx: Context) -> int:
         for x, y in points:
             lhs_total = Fraction(0)
             rhs_total = Fraction(0)
-            for ip in range(9):
+            for ip in range(FIXED_I + 1):
                 slice_sum = sum(
                     (ctx.b(ip, j, k) * binom_gen(x, j) for j in range(ip + 1)),
                     Fraction(0),
@@ -1078,4 +1085,11 @@ def run_identity_suite(
             results.append(
                 IdentityResult(label=label, ok=False, cases=0, detail=str(exc))
             )
+        except Exception as exc:  # noqa: BLE001 - one broken check must not stop the rest
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail = (
+                f"{label}: {type(exc).__name__}: {exc}"
+                f" (at {os.path.basename(where.filename)}:{where.lineno})"
+            )
+            results.append(IdentityResult(label=label, ok=False, cases=0, detail=detail))
     return results

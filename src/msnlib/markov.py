@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, is_commutable, powers
-from .msn import msn_direct
+from .msn import msn_row
 
 
 class CommutabilityError(ValueError):
@@ -161,8 +161,7 @@ def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     p_pow = RationalMatrix.identity(chain.p_m.rows)
     u_pow = u
     acc = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
-    for j in range(m + 1):
-        coeff = msn_direct(m, j, 1)
+    for coeff in msn_row(m, 1):
         if coeff != 0:
             acc = acc + coeff * (p_pow @ u_pow @ chain.p_mn)
         p_pow = p_pow @ chain.p_m
@@ -178,8 +177,7 @@ def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     p_pow = RationalMatrix.identity(chain.p_n.rows)
     v_pow = v
     acc = RationalMatrix.zeros(chain.p_n.rows, chain.p_nm.cols)
-    for j in range(m + 1):
-        coeff = msn_direct(m, j, 2)
+    for coeff in msn_row(m, 2):
         if coeff != 0:
             acc = acc + coeff * (p_pow @ v_pow @ chain.p_nm)
         p_pow = p_pow @ chain.p_n
@@ -213,8 +211,9 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     total = qpow(k, m) * pm_pows[k]
     for r in range(1, k + 1):
         inner = None
+        row = msn_row(m, k + r)
         for j in range(m + 1):
-            coeff = binom(j + r - 1, j) * msn_direct(m, j, k + r)
+            coeff = binom(j + r - 1, j) * row[j]
             if coeff == 0:
                 continue
             term = coeff * (pn_pows[j] @ v_pows[j + r] @ chain.p_nm)
@@ -250,10 +249,11 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
     total = Fraction(0)
     for r in range(k + 1):
         inner = Fraction(0)
+        row = msn_row(m, k + r)
         for j in range(m + 1):
             coeff = binom(j + r - 1, j)
             if coeff:
-                inner += coeff * msn_direct(m, j, k + r) * qpow(w, j)
+                inner += coeff * row[j] * qpow(w, j)
         total += binom(k, r) * qpow(p, r) * qpow(1 - p, k - r) * inner
     return total
 
@@ -276,9 +276,10 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
     w = chain.s_m / (1 - chain.s_m)
+    row = msn_row(m, 2 * k)
     total = Fraction(0)
     for j in range(m + 1):
-        total += binom(j + k - 1, j) * msn_direct(m, j, 2 * k) * qpow(w, j)
+        total += binom(j + k - 1, j) * row[j] * qpow(w, j)
     return total
 
 
@@ -300,8 +301,9 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     total = None
     for r in range(k):
         tail = chain.p_mn @ pn_pows[k - 1 - r] @ q_pows[r]
+        row = msn_row(m, k + r)
         for j in range(m + 1):
-            coeff = binom(k - 1, r) * binom(j + r, j) * msn_direct(m, j, k + r)
+            coeff = binom(k - 1, r) * binom(j + r, j) * row[j]
             if coeff == 0:
                 continue
             term = coeff * (pm_pows[j] @ u_pows[j + r + 1] @ tail)
@@ -342,10 +344,11 @@ def _alternating_nb_sum(w: Fraction, q: Fraction, k: int, m: int) -> Fraction:
     total = Fraction(0)
     for r in range(k):
         inner = Fraction(0)
+        row = msn_row(m, k + r)
         for j in range(m + 1):
             coeff = binom(j + r, j)
             if coeff:
-                inner += coeff * msn_direct(m, j, k + r) * qpow(w, j)
+                inner += coeff * row[j] * qpow(w, j)
         total += binom(k - 1, r) * qpow(1 - q, r) * qpow(q, k - 1 - r) * inner
     return total
 
@@ -385,7 +388,8 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     w = (1 - p) / p
+    row = msn_row(m, k)
     total = Fraction(0)
     for j in range(m + 1):
-        total += binom(j + k - 1, k - 1) * msn_direct(m, j, k) * qpow(w, j)
+        total += binom(j + k - 1, k - 1) * row[j] * qpow(w, j)
     return total

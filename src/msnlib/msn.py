@@ -9,14 +9,17 @@ for integers i, j >= 0 and rational k, with 0**0 == 1.  At k == 0 the slice
 the second kind, which is why no division by j! is built into the family: the
 moment formulas downstream stay free of factorials this way.
 
-Three independent computation routes are provided: the defining sum
+The production route is :func:`msn_row`: the whole row b(i, 0..i, k) as
+one integer difference table, which every closed-form moment in
+:mod:`msnlib.markov` and :mod:`msnlib.distributions` reads.  Three further,
+independent routes remain as cross-checks: the defining sum
 (:func:`msn_direct`), a recurrence-filled triangle (:func:`msn_table`), and
-the shift formula over the k == 0 slice (:func:`msn_shift`), so each can
-serve as a cross-check for the others.
+the shift formula over the k == 0 slice (:func:`msn_shift`).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exact import RationalLike, as_rational, binom, qpow
@@ -32,6 +35,32 @@ def msn_direct(i: int, j: int, k: RationalLike) -> Fraction:
         sign = -1 if (j - r) % 2 else 1
         total += sign * binom(j, r) * qpow(r + k, i)
     return total
+
+
+def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:
+    """The row (b(i, 0, k), ..., b(i, i, k)) from one integer difference table.
+
+    b(i, j, k) is the j-th forward difference of r -> (r + k)**i at r = 0.
+    With k = p/q in lowest terms, q**i * b(i, j, k) is then the j-th forward
+    difference of the integers (q*r + p)**i, r = 0..i, so the whole scaled
+    row costs i+1 integer powers and i(i+1)/2 integer subtractions; each
+    entry is divided by q**i once at the end.
+    """
+    if i < 0:
+        raise ValueError("indices must be nonnegative")
+    k = as_rational(k)
+    p, q = k.numerator, k.denominator
+    diffs = [(q * r + p) ** i for r in range(i + 1)]
+    scaled = []
+    for j in range(i + 1):
+        scaled.append(diffs[0])
+        for r in range(i - j):
+            diffs[r] = diffs[r + 1] - diffs[r]
+    scale = q**i
+    # tuple() of a list allocates the exact size; tuple() of a generator
+    # allocates 10 slots and resizes, which strands every freed row in a
+    # free list that no later row draws from (about 2 MB over a long run)
+    return tuple([Fraction(v, scale) for v in scaled])
 
 
 class MsnTable:
@@ -140,27 +169,45 @@ def stirling2(i: int, j: int) -> int:
     return stirling2_triangle(i)[i][j]
 
 
+@functools.lru_cache(maxsize=128)
+def _image_histogram(boxes: int, i: int):
+    """How many of the boxes**i functions {1..i} -> {1..boxes} have each image.
+
+    Every function is enumerated: its image is an int bitmask (bit b set when
+    box b+1 is hit), built one argument at a time, so the mask array ends with
+    one entry per function.  The returned array is read-only because the cache
+    hands the same one to every caller.
+    """
+    import numpy as np
+
+    bits = np.left_shift(np.uint16(1), np.arange(boxes, dtype=np.uint16))
+    masks = np.zeros(1, dtype=np.uint16)
+    for _ in range(i):
+        masks = (masks[:, None] | bits).ravel()
+    hist = np.bincount(masks, minlength=1 << boxes)
+    hist.flags.writeable = False
+    return hist
+
+
 def surjection_count(i: int, j: int, k: int) -> int:
     """Brute-force count of functions {1..i} -> {1..j+k} hitting all of {1..j}.
 
-    Enumerates every one of the (j+k)**i functions explicitly (as base-(j+k)
-    digit vectors) and keeps those whose image covers the first j boxes.  For
-    integer k >= 0 this count equals b(i, j, k); the enumeration is the
-    independent combinatorial oracle for that fact.
+    Enumerates every one of the (j+k)**i functions explicitly (by the
+    bitmask of its image, see :func:`_image_histogram`) and keeps those whose
+    image covers the first j boxes.  For integer k >= 0 this count equals
+    b(i, j, k); the enumeration is the independent combinatorial oracle for
+    that fact.  The image histogram is cached per (j+k, i), so the battery
+    and the tests enumerate each function space once; at most 16 boxes fit
+    the 16-bit masks.
     """
     import numpy as np
 
     if k < 0:
         raise ValueError("combinatorial count needs integer k >= 0")
     boxes = j + k
-    if boxes == 0:
-        return 1 if i == 0 else 0
-    if i == 0:
-        return 1 if j == 0 else 0
-    total = boxes**i
-    codes = np.arange(total, dtype=np.int64)
-    digits = (codes[:, None] // boxes ** np.arange(i, dtype=np.int64)) % boxes
-    covered = np.ones(total, dtype=bool)
-    for box in range(j):
-        covered &= (digits == box).any(axis=1)
-    return int(covered.sum())
+    if boxes > 16:
+        raise ValueError(f"brute force covers at most 16 boxes, got j + k = {boxes}")
+    hist = _image_histogram(boxes, i)
+    need = (1 << j) - 1
+    covering = (np.arange(hist.size) & need) == need
+    return int(hist[covering].sum())

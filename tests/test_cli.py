@@ -110,6 +110,17 @@ class TestIdentitySuite:
         assert {"a8", "a17", "a46", "ogf", "comb"} <= labels
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--imax", "4"], ["--imax", "12", "--order", "20"]],
+        ids=["imax4", "imax12-order20"],
+    )
+    def test_order_beyond_imax(self, capsys, argv):
+        code, out = invoke(capsys, "identity-suite", *argv)
+        assert code == 0
+        assert out.endswith("ALL PASS")
+
+
 class TestMarkov:
     def test_methods_agree(self, capsys, chain_file):
         outs = {}
@@ -211,6 +222,14 @@ class TestDist:
             capsys, "dist", "--spec", '{"type":"poisson","lambda":"0"}', "--m", "1"
         )
         assert code == 3
+
+
+    def test_missing_field_exits_3_naming_it(self, capsys):
+        code, out = invoke(
+            capsys, "dist", "--spec", '{"type":"binomial","p":"1/3"}', "--m", "2"
+        )
+        assert code == 3
+        assert out == "precondition failed: binomial spec needs field 'n'"
 
 
 class TestSimulate:

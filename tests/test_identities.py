@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import msnlib.identities as identities
 from msnlib.identities import (
     Context,
     IDENTITY_CHECKS,
@@ -43,6 +44,25 @@ def test_reduced_battery_passes():
 def test_label_filter():
     results = run_identity_suite(i_max=6, order=6, labels={"a8", "bgf"})
     assert {r.label for r in results} == {"a8", "bgf"}
+
+
+def test_exception_in_one_check_is_reported_against_it(monkeypatch):
+    def broken(ctx):
+        raise ZeroDivisionError("division by zero in the check")
+
+    monkeypatch.setattr(
+        identities,
+        "IDENTITY_CHECKS",
+        [("a8", identities.check_a8), ("broken", broken), ("a14", identities.check_a14)],
+    )
+    results = run_identity_suite(i_max=4, order=4)
+    assert [(r.label, r.ok) for r in results] == [
+        ("a8", True), ("broken", False), ("a14", True),
+    ]
+    assert results[1].detail.startswith(
+        "broken: ZeroDivisionError: division by zero in the check (at test_identities.py:"
+    )
+    assert results[2].cases > 0
 
 
 def test_failure_reporting():

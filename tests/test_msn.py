@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msnlib.exact import qpow
 from msnlib.msn import (
     msn_direct,
+    msn_row,
     msn_shift,
     msn_table,
     stirling2,
@@ -44,6 +45,21 @@ class TestDirect:
                 assert msn_direct(0, j, k) == 0
             for i in range(6):
                 assert msn_direct(i, 0, k) == qpow(k, i)
+
+
+class TestRow:
+    def test_example(self):
+        # b(3, j, 1) for j = 0..3: 1, 7, 12, 6
+        assert msn_row(3, 1) == (1, 7, 12, 6)
+
+    def test_entries_are_reduced_fractions(self):
+        row = msn_row(4, Fraction(1, 2))
+        assert all(type(v) is Fraction for v in row)
+        assert row[0] == Fraction(1, 16) and row[4] == 24
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            msn_row(-1, 0)
 
 
 class TestTable:
@@ -125,7 +141,39 @@ class TestStirling2:
                 assert msn_direct(i, j, 0) == stirling2(i, j) * math.factorial(j)
 
 
+def _surjection_count_by_digits(i: int, j: int, k: int) -> int:
+    """Reference enumerator: every function as a base-(j+k) digit vector."""
+    import numpy as np
+
+    boxes = j + k
+    if boxes == 0:
+        return 1 if i == 0 else 0
+    if i == 0:
+        return 1 if j == 0 else 0
+    total = boxes**i
+    codes = np.arange(total, dtype=np.int64)
+    digits = (codes[:, None] // boxes ** np.arange(i, dtype=np.int64)) % boxes
+    covered = np.ones(total, dtype=bool)
+    for box in range(j):
+        covered &= (digits == box).any(axis=1)
+    return int(covered.sum())
+
+
 class TestSurjectionOracle:
+    def test_matches_digit_enumeration(self):
+        for boxes in range(7):
+            for j in range(boxes + 1):
+                for i in range(7):
+                    assert surjection_count(i, j, boxes - j) == (
+                        _surjection_count_by_digits(i, j, boxes - j)
+                    ), (i, j, boxes - j)
+
+    def test_rejects_negative_k_and_too_many_boxes(self):
+        with pytest.raises(ValueError):
+            surjection_count(2, 1, -1)
+        with pytest.raises(ValueError, match="16 boxes"):
+            surjection_count(1, 10, 7)
+
     def test_matches_algebra(self):
         assert surjection_count(3, 2, 1) == msn_direct(3, 2, 1) == 12
 
@@ -156,3 +204,10 @@ def test_nonnegative_for_nonnegative_k(i, j, k):
 )
 def test_one_step_shift_recurrence(i, j, k):
     assert msn_direct(i, j, k + 1) == msn_direct(i, j, k) + msn_direct(i, j + 1, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.integers(-60, 60), st.integers(1, 12))
+def test_row_matches_direct(i, p, q):
+    k = Fraction(p, q)
+    assert msn_row(i, k) == tuple(msn_direct(i, j, k) for j in range(i + 1))
