@@ -1,51 +1,14 @@
-"""Round-advance kernels for the chain simulator.
+"""Round-advance kernel for the chain simulator.
 
-Both backends implement the identical update: given one uniform draw per
-active walk, each walk takes one transition (inverse-CDF over its row of the
-cumulative matrix), bumps its visit counter when it lands in the target set,
-and is flagged done when the counter reaches k.  Because the two backends
-consume the same uniforms in the same order, their outputs are bit-identical;
-the numba path just runs the per-walk loop compiled.
-
-Backend selection: the MSNLIB_SIM_BACKEND environment variable ("numba" or
-"numpy"); default is numba when importable, else the numpy fallback.
+Given one uniform draw per active walk, each walk takes one transition
+(inverse-CDF over its row of the cumulative matrix), bumps its visit counter
+when it lands in the target set, and is flagged done when the counter
+reaches k.  The update is vectorized over all active walks with numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_ENV_VAR = "MSNLIB_SIM_BACKEND"
-
-
-def resolve_backend(override: str | None = None) -> str:
-    choice = override or os.environ.get(_ENV_VAR, "")
-    choice = choice.strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"{_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if choice == "":
-        choice = "numba" if HAVE_NUMBA else "numpy"
-    return choice
 
 
 def advance_round_numpy(states, visits, u, cum, target, k):
@@ -68,25 +31,5 @@ def build_cumulative(probs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cum)
 
 
-@njit(cache=True)
-def _advance_round_jit(states, visits, u, cum, target, k):  # pragma: no cover
-    n = states.shape[0]
-    done = np.empty(n, dtype=np.bool_)
-    for i in range(n):
-        row = states[i]
-        x = u[i]
-        s = 0
-        while x >= cum[row, s]:
-            s += 1
-        states[i] = s
-        if target[s]:
-            visits[i] += 1
-        done[i] = visits[i] >= k
-    return done
-
-
-def advance_round_numba(states, visits, u, cum, target, k):
-    return _advance_round_jit(states, visits, u, cum, target, k)
-
-
-KERNELS = {"numpy": advance_round_numpy, "numba": advance_round_numba}
+# a table looked up at call time, so an external tracer can wrap its entries
+KERNELS = {"numpy": advance_round_numpy}

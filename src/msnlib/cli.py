@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--start", type=_kset_arg, default=None)
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
     add_format(p)
 
     # let bare negative rationals ("-1/2") and k-lists ("-1,0,1/2") pass as
@@ -344,7 +343,7 @@ def _cmd_simulate(args):
         max_steps=args.max_steps,
         start=args.start,
     )
-    result = simulate(cfg, backend=args.backend)
+    result = simulate(cfg)
     payload = {
         "estimates": [
             {"order": e.order, "mean": e.mean, "std_error": e.std_error}
@@ -353,14 +352,14 @@ def _cmd_simulate(args):
         "replications": result.replications,
         "completed": result.completed,
         "truncated": result.truncated,
-        "backend": result.backend,
+        "backend": "numpy",
     }
     lines = [
         f"m={e.order}: {e.mean:.6f} +- {e.std_error:.6f}" for e in result.estimates
     ]
     lines.append(
         f"completed {result.completed}/{result.replications}"
-        f" (truncated {result.truncated}), backend={result.backend}"
+        f" (truncated {result.truncated}), backend=numpy"
     )
     return payload, "\n".join(lines)
 

@@ -28,7 +28,14 @@ from typing import Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, partition
-from .markov import moment_anb, moment_nb, moment_recursive
+from .markov import (
+    _alternating_nb_sum,
+    b_power_sum,
+    moment_anb,
+    moment_nb,
+    moment_recursive,
+    nb_b_sum,
+)
 from .msn import msn_row
 from .msn1 import stirling1_triangle
 
@@ -175,6 +182,9 @@ def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
             Fraction(0),
         ) / dist.n
     if isinstance(dist, PhaseType):
+        if not any(dist.a.entries[0]):
+            # all mass on the atom at 1; the embedded chain's I - P_N is singular
+            return Fraction(1)
         value = moment_recursive(dist.embedded_chain(), "Rbar1", m)
         return value[0, 0]
     if isinstance(dist, Recurrence):
@@ -278,15 +288,8 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
             Fraction(0),
         )
     if isinstance(dist, NegBinomial):
-        row = msn_row(m, dist.k * (1 - Fraction(1) / dist.p))
         w = (1 - dist.p) / dist.p
-        return sum(
-            (
-                binom(j + dist.k - 1, dist.k - 1) * row[j] * qpow(w, j)
-                for j in range(m + 1)
-            ),
-            Fraction(0),
-        )
+        return nb_b_sum(w, dist.k, dist.k * (1 - Fraction(1) / dist.p), m)
     if isinstance(dist, AltNegBinomial):
         p, q, k = dist.p, dist.q, dist.k
         mean = ((k - 1) * (p - q) + k) / p
@@ -295,15 +298,7 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
             raise ArithmeticError(
                 f"closed mean {mean} disagrees with the moment formula {computed}"
             )
-        w = (1 - p) / p
-        total = Fraction(0)
-        for r in range(k):
-            inner = Fraction(0)
-            row = msn_row(m, k + r - mean)
-            for j in range(m + 1):
-                inner += row[j] * binom(j + r, j) * qpow(w, j)
-            total += binom(k - 1, r) * qpow(1 - q, r) * qpow(q, k - 1 - r) * inner
-        return total
+        return _alternating_nb_sum((1 - p) / p, q, k, m, shift=-mean)
     if isinstance(dist, DiscreteUniform):
         row = msn_row(m, -Fraction(dist.n - 1, 2))
         return sum(
@@ -316,38 +311,28 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
         resolvent = (RationalMatrix.identity(dim) - dist.mat).inverse()
         mean = 1 + (dist.a @ resolvent @ ones)[0, 0]
         defect = 1 - sum(dist.a.entries[0])
-        total = defect * qpow(1 - mean, m)
-        res_pow = RationalMatrix.identity(dim)
-        mat_pow = RationalMatrix.identity(dim)
-        for coeff in msn_row(m, 2 - mean):
-            if coeff != 0:
-                total += coeff * (dist.a @ mat_pow @ res_pow @ ones)[0, 0]
-            mat_pow = mat_pow @ dist.mat
-            res_pow = res_pow @ resolvent
-        return total
+        inner = b_power_sum(msn_row(m, 2 - mean), resolvent, 0, ones)
+        return defect * qpow(1 - mean, m) + (dist.a @ inner)[0, 0]
     if isinstance(dist, Recurrence):
         chain = dist.chain
         dim_n = chain.p_n.rows
         ones_n = RationalMatrix.ones_column(dim_n)
         v = chain.swapped().resolvent
         mean = 1 + (chain.p_mn @ v @ ones_n)[0, 0]
-        total = chain.p_m[0, 0] * qpow(1 - mean, m)
-        pn_pow = RationalMatrix.identity(dim_n)
-        v_pow = v
-        for coeff in msn_row(m, 2 - mean):
-            if coeff != 0:
-                total += coeff * (chain.p_mn @ pn_pow @ v_pow @ chain.p_nm)[0, 0]
-            pn_pow = pn_pow @ chain.p_n
-            v_pow = v_pow @ v
-        return total
+        inner = b_power_sum(msn_row(m, 2 - mean), v, 1, chain.p_nm)
+        return chain.p_m[0, 0] * qpow(1 - mean, m) + (chain.p_mn @ inner)[0, 0]
     raise TypeError(f"unknown distribution spec: {dist!r}")
 
 
 def spec_from_dict(obj: dict) -> DistributionSpec:
     """Parse the CLI JSON schema, e.g. {"type": "negbinomial", "p": "1/2", "k": 3}.
 
-    A missing field raises ``ValueError("<type> spec needs field '<name>'")``.
+    A missing field raises ``ValueError("<type> spec needs field '<name>'")``,
+    and anything but a JSON object ``ValueError("distribution spec must be a
+    JSON object")``.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("distribution spec must be a JSON object")
     kind = str(obj.get("type", "")).lower()
 
     def field(name: str):

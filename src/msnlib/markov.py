@@ -25,6 +25,7 @@ exactly, and the test suite enforces that.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, is_commutable, powers
@@ -153,36 +154,53 @@ def moment_k_convolved(
     raise ValueError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
 
 
+def b_power_sum(
+    coeffs: Sequence[RationalLike],
+    resolvent: RationalMatrix,
+    shift: int,
+    tail: RationalMatrix,
+) -> RationalMatrix:
+    """sum_j coeffs[j] A^j V^(j+shift) tail, for the resolvent V = (I-A)^-1.
+
+    A V = V - I, so the sum is the polynomial sum_j coeffs[j] (V-I)^j applied
+    to V^shift tail, evaluated by Horner: one product per term, each only as
+    wide as ``tail``.
+    """
+    x = tail
+    for _ in range(shift):
+        x = resolvent @ x
+    step = resolvent - RationalMatrix.identity(resolvent.rows)
+    acc = coeffs[-1] * x
+    for coeff in reversed(coeffs[:-1]):
+        acc = step @ acc + coeff * x
+    return acc
+
+
+def nb_b_sum(w: Fraction, r: int, k: RationalLike, m: int) -> Fraction:
+    """sum_j C(j+r-1, j) b(m, j, k) w^j, the negative-binomial b sum.
+
+    ``binom`` gives C(j-1, j) = [j = 0], so r = 0 leaves b(m, 0, k).
+    """
+    row = msn_row(m, k)
+    total = Fraction(0)
+    for j in reversed(range(m + 1)):
+        total = total * w + binom(j + r - 1, j) * row[j]
+    return total
+
+
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    u = chain.resolvent
-    p_pow = RationalMatrix.identity(chain.p_m.rows)
-    u_pow = u
-    acc = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
-    for coeff in msn_row(m, 1):
-        if coeff != 0:
-            acc = acc + coeff * (p_pow @ u_pow @ chain.p_mn)
-        p_pow = p_pow @ chain.p_m
-        u_pow = u_pow @ u
-    return acc
+    return b_power_sum(msn_row(m, 1), chain.resolvent, 1, chain.p_mn)
 
 
 def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    v = chain.swapped().resolvent
-    p_pow = RationalMatrix.identity(chain.p_n.rows)
-    v_pow = v
-    acc = RationalMatrix.zeros(chain.p_n.rows, chain.p_nm.cols)
-    for coeff in msn_row(m, 2):
-        if coeff != 0:
-            acc = acc + coeff * (p_pow @ v_pow @ chain.p_nm)
-        p_pow = p_pow @ chain.p_n
-        v_pow = v_pow @ v
-    return chain.p_m + chain.p_mn @ acc
+    inner = b_power_sum(msn_row(m, 2), chain.swapped().resolvent, 1, chain.p_nm)
+    return chain.p_m + chain.p_mn @ inner
 
 
 def _require_commutable(chain: PartitionedChain):
@@ -204,22 +222,14 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
         raise ValueError("moment order must be nonnegative")
     _require_commutable(chain)
     pm_pows = powers(chain.p_m, k)
-    pn_pows = powers(chain.p_n, m)
-    v_pows = powers(chain.swapped().resolvent, m + k)
     q_pows = powers(chain.q, k - 1)
+    v = chain.swapped().resolvent
 
     total = qpow(k, m) * pm_pows[k]
     for r in range(1, k + 1):
-        inner = None
         row = msn_row(m, k + r)
-        for j in range(m + 1):
-            coeff = binom(j + r - 1, j) * row[j]
-            if coeff == 0:
-                continue
-            term = coeff * (pn_pows[j] @ v_pows[j + r] @ chain.p_nm)
-            inner = term if inner is None else inner + term
-        if inner is None:
-            continue
+        coeffs = [binom(j + r - 1, j) * row[j] for j in range(m + 1)]
+        inner = b_power_sum(coeffs, v, r, chain.p_nm)
         total = total + binom(k, r) * (
             pm_pows[k - r] @ chain.p_mn @ q_pows[r - 1] @ inner
         )
@@ -248,12 +258,7 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
     w = chain.s_n / (1 - chain.s_n)
     total = Fraction(0)
     for r in range(k + 1):
-        inner = Fraction(0)
-        row = msn_row(m, k + r)
-        for j in range(m + 1):
-            coeff = binom(j + r - 1, j)
-            if coeff:
-                inner += coeff * row[j] * qpow(w, j)
+        inner = nb_b_sum(w, r, k + r, m)
         total += binom(k, r) * qpow(p, r) * qpow(1 - p, k - r) * inner
     return total
 
@@ -276,11 +281,7 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
     w = chain.s_m / (1 - chain.s_m)
-    row = msn_row(m, 2 * k)
-    total = Fraction(0)
-    for j in range(m + 1):
-        total += binom(j + k - 1, j) * row[j] * qpow(w, j)
-    return total
+    return nb_b_sum(w, k, 2 * k, m)
 
 
 def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -294,21 +295,14 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     _require_commutable(chain)
-    pm_pows = powers(chain.p_m, m)
     pn_pows = powers(chain.p_n, k - 1)
-    u_pows = powers(chain.resolvent, m + k)
     q_pows = powers(chain.q, k - 1)
-    total = None
+    total = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
     for r in range(k):
         tail = chain.p_mn @ pn_pows[k - 1 - r] @ q_pows[r]
         row = msn_row(m, k + r)
-        for j in range(m + 1):
-            coeff = binom(k - 1, r) * binom(j + r, j) * row[j]
-            if coeff == 0:
-                continue
-            term = coeff * (pm_pows[j] @ u_pows[j + r + 1] @ tail)
-            total = term if total is None else total + term
-    assert total is not None
+        coeffs = [binom(k - 1, r) * binom(j + r, j) * row[j] for j in range(m + 1)]
+        total = total + b_power_sum(coeffs, chain.resolvent, r + 1, tail)
     return total
 
 
@@ -335,20 +329,19 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
     return value * RationalMatrix.ones_column(chain.p_m.rows)
 
 
-def _alternating_nb_sum(w: Fraction, q: Fraction, k: int, m: int) -> Fraction:
+def _alternating_nb_sum(
+    w: Fraction, q: Fraction, k: int, m: int, shift: RationalLike = 0
+) -> Fraction:
     """Shared kernel of the |N| = 1 passage-time forms.
 
-    The factor ((1-q)/q)^r q^(k-1) is expanded to (1-q)^r q^(k-1-r) so q = 0
-    stays well-defined (only the r = k-1 term survives there).
+    sum_{r<k} C(k-1, r) (1-q)^r q^(k-1-r) sum_j C(j+r, j) b(m, j, k+r+shift) w^j;
+    ``shift = -M_1`` gives the central moment.  The factor ((1-q)/q)^r q^(k-1)
+    is expanded to (1-q)^r q^(k-1-r) so q = 0 stays well-defined (only the
+    r = k-1 term survives there).
     """
     total = Fraction(0)
     for r in range(k):
-        inner = Fraction(0)
-        row = msn_row(m, k + r)
-        for j in range(m + 1):
-            coeff = binom(j + r, j)
-            if coeff:
-                inner += coeff * row[j] * qpow(w, j)
+        inner = nb_b_sum(w, r + 1, k + r + shift, m)
         total += binom(k - 1, r) * qpow(1 - q, r) * qpow(q, k - 1 - r) * inner
     return total
 
@@ -387,9 +380,4 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    w = (1 - p) / p
-    row = msn_row(m, k)
-    total = Fraction(0)
-    for j in range(m + 1):
-        total += binom(j + k - 1, k - 1) * row[j] * qpow(w, j)
-    return total
+    return nb_b_sum((1 - p) / p, k, k, m)

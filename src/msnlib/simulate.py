@@ -5,8 +5,8 @@ transition probabilities are converted to float64 once at load, and the
 passage/recurrence times are sampled with numpy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so a fixed seed reproduces results
 bit-for-bit.  All walks advance in lockstep rounds, one uniform per active
-walk per round, which keeps the two kernels (numba and pure numpy; see
-:mod:`msnlib._sim_kernels`) on exactly the same random stream.
+walk per round, through the vectorized numpy kernel of
+:mod:`msnlib._sim_kernels`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._sim_kernels import KERNELS, build_cumulative, resolve_backend
+from ._sim_kernels import KERNELS, build_cumulative
 from .exact import as_rational
 from .linalg import PartitionedChain
 
@@ -87,7 +87,6 @@ class SimResult:
     replications: int
     completed: int
     truncated: int
-    backend: str
 
     @property
     def truncated_fraction(self) -> float:
@@ -100,14 +99,13 @@ class SimResult:
         return self.estimates[order - 1].std_error
 
 
-def simulate(cfg: SimConfig, backend: str | None = None) -> SimResult:
+def simulate(cfg: SimConfig) -> SimResult:
     """Sample the configured passage/recurrence time and estimate E[T^m], m = 1..4.
 
     Walks still running after max_steps rounds are excluded from the
     estimates and reported; more than 1% of them raises TruncationError.
     """
-    backend_name = resolve_backend(backend)
-    kernel = KERNELS[backend_name]
+    kernel = KERNELS["numpy"]
     chain = cfg.chain
 
     probs = np.array(
@@ -168,5 +166,4 @@ def simulate(cfg: SimConfig, backend: str | None = None) -> SimResult:
         replications=reps,
         completed=completed,
         truncated=truncated,
-        backend=backend_name,
     )

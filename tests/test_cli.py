@@ -232,12 +232,19 @@ class TestDist:
         assert out == "precondition failed: binomial spec needs field 'n'"
 
 
+    @pytest.mark.parametrize("spec", ["[1]", '"x"'])
+    def test_non_object_spec_exits_3(self, capsys, spec):
+        code, out = invoke(capsys, "dist", "--spec", spec, "--m", "2")
+        assert code == 3
+        assert out == "precondition failed: distribution spec must be a JSON object"
+
+
 class TestSimulate:
     def test_runs_and_reports(self, capsys, chain_file):
         code, out = invoke(
             capsys,
             "simulate", "--chain", chain_file, "--var", "N", "--k", "1",
-            "--reps", "5000", "--seed", "42", "--backend", "numpy",
+            "--reps", "5000", "--seed", "42",
         )
         assert code == 0
         assert "backend=numpy" in out

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain
 from msnlib.distributions import (
@@ -21,7 +23,7 @@ from msnlib.distributions import (
     raw_moments,
     spec_from_dict,
 )
-from msnlib.linalg import RationalMatrix
+from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
 from msnlib.markov import moment_k_convolved
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -236,6 +238,50 @@ class TestCentralClosed:
             from msnlib.markov import dist_r1
 
             assert dist_r1(chain.swapped(), 1)[0, 0] == defect
+
+
+@st.composite
+def phase_type_st(draw) -> PhaseType:
+    """Substochastic block (rows may sum to 1) with I - mat invertible, and an
+    initial row of mass at most 1."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(dim + 1):
+        nums = draw(st.lists(st.integers(0, 9), min_size=dim, max_size=dim))
+        den = draw(st.integers(max(sum(nums), 1), sum(nums) + 6))
+        rows.append([Fraction(x, den) for x in nums])
+    try:
+        return PhaseType(
+            a=RationalMatrix.row_vector(rows[0]), mat=RationalMatrix(rows[1:])
+        )
+    except SingularMatrixError:
+        assume(False)
+
+
+@st.composite
+def recurrence_st(draw) -> Recurrence:
+    """|M| = 1 on a stochastic matrix with strictly positive entries."""
+    size = 1 + draw(st.integers(1, 3))
+    rows = []
+    for _ in range(size):
+        nums = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        rows.append([Fraction(x, sum(nums)) for x in nums])
+    return Recurrence(chain=partition(RationalMatrix(rows), [1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(phase_type_st(), recurrence_st()), st.integers(0, 6))
+def test_matrix_central_closed_matches_oracle(spec, m):
+    assert central_closed(spec, m) == central_from_raw(raw_moments(spec, m))[m]
+
+
+def test_phase_type_without_initial_mass_is_the_atom_at_one():
+    ph = PhaseType(
+        a=RationalMatrix.row_vector([0, 0]),
+        mat=RationalMatrix.identity(2) * Fraction(1, 2),
+    )
+    assert raw_moments(ph, 4) == [1] * 5
+    assert [central_closed(ph, m) for m in range(5)] == [1, 0, 0, 0, 0]
 
 
 class TestSpecParsing:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     anb_chain,
@@ -10,10 +12,11 @@ from conftest import (
     rowsum_chain,
     scalar_block_chain,
 )
-from msnlib.linalg import RationalMatrix, partition
+from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
 from msnlib.markov import (
     CommutabilityError,
     PreconditionError,
+    b_power_sum,
     dist_n1,
     dist_r1,
     moment_anb,
@@ -28,6 +31,73 @@ from msnlib.markov import (
     moment_rk_commutable,
     moment_rk_scalar,
 )
+
+
+fractions_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
+)
+
+
+@st.composite
+def substochastic_st(draw, dim: int) -> RationalMatrix:
+    """Nonnegative rows summing to at most 1 (a row may sum to exactly 1)."""
+    rows = []
+    for _ in range(dim):
+        nums = draw(st.lists(st.integers(0, 9), min_size=dim, max_size=dim))
+        den = draw(st.integers(max(sum(nums), 1), sum(nums) + 6))
+        rows.append([Fraction(x, den) for x in nums])
+    return RationalMatrix(rows)
+
+
+@st.composite
+def positive_chain_st(draw, max_m: int = 3, max_n: int = 3):
+    """A stochastic matrix with strictly positive entries, split as (|M|, |N|);
+    both diagonal blocks are then strictly substochastic."""
+    m_size = draw(st.integers(1, max_m))
+    size = m_size + draw(st.integers(1, max_n))
+    rows = []
+    for _ in range(size):
+        nums = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        rows.append([Fraction(x, sum(nums)) for x in nums])
+    return partition(RationalMatrix(rows), list(range(1, m_size + 1)))
+
+
+def b_power_sum_reference(coeffs, a, shift, tail):
+    """sum_j c_j A^j V^(j+shift) tail, term by term with explicit powers."""
+    v = (RationalMatrix.identity(a.rows) - a).inverse()
+    acc = RationalMatrix.zeros(tail.rows, tail.cols)
+    for j, c in enumerate(coeffs):
+        acc = acc + c * (a**j @ v ** (j + shift) @ tail)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            substochastic_st(n),
+            st.integers(1, 3).flatmap(
+                lambda c: st.lists(
+                    st.lists(fractions_st, min_size=c, max_size=c),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+        )
+    ),
+    st.integers(0, 3),
+    st.lists(fractions_st, min_size=1, max_size=8),
+)
+def test_b_power_sum_matches_reference_loop(a_and_tail, shift, coeffs):
+    a, tail_rows = a_and_tail
+    try:
+        v = (RationalMatrix.identity(a.rows) - a).inverse()
+    except SingularMatrixError:
+        assume(False)
+    tail = RationalMatrix(tail_rows)
+    want = b_power_sum_reference(coeffs, a, shift, tail)
+    assert b_power_sum(coeffs, v, shift, tail) == want
 
 
 def geometric_chain(p: Fraction):
@@ -143,15 +213,11 @@ class TestClosedForms:
         want = Fraction(1, 2) + Fraction(1, 2) * Fraction(2, 3) * tail
         assert moment_r1_closed(two_state_chain, 2)[0, 0] == want
 
-    def test_closed_equals_recursive_on_random_chains(self):
-        rng = random.Random(20240918)
-        for _ in range(20):
-            m_size = rng.randint(1, 4)
-            n_size = rng.randint(1, 4)
-            c = random_chain(rng, m_size, n_size)
-            for m in range(7):
-                assert moment_n1_closed(c, m) == moment_recursive(c, "N1", m)
-                assert moment_r1_closed(c, m) == moment_recursive(c, "R1", m)
+    @settings(max_examples=40, deadline=None)
+    @given(positive_chain_st(), st.integers(0, 8))
+    def test_closed_equals_recursive_on_random_chains(self, c, m):
+        assert moment_n1_closed(c, m) == moment_recursive(c, "N1", m)
+        assert moment_r1_closed(c, m) == moment_recursive(c, "R1", m)
 
     def test_mean_passage_solves_first_step_system(self):
         # classical mean-first-passage equations: t = e + P_M t, so the row

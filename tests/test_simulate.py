@@ -6,7 +6,6 @@ from conftest import anb_chain, renewal_chain
 from msnlib.linalg import RationalMatrix, partition
 from msnlib.markov import moment_k_convolved
 from msnlib.simulate import SimConfig, TruncationError, simulate
-from msnlib._sim_kernels import HAVE_NUMBA, resolve_backend
 
 import random
 
@@ -24,18 +23,6 @@ def test_same_seed_is_bit_identical(two_state_chain):
         chain=two_state_chain, variable="N", k=1, replications=5000, seed=99
     )
     assert simulate(cfg) == simulate(cfg)
-
-
-def test_backends_agree_exactly(two_state_chain):
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    cfg = SimConfig(
-        chain=two_state_chain, variable="R", k=2, replications=20_000, seed=7
-    )
-    a = simulate(cfg, backend="numba")
-    b = simulate(cfg, backend="numpy")
-    assert a.estimates == b.estimates
-    assert a.truncated == b.truncated
 
 
 def test_deterministic_unit_time():
@@ -127,20 +114,3 @@ def test_config_validation(two_state_chain):
             start=(Fraction(1, 2),),
         )
 
-
-def test_backend_resolution(monkeypatch):
-    monkeypatch.setenv("MSNLIB_SIM_BACKEND", "numpy")
-    assert resolve_backend() == "numpy"
-    monkeypatch.setenv("MSNLIB_SIM_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        resolve_backend()
-    monkeypatch.delenv("MSNLIB_SIM_BACKEND")
-    assert resolve_backend("numpy") == "numpy"
-
-
-def test_env_flag_selects_backend(two_state_chain, monkeypatch):
-    monkeypatch.setenv("MSNLIB_SIM_BACKEND", "numpy")
-    cfg = SimConfig(
-        chain=two_state_chain, variable="N", k=1, replications=500, seed=1
-    )
-    assert simulate(cfg).backend == "numpy"
