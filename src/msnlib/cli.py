@@ -80,6 +80,16 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _size_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _kset_arg(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational_arg(part) for part in text.split(",") if part.strip())
 
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="dump the b triangle for fixed k")
     p.add_argument("i_max", type=int)
     p.add_argument("k", type=_rational_arg)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmax", type=_size_arg, default=None)
     add_format(p, choices=("text", "json", "csv"))
 
     p = sub.add_parser("invcheck", help="verify the b/c inverse product matrix")
@@ -119,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf-check", help="verify generating-function coefficients")
     p.add_argument("--which", choices=("ogf", "egf", "bgf", "all"), default="all")
-    p.add_argument("--jmax", type=int, default=5)
+    p.add_argument("--jmax", type=_size_arg, default=5)
     p.add_argument("--kset", type=_kset_arg, default=None)
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=_size_arg, default=12)
     add_format(p)
 
     p = sub.add_parser("identity-suite", help="run the full identity battery")
-    p.add_argument("--imax", type=int, default=12)
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--imax", type=_size_arg, default=12)
+    p.add_argument("--order", type=_size_arg, default=12)
     p.add_argument("--kset", type=_kset_arg, default=None)
     add_format(p)
 

@@ -38,7 +38,10 @@ def as_rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational literal: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 

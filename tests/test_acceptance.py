@@ -50,6 +50,20 @@ def _report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
+# per-identity case counts of the default battery, i_max = order = 12
+BATTERY_CASES = {
+    "a6": 117, "a7": 117, "a8": 1521, "a10": 1521, "a11": 1521, "a12": 1521,
+    "a12a": 1521, "a12b": 1521, "a13": 702, "a14": 117, "a15": 117, "a16": 169,
+    "a17": 47385, "a18": 3276, "a19": 1521, "a20": 1521, "a21": 13689,
+    "a23": 1404, "a24": 1521, "a25": 144, "a26": 117, "a27": 117, "a28": 13,
+    "a29": 819, "a29a": 819, "a30": 10647, "a31": 10647, "a32": 91, "a33": 156,
+    "a34": 1183, "a36": 90, "a37": 216, "a38": 171, "k_i": 72, "k_i_l": 288,
+    "n1": 1521, "n2": 42, "n3": 1521, "n30": 1690, "nonneg": 455, "comb": 288,
+    "sn2_k0": 66, "a46": 5346, "a46_matrix": 9, "ogf": 702, "egf": 546,
+    "a41": 216, "a42": 405, "bgf": 243, "a44": 243,
+}
+
+
 def test_c1_identity_battery():
     started = time.monotonic()
     results = run_identity_suite(i_max=12, k_set=K_SET, order=12)
@@ -58,6 +72,11 @@ def test_c1_identity_battery():
     assert not failed, failed
     assert elapsed < 60.0
     total = sum(r.cases for r in results)
+    assert {r.label: r.cases for r in results} == BATTERY_CASES
+    assert total == 119665
+    reduced = run_identity_suite(i_max=8, k_set=(1,), order=8)
+    assert all(r.ok for r in reduced)
+    assert sum(r.cases for r in reduced) == 7531
     _report("1 identity-battery", f"{len(results)} identities, {total} cases, {elapsed:.1f}s")
 
 

@@ -266,6 +266,46 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["msn", "3", "2", "1/0"],
+        ["table", "4", "1/0"],
+        ["identity-suite", "--kset", "1/0"],
+        ["identity-suite", "--imax", "-1"],
+        ["identity-suite", "--order", "-3"],
+        ["gf-check", "--jmax", "-1"],
+        ["gf-check", "--order", "-1"],
+        ["table", "4", "1", "--jmax", "-1"],
+    ],
+)
+def test_bad_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err or "must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_in_chain_file_exits_3(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"P": [["1/0", "1/2"], ["1/2", "1/2"]], "M": [1]}))
+    code, out = invoke(
+        capsys, "markov", "--chain", str(path), "--var", "N", "--k", "1", "--m", "1"
+    )
+    assert code == 3
+    assert out == "precondition failed: zero denominator in rational literal: '1/0'"
+
+
+def test_zero_denominator_in_spec_exits_3(capsys):
+    code, out = invoke(
+        capsys, "dist", "--spec", '{"type":"poisson","lambda":"3/0"}', "--m", "1"
+    )
+    assert code == 3
+    assert out == "precondition failed: zero denominator in rational literal: '3/0'"
+
+
 def test_console_entry_point():
     import subprocess
     import sys

@@ -103,6 +103,10 @@ class TestRationalParsing:
         with pytest.raises(TypeError):
             as_rational(0.5)
 
+    def test_zero_denominator_names_the_literal(self):
+        with pytest.raises(ValueError, match="zero denominator.*'-3/0'"):
+            as_rational("-3/0")
+
 
 @given(
     st.integers(-10**6, 10**6),

@@ -11,18 +11,20 @@ from msnlib.identities import (
     _expect,
     run_identity_suite,
 )
+from msnlib.msn import MsnTable
 
-EXPECTED_LABELS = {
+# in the order the battery runs and prints them
+EXPECTED_LABELS = [
     "a6", "a7", "a8", "a10", "a11", "a12", "a12a", "a12b", "a13", "a14", "a15",
     "a16", "a17", "a18", "a19", "a20", "a21", "a23", "a24", "a25", "a26", "a27",
     "a28", "a29", "a29a", "a30", "a31", "a32", "a33", "a34", "a36", "a37", "a38",
     "k_i", "k_i_l", "n1", "n2", "n3", "n30", "nonneg", "comb", "sn2_k0", "a46",
     "a46_matrix", "ogf", "egf", "a41", "a42", "bgf", "a44",
-}
+]
 
 
 def test_registry_is_complete():
-    assert {label for label, _ in IDENTITY_CHECKS} == EXPECTED_LABELS
+    assert [label for label, _ in IDENTITY_CHECKS] == EXPECTED_LABELS
 
 
 def test_default_k_set_mixes_signs_and_integrality():
@@ -37,7 +39,7 @@ def test_reduced_battery_passes():
     results = run_identity_suite(i_max=8, k_set=K_SET, order=8)
     failed = [r for r in results if not r.ok]
     assert not failed, failed
-    assert {r.label for r in results} == EXPECTED_LABELS
+    assert [r.label for r in results] == EXPECTED_LABELS
     assert all(r.cases > 0 for r in results)
 
 
@@ -74,3 +76,48 @@ def test_context_table_cache_reused():
     ctx = Context(i_max=6, order=6)
     assert ctx.table(Fraction(1, 3)) is ctx.table(Fraction(1, 3))
     assert ctx.b(4, 4, 5) == 24
+
+
+def _perturbed_msn_table(delta):
+    """msn_table with b(5, 2, 1/3) moved by delta."""
+    real = identities.msn_table
+
+    def build(i_max, k, j_max=None):
+        tab = real(i_max, k, j_max)
+        if k != Fraction(1, 3):
+            return tab
+        rows = [list(row) for row in tab._rows]
+        rows[5][2] += delta
+        return MsnTable(tab.k, tab.i_max, tab.j_max, tuple(map(tuple, rows)))
+
+    return build
+
+
+CAUGHT_BY_INTEGER_COLUMNS = ("a17", "a18", "a21", "a30", "a31")
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 7)], ids=["1", "1/7"])
+def test_perturbed_table_entry_fails_the_convolutions(monkeypatch, delta):
+    monkeypatch.setattr(identities, "msn_table", _perturbed_msn_table(delta))
+    results = {r.label: r for r in run_identity_suite(i_max=8, order=8)}
+    for label in CAUGHT_BY_INTEGER_COLUMNS:
+        assert not results[label].ok, label
+        assert "1/3" in results[label].detail, results[label].detail
+    assert results["a14"].ok
+
+
+def test_non_integer_scaled_value_names_the_entry(monkeypatch):
+    monkeypatch.setattr(identities, "msn_table", _perturbed_msn_table(Fraction(1, 7)))
+    ctx = Context(i_max=8, order=8)
+    with pytest.raises(IdentityFailure, match=r"b\(5,2,1/3\)"):
+        ctx.scaled(Fraction(1, 3), 3)
+
+
+def test_scaled_columns_match_the_table():
+    ctx = Context(i_max=6, order=6)
+    k = Fraction(-1, 2)
+    cols = ctx.scaled(k, 6)
+    assert ctx.scaled(k, 6) is cols
+    for i in range(ctx.table(k).i_max + 1):
+        for j in range(i + 1):
+            assert cols[j][i] == 6**i * ctx.b(i, j, k)
