@@ -104,25 +104,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="text")
 
     p = sub.add_parser("msn", help="print b(i, j, k)")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p.add_argument("i", type=_size_arg)
+    p.add_argument("j", type=_size_arg)
     p.add_argument("k", type=_rational_arg)
     add_format(p)
 
     p = sub.add_parser("msn1", help="print c(i, j, k)")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p.add_argument("i", type=_size_arg)
+    p.add_argument("j", type=_size_arg)
     p.add_argument("k", type=_rational_arg)
     add_format(p)
 
     p = sub.add_parser("table", help="dump the b triangle for fixed k")
-    p.add_argument("i_max", type=int)
+    p.add_argument("i_max", type=_size_arg)
     p.add_argument("k", type=_rational_arg)
     p.add_argument("--jmax", type=_size_arg, default=None)
     add_format(p, choices=("text", "json", "csv"))
 
     p = sub.add_parser("invcheck", help="verify the b/c inverse product matrix")
-    p.add_argument("i_max", type=int)
+    p.add_argument("i_max", type=_size_arg)
     p.add_argument("k1", type=_rational_arg)
     p.add_argument("k2", type=_rational_arg)
     add_format(p)
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True, help="JSON file with P and M")
     p.add_argument("--var", choices=("N", "R", "Nbar", "Rbar"), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_size_arg, required=True)
     p.add_argument(
         "--method",
         choices=("recursive", "closed", "commutable", "convolved"),
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="raw or central moments of a named law")
     p.add_argument("--spec", required=True, help="JSON distribution spec")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_size_arg, required=True)
     p.add_argument("--central", action="store_true")
     add_format(p)
 

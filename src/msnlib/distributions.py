@@ -182,11 +182,7 @@ def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
             Fraction(0),
         ) / dist.n
     if isinstance(dist, PhaseType):
-        if not any(dist.a.entries[0]):
-            # all mass on the atom at 1; the embedded chain's I - P_N is singular
-            return Fraction(1)
-        value = moment_recursive(dist.embedded_chain(), "Rbar1", m)
-        return value[0, 0]
+        return moment_recursive(dist.embedded_chain(), "Rbar1", m)[0, 0]
     if isinstance(dist, Recurrence):
         return moment_recursive(dist.chain, "R1", m)[0, 0]
     raise TypeError(f"unknown distribution spec: {dist!r}")

@@ -15,11 +15,17 @@ matrix holds ``det(num)`` on the left and ``adj(num)`` (up to the common
 sign) on the right, so the inverse is ``den * adj(num) / det(num)`` with no
 rational arithmetic at all.
 
+:func:`combine` fuses sums of products, ``sum_t c_t A_t @ B_t``: each entry
+is one integer sum over the lcm of the term denominators, reduced once.
+``+``, ``-`` and scalar ``*`` are calls of it.
+
 :class:`PartitionedChain` is a stochastic matrix split by a state subset M
 into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
 throughout the code), together with the products Q = P_NM @ P_MN and
-Qbar = P_MN @ P_NM, the constant block row sums when those exist, and the
-resolvent (I - P_M)^-1 that partitioning computes to check the chain.
+Qbar = P_MN @ P_NM, the constant block row sums when those exist, and one
+lazy resolvent slot per side, (I - P_M)^-1 and (I - P_N)^-1, each inverted
+on its first read.  Partitioning reads the first to check the chain; the
+second is inverted only by a route that needs it.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain as _flatten
 from math import gcd, lcm
 from operator import mul
@@ -136,32 +143,14 @@ class RationalMatrix:
     def __hash__(self):
         return hash((self.den, self.num))
 
-    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
-        """``self + sign * other`` over the least common denominator."""
-        self._same_shape(other)
-        den = lcm(self.den, other.den)
-        fa = den // self.den
-        fb = sign * (den // other.den)
-        return RationalMatrix._reduced(
-            [
-                [a * fa + b * fb for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.num, other.num)
-            ],
-            den,
-        )
-
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, 1)
+        return combine([(1, self, None), (1, other, None)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, -1)
+        return combine([(1, self, None), (-1, other, None)])
 
     def __mul__(self, scalar) -> "RationalMatrix":
-        s = as_rational(scalar)
-        p = s.numerator
-        return RationalMatrix._reduced(
-            [[p * v for v in row] for row in self.num], self.den * s.denominator
-        )
+        return combine([(scalar, self, None)])
 
     __rmul__ = __mul__
 
@@ -196,10 +185,6 @@ class RationalMatrix:
 
     def row_sums(self) -> list[Fraction]:
         return [Fraction(sum(row), self.den) for row in self.num]
-
-    def _same_shape(self, other: "RationalMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse via fraction-free Gauss-Jordan elimination on ``num``.
@@ -250,6 +235,50 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
+def combine(terms) -> RationalMatrix:
+    """``sum_t c_t A_t @ B_t`` for terms ``(c_t, A_t, B_t)``, rational ``c_t``.
+
+    A term ``(c, A, None)`` adds ``c A``.  Each term is scaled to the lcm of
+    the term denominators ``c.den A.den B.den``; the product terms share one
+    integer dot product per entry (the scaled rows of every ``A_t`` against
+    the matching columns of every ``B_t``), and the result is reduced once.
+    Zero coefficients are skipped after the shapes are checked.
+    """
+    shape, live = None, []
+    for c, a, b in terms:
+        if b is not None and a.cols != b.rows:
+            raise ValueError(
+                f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+            )
+        term_shape = (a.rows, a.cols if b is None else b.cols)
+        if shape not in (None, term_shape):
+            raise ValueError("shape mismatch")
+        shape = term_shape
+        c = c if isinstance(c, (int, Fraction)) else as_rational(c)
+        if c:
+            den = c.denominator * a.den * (1 if b is None else b.den)
+            live.append((c.numerator, den, a, b))
+    if shape is None:
+        raise ValueError("combine needs at least one term")
+    den = lcm(*(d for _, d, _, _ in live))
+    lefts = [[] for _ in range(shape[0])]
+    rights = [[] for _ in range(shape[1])]
+    plain = []
+    for p, d, a, b in live:
+        f = p * (den // d)
+        if b is None:
+            plain.append((f, a))
+            continue
+        for left, row in zip(lefts, a.num):
+            left.extend(row if f == 1 else [f * v for v in row])
+        for right, col in zip(rights, zip(*b.num)):
+            right.extend(col)
+    acc = [[sum(map(mul, left, right)) for right in rights] for left in lefts]
+    for f, a in plain:
+        acc = [[x + f * v for x, v in zip(out, row)] for out, row in zip(acc, a.num)]
+    return RationalMatrix._reduced(acc, den)
+
+
 def powers(matrix: RationalMatrix, up_to: int) -> list[RationalMatrix]:
     """``[I, A, A^2, ..., A^up_to]`` for a square matrix ``A``."""
     pows = [RationalMatrix.identity(matrix.rows)]
@@ -280,8 +309,6 @@ class PartitionedChain:
 
     ``q = p_nm @ p_mn`` and ``q_bar = p_mn @ p_nm``; ``s_m`` / ``s_n`` are the
     common row sums of the diagonal blocks when all rows agree, else None.
-    ``resolvent`` is ``(I - p_m)^-1``; it is determined by ``p_m`` and so
-    takes no part in comparison.
     """
 
     p: RationalMatrix
@@ -295,23 +322,25 @@ class PartitionedChain:
     q_bar: RationalMatrix
     s_m: Fraction | None
     s_n: Fraction | None
-    resolvent: RationalMatrix = field(repr=False, compare=False)
-    # (I - p_n)^-1 once swapped() has computed it
-    _n_resolvent: list = field(default_factory=list, repr=False, compare=False)
+    # cached (I - p_m)^-1 and (I - p_n)^-1, each inverted on its first read
+    _resolvents: tuple = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.p.rows
 
+    @property
+    def resolvent(self) -> RationalMatrix:
+        """``(I - p_m)^-1``; a ChainError names the block when it is singular."""
+        return self._resolvents[0]()
+
     def swapped(self) -> "PartitionedChain":
         """The same matrix partitioned by the complement of M.
 
-        Requires I - P_N invertible, since that block becomes the new P_M;
-        otherwise raises ChainError naming I - P_N.  Both resolvents are
-        kept, so swapping back and forth inverts nothing again.
+        Inverts nothing: the two resolvent slots are exchanged, so the
+        complement's is inverted only when a route reads it, and swapping
+        back and forth never inverts a block twice.
         """
-        if not self._n_resolvent:
-            self._n_resolvent.append(_resolvent(self.p_n, "I - P_N"))
         return PartitionedChain(
             p=self.p,
             m_indices=self.n_indices,
@@ -324,8 +353,7 @@ class PartitionedChain:
             q_bar=self.q,
             s_m=self.s_n,
             s_n=self.s_m,
-            resolvent=self._n_resolvent[0],
-            _n_resolvent=[self.resolvent],
+            _resolvents=self._resolvents[::-1],
         )
 
 
@@ -366,7 +394,7 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
     p_nm = block(n_set, m_set)
     p_n = block(n_set, n_set)
 
-    return PartitionedChain(
+    chain = PartitionedChain(
         p=p,
         m_indices=tuple(m_set),
         n_indices=tuple(n_set),
@@ -378,8 +406,13 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
         q_bar=p_mn @ p_nm,
         s_m=_constant_row_sum(p_m),
         s_n=_constant_row_sum(p_n),
-        resolvent=_resolvent(p_m, "I - P_M"),
+        _resolvents=(
+            cache(partial(_resolvent, p_m, "I - P_M")),
+            cache(partial(_resolvent, p_n, "I - P_N")),
+        ),
     )
+    chain.resolvent  # inverts I - P_M, validating the chain
+    return chain
 
 
 def is_commutable(chain: PartitionedChain, side: str) -> bool:

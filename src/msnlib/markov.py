@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
-from .linalg import PartitionedChain, RationalMatrix, is_commutable, powers
+from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable, powers
 from .msn import msn_row
 
 
@@ -38,6 +38,13 @@ class CommutabilityError(ValueError):
 
 class PreconditionError(ValueError):
     """A named hypothesis of a closed form does not hold for this chain."""
+
+
+def _check_orders(m: int, k: int = 1):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if m < 0:
+        raise ValueError("moment order must be nonnegative")
 
 
 def dist_n1(chain: PartitionedChain, n: int) -> RationalMatrix:
@@ -65,22 +72,17 @@ def _n1_moment_list(chain: PartitionedChain, m_max: int) -> list[RationalMatrix]
     u = chain.resolvent
     out = [u @ chain.p_mn]
     for m in range(1, m_max + 1):
-        acc = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
-        for j in range(m):
-            acc = acc + binom(m, j) * out[j]
-        out.append(u @ (chain.p_mn + chain.p_m @ acc))
+        acc = combine([(binom(m, j), out[j], None) for j in range(m)])
+        out.append(u @ combine([(1, chain.p_mn, None), (1, chain.p_m, acc)]))
     return out
 
 
-def _r1_moment_list(chain: PartitionedChain, m_max: int) -> list[RationalMatrix]:
-    """M_m(R_1) = P_M + P_MN sum_{j<=m} C(m,j) M_j(Nbar_1)."""
-    nbar = _n1_moment_list(chain.swapped(), m_max)
+def _r1_moment_list(chain: PartitionedChain, nbar: list) -> list[RationalMatrix]:
+    """M_m(R_1) = P_M + P_MN sum_{j<=m} C(m,j) M_j(Nbar_1), from M_j(Nbar_1)."""
     out = []
-    for m in range(m_max + 1):
-        acc = RationalMatrix.zeros(chain.p_nm.rows, chain.p_nm.cols)
-        for j in range(m + 1):
-            acc = acc + binom(m, j) * nbar[j]
-        out.append(chain.p_m + chain.p_mn @ acc)
+    for m in range(len(nbar)):
+        acc = combine([(binom(m, j), nbar[j], None) for j in range(m + 1)])
+        out.append(combine([(1, chain.p_m, None), (1, chain.p_mn, acc)]))
     return out
 
 
@@ -94,39 +96,27 @@ def moment_recursive(chain: PartitionedChain, variable: str, m: int) -> Rational
     so it is independent of every closed form it validates.  Barred variants
     delegate to the role-swapped chain.
     """
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m)
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
     if variable == "N1":
         return _n1_moment_list(chain, m)[m]
     if variable == "R1":
-        return _r1_moment_list(chain, m)[m]
+        return _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m))[m]
     return moment_recursive(chain.swapped(), variable.replace("bar", ""), m)
 
 
-def _convolve(binfirst: list, second: list, m: int) -> RationalMatrix:
-    acc = None
-    for j in range(m + 1):
-        term = binom(m, j) * (binfirst[m - j] @ second[j])
-        acc = term if acc is None else acc + term
-    return acc
+def _convolve(first: list, second: list, m: int) -> RationalMatrix:
+    """sum_j C(m,j) first[m-j] @ second[j], the m-th moment of a sum."""
+    return combine([(binom(m, j), first[m - j], second[j]) for j in range(m + 1)])
 
 
-def _rk_moment_list(chain: PartitionedChain, k: int, m_max: int) -> list[RationalMatrix]:
-    out = _r1_moment_list(chain, m_max)
-    base = out
+def _convolve_rounds(base: list, k: int, m: int) -> list[RationalMatrix]:
+    """M_0..M_m of the k-fold sum, by k-1 rounds of convolution with base."""
+    out = base
     for _ in range(k - 1):
-        out = [_convolve(out, base, m) for m in range(m_max + 1)]
+        out = [_convolve(out, base, j) for j in range(m + 1)]
     return out
-
-
-def _nk_moment_list(chain: PartitionedChain, k: int, m_max: int) -> list[RationalMatrix]:
-    n1 = _n1_moment_list(chain, m_max)
-    if k == 1:
-        return n1
-    rbar = _rk_moment_list(chain.swapped(), k - 1, m_max)
-    return [_convolve(n1, rbar, m) for m in range(m_max + 1)]
 
 
 def moment_k_convolved(
@@ -137,21 +127,25 @@ def moment_k_convolved(
     R_k = R_(k-1) + R_1 and N_k = N_1 + Rbar_(k-1) give
     M_m(R_k) = sum_j C(m,j) M_j(R_(k-1)) M_(m-j)(R_1)  and
     M_m(N_k) = sum_j C(m,j) M_(m-j)(N_1) M_j(Rbar_(k-1)).
+    The bases are built for orders 0..m, Rbar_1's from N_1's list
+    (M_m(Rbar_1) = P_N + P_NM sum_j C(m,j) M_j(N_1)), and so is every
+    convolution round but the last, which builds order m only.
     Valid for every chain; serves as the oracle for the commutable forms.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if variable == "R":
-        return _rk_moment_list(chain, k, m)[m]
-    if variable == "N":
-        return _nk_moment_list(chain, k, m)[m]
-    if variable == "Rbar":
-        return _rk_moment_list(chain.swapped(), k, m)[m]
-    if variable == "Nbar":
-        return _nk_moment_list(chain.swapped(), k, m)[m]
-    raise ValueError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
+    _check_orders(m, k)
+    if variable not in ("N", "R", "Nbar", "Rbar"):
+        raise ValueError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
+    chain = chain.swapped() if variable.endswith("bar") else chain
+    if variable[0] == "R":
+        r1 = _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m))
+        if k == 1:
+            return r1[m]
+        return _convolve(_convolve_rounds(r1, k - 1, m), r1, m)
+    n1 = _n1_moment_list(chain, m)
+    if k == 1:
+        return n1[m]
+    rbar1 = _r1_moment_list(chain.swapped(), n1)
+    return _convolve(n1, _convolve_rounds(rbar1, k - 1, m), m)
 
 
 def b_power_sum(
@@ -172,7 +166,7 @@ def b_power_sum(
     step = resolvent - RationalMatrix.identity(resolvent.rows)
     acc = coeffs[-1] * x
     for coeff in reversed(coeffs[:-1]):
-        acc = step @ acc + coeff * x
+        acc = combine([(1, step, acc), (coeff, x, None)])
     return acc
 
 
@@ -190,17 +184,15 @@ def nb_b_sum(w: Fraction, r: int, k: RationalLike, m: int) -> Fraction:
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m)
     return b_power_sum(msn_row(m, 1), chain.resolvent, 1, chain.p_mn)
 
 
 def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m)
     inner = b_power_sum(msn_row(m, 2), chain.swapped().resolvent, 1, chain.p_nm)
-    return chain.p_m + chain.p_mn @ inner
+    return combine([(1, chain.p_m, None), (1, chain.p_mn, inner)])
 
 
 def _require_commutable(chain: PartitionedChain):
@@ -216,24 +208,19 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     k^m P_M^k + sum_{r=1}^{k} C(k,r) P_M^(k-r) P_MN Q^(r-1)
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     _require_commutable(chain)
     pm_pows = powers(chain.p_m, k)
     q_pows = powers(chain.q, k - 1)
     v = chain.swapped().resolvent
 
-    total = qpow(k, m) * pm_pows[k]
+    terms = [(qpow(k, m), pm_pows[k], None)]
     for r in range(1, k + 1):
         row = msn_row(m, k + r)
         coeffs = [binom(j + r - 1, j) * row[j] for j in range(m + 1)]
         inner = b_power_sum(coeffs, v, r, chain.p_nm)
-        total = total + binom(k, r) * (
-            pm_pows[k - r] @ chain.p_mn @ q_pows[r - 1] @ inner
-        )
-    return total
+        terms.append((binom(k, r), pm_pows[k - r] @ chain.p_mn @ q_pows[r - 1], inner))
+    return combine(terms)
 
 
 def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
@@ -244,10 +231,7 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
     with p = 1 - P_M.  The powers of p are combined before evaluation so the
     formula stays polynomial in p (no division by 1-p).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     if chain.p_m.rows != 1:
         raise PreconditionError(f"requires |M| = 1, got |M| = {chain.p_m.rows}")
     if chain.s_n is None:
@@ -268,10 +252,7 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
 
     sum_j C(j+k-1, j) b(m, j, 2k) (s_M / (1-s_M))^j.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     if chain.p_n.rows != 1:
         raise PreconditionError(f"requires |Mbar| = 1, got {chain.p_n.rows}")
     if chain.p_n[0, 0] != 0:
@@ -290,20 +271,18 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     sum_{r=0}^{k-1} C(k-1, r) sum_j b(m, j, k+r) C(j+r, j)
         * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     _require_commutable(chain)
     pn_pows = powers(chain.p_n, k - 1)
     q_pows = powers(chain.q, k - 1)
-    total = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
+    terms = []
     for r in range(k):
         tail = chain.p_mn @ pn_pows[k - 1 - r] @ q_pows[r]
         row = msn_row(m, k + r)
-        coeffs = [binom(k - 1, r) * binom(j + r, j) * row[j] for j in range(m + 1)]
-        total = total + b_power_sum(coeffs, chain.resolvent, r + 1, tail)
-    return total
+        coeffs = [binom(j + r, j) * row[j] for j in range(m + 1)]
+        inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail)
+        terms.append((binom(k - 1, r), inner, None))
+    return combine(terms)
 
 
 def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -313,10 +292,7 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
     sum_{r=0}^{k-1} C(k-1, r) (1-q)^r q^(k-1-r)
         * sum_j b(m, j, k+r) C(j+r, j) (s_M / (1-s_M))^j.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     if chain.p_n.rows != 1:
         raise PreconditionError(f"requires |Mbar| = 1, got {chain.p_n.rows}")
     if chain.s_m is None:
@@ -360,10 +336,7 @@ def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:
         raise ValueError(f"need 0 < p <= 1, got p = {p}")
     if not 0 <= q < 1:
         raise ValueError(f"need 0 <= q < 1, got q = {q}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     return _alternating_nb_sum((1 - p) / p, q, k, m)
 
 
@@ -376,8 +349,5 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     p = as_rational(p)
     if not 0 < p <= 1:
         raise ValueError(f"need 0 < p <= 1, got p = {p}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_orders(m, k)
     return nb_b_sum((1 - p) / p, k, k, m)

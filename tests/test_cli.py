@@ -17,6 +17,14 @@ def chain_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def absorbing_file(tmp_path):
+    """State 2, the complement of M, is absorbing: I - P_N is singular."""
+    path = tmp_path / "absorbing.json"
+    path.write_text(json.dumps({"P": [["1/2", "1/2"], ["0", "1"]], "M": [1]}))
+    return str(path)
+
+
 class TestScalarCommands:
     def test_msn(self, capsys):
         assert invoke(capsys, "msn", "3", "2", "1") == (0, "12")
@@ -175,6 +183,31 @@ class TestMarkov:
         doc = json.loads(out)
         assert doc["status"]["code"] == "precondition-failed"
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--var", "N", "--k", "3", "--m", "1"], "4"),
+            (["--var", "N", "--k", "3", "--m", "2"], "18"),
+            (["--var", "Rbar", "--k", "1", "--m", "1", "--method", "recursive"],
+             "1"),
+            (["--var", "Rbar", "--k", "2", "--m", "2"], "4"),
+        ],
+    )
+    def test_absorbing_complement_accepted(self, capsys, absorbing_file, argv, want):
+        # N_k = N_1 + (k - 1) with N_1 geometric(1/2), and Rbar_k = k surely
+        assert invoke(capsys, "markov", "--chain", absorbing_file, *argv) == (0, want)
+
+    @pytest.mark.parametrize("var", ["R", "Nbar"])
+    def test_absorbing_complement_needs_its_resolvent(
+        self, capsys, absorbing_file, var
+    ):
+        code, out = invoke(
+            capsys,
+            "markov", "--chain", absorbing_file, "--var", var, "--k", "1", "--m", "1",
+        )
+        assert code == 3
+        assert out.startswith("precondition failed: I - P_N is singular")
+
     def _markov_on(self, capsys, path):
         return invoke(
             capsys, "markov", "--chain", str(path), "--var", "N", "--k", "1", "--m", "1"
@@ -277,6 +310,14 @@ def test_usage_error_exit_code():
         ["gf-check", "--jmax", "-1"],
         ["gf-check", "--order", "-1"],
         ["table", "4", "1", "--jmax", "-1"],
+        ["msn", "-1", "2", "1"],
+        ["msn", "3", "-2", "1"],
+        ["msn1", "-2", "1", "1"],
+        ["msn1", "2", "-1", "1"],
+        ["table", "-1", "1"],
+        ["invcheck", "-1", "1", "1"],
+        ["markov", "--chain", "c.json", "--var", "N", "--k", "1", "--m", "-1"],
+        ["dist", "--spec", '{"type":"poisson","lambda":"1"}', "--m", "-1"],
     ],
 )
 def test_bad_argument_is_a_usage_error(capsys, argv):

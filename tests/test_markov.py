@@ -12,7 +12,8 @@ from conftest import (
     rowsum_chain,
     scalar_block_chain,
 )
-from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
+from msnlib.exact import binom
+from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, partition
 from msnlib.markov import (
     CommutabilityError,
     PreconditionError,
@@ -230,6 +231,97 @@ class TestClosedForms:
             ones_n = RationalMatrix.ones_column(len(c.n_indices))
             t = moment_recursive(c, "N1", 1) @ ones_n
             assert (RationalMatrix.identity(m_size) - c.p_m) @ t == ones_m
+
+
+def convolved_reference(chain, variable, k, m):
+    """M_m(R_k) / M_m(N_k) by list-based convolution with @, + and scalar *:
+    every order 0..m at every level, and N_1 recomputed through the chain
+    swapped twice."""
+
+    def n1_list(c, m_max):
+        out = [c.resolvent @ c.p_mn]
+        for mm in range(1, m_max + 1):
+            acc = RationalMatrix.zeros(c.p_mn.rows, c.p_mn.cols)
+            for j in range(mm):
+                acc = acc + binom(mm, j) * out[j]
+            out.append(c.resolvent @ (c.p_mn + c.p_m @ acc))
+        return out
+
+    def r1_list(c, m_max):
+        nbar = n1_list(c.swapped(), m_max)
+        out = []
+        for mm in range(m_max + 1):
+            acc = RationalMatrix.zeros(c.p_nm.rows, c.p_nm.cols)
+            for j in range(mm + 1):
+                acc = acc + binom(mm, j) * nbar[j]
+            out.append(c.p_m + c.p_mn @ acc)
+        return out
+
+    def convolve(first, second, mm):
+        acc = binom(mm, 0) * (first[mm] @ second[0])
+        for j in range(1, mm + 1):
+            acc = acc + binom(mm, j) * (first[mm - j] @ second[j])
+        return acc
+
+    def rk_list(c, kk):
+        base = out = r1_list(c, m)
+        for _ in range(kk - 1):
+            out = [convolve(out, base, mm) for mm in range(m + 1)]
+        return out
+
+    def nk_list(c, kk):
+        n1 = n1_list(c, m)
+        if kk == 1:
+            return n1
+        rbar = rk_list(c.swapped(), kk - 1)
+        return [convolve(n1, rbar, mm) for mm in range(m + 1)]
+
+    target = chain.swapped() if variable.endswith("bar") else chain
+    lists = rk_list if variable[0] == "R" else nk_list
+    return lists(target, k)[m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    positive_chain_st(),
+    st.sampled_from(["N", "R", "Nbar", "Rbar"]),
+    st.integers(1, 3),
+    st.integers(0, 5),
+)
+def test_convolved_matches_list_reference(chain, variable, k, m):
+    assert moment_k_convolved(chain, variable, k, m) == convolved_reference(
+        chain, variable, k, m
+    )
+
+
+@st.composite
+def closed_complement_chain_st(draw):
+    """Strictly positive rows out of M; N is closed (P_NM = 0, P_N
+    stochastic), so I - P_N is singular."""
+    m_size = draw(st.integers(1, 3))
+    size = m_size + draw(st.integers(1, 3))
+    rows = []
+    for i in range(size):
+        nums = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        if i >= m_size:
+            nums[:m_size] = [0] * m_size
+        rows.append([Fraction(x, sum(nums)) for x in nums])
+    return partition(RationalMatrix(rows), list(range(1, m_size + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_complement_chain_st(), st.integers(1, 3), st.integers(0, 5))
+def test_closed_complement_shifts_n1(chain, k, m):
+    """Rbar_1 = 1 surely, so N_k = N_1 + (k - 1) and M_m(N_k) is the binomial
+    expansion sum_j C(m,j) (k-1)^j M_(m-j)(N_1) P_N^(k-1)."""
+    with pytest.raises(ChainError, match="I - P_N is singular"):
+        chain.swapped().resolvent
+    assert moment_recursive(chain, "Rbar1", m) == chain.p_n
+    n1 = [moment_recursive(chain, "N1", j) for j in range(m + 1)]
+    want = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
+    for j in range(m + 1):
+        want = want + binom(m, j) * (k - 1) ** j * n1[m - j]
+    assert moment_k_convolved(chain, "N", k, m) == want @ chain.p_n ** (k - 1)
 
 
 class TestConvolvedMoments:
