@@ -28,8 +28,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
-from .distributions import central_closed, raw_moment, spec_from_dict
+from .distributions import central_closed, raw_moments, spec_from_dict
 from .exact import as_rational, format_rational
 from .identities import (
     Context,
@@ -80,14 +81,18 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _size_arg(text: str) -> int:
+def _size_arg(text: str, minimum: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value < minimum:
+        word = "nonnegative" if minimum == 0 else "positive"
+        raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
     return value
+
+
+_count_arg = partial(_size_arg, minimum=1)
 
 
 def _kset_arg(text: str) -> tuple[Fraction, ...]:
@@ -143,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("markov", help="passage/recurrence-time moment of a chain")
     p.add_argument("--chain", required=True, help="JSON file with P and M")
     p.add_argument("--var", choices=("N", "R", "Nbar", "Rbar"), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count_arg, required=True)
     p.add_argument("--m", type=_size_arg, required=True)
     p.add_argument(
         "--method",
@@ -161,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the same moments")
     p.add_argument("--chain", required=True)
     p.add_argument("--var", choices=("N", "R", "Nbar", "Rbar"), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--k", type=_count_arg, required=True)
+    p.add_argument("--reps", type=_count_arg, required=True)
+    p.add_argument("--seed", type=_size_arg, required=True)
+    p.add_argument("--max-steps", type=_count_arg, default=10_000)
     p.add_argument("--start", type=_kset_arg, default=None)
     add_format(p)
 
@@ -292,28 +297,16 @@ def _cmd_identity_suite(args):
 def _cmd_markov(args):
     chain = chain_from_json(args.chain)
     var, k, m = args.var, args.k, args.m
-    swapped = var.endswith("bar")
-    base_var = var.replace("bar", "")
+    target = chain.swapped() if var.endswith("bar") else chain
+    passage = var[0] == "N"
+    if args.method in ("recursive", "closed") and k != 1:
+        raise PreconditionError(f"method {args.method!r} covers k = 1 only")
     if args.method == "recursive":
-        if k != 1:
-            raise PreconditionError("method 'recursive' covers k = 1 only")
         value = moment_recursive(chain, f"{var}1", m)
     elif args.method == "closed":
-        if k != 1:
-            raise PreconditionError("method 'closed' covers k = 1 only")
-        target = chain.swapped() if swapped else chain
-        value = (
-            moment_n1_closed(target, m)
-            if base_var == "N"
-            else moment_r1_closed(target, m)
-        )
+        value = (moment_n1_closed if passage else moment_r1_closed)(target, m)
     elif args.method == "commutable":
-        target = chain.swapped() if swapped else chain
-        value = (
-            moment_nk_commutable(target, k, m)
-            if base_var == "N"
-            else moment_rk_commutable(target, k, m)
-        )
+        value = (moment_nk_commutable if passage else moment_rk_commutable)(target, k, m)
     else:
         value = moment_k_convolved(chain, var, k, m)
     strings = value.to_strings()
@@ -330,8 +323,10 @@ def _cmd_markov(args):
 
 def _cmd_dist(args):
     spec = spec_from_dict(json.loads(args.spec))
-    fn = central_closed if args.central else raw_moment
-    values = [fn(spec, m) for m in range(args.m + 1)]
+    if args.central:
+        values = [central_closed(spec, m) for m in range(args.m + 1)]
+    else:
+        values = raw_moments(spec, args.m)
     payload = {
         "kind": "central" if args.central else "raw",
         "moments": [format_rational(v) for v in values],

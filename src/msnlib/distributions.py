@@ -1,11 +1,15 @@
 """Raw, factorial, and central moments of the classical discrete laws.
 
-Each supported distribution carries a closed form for its raw moments and a
-closed form for its central moments in which only the third parameter of the
-b family changes (it is shifted by -M_1).  The binomial transform
-:func:`central_from_raw` is the oracle every central closed form is checked
-against, and :func:`factorial_moments_from_raw` inverts the raw/factorial
-relation through the Stirling-1 triangle.
+The b family keeps the j! of the factorial moments F_j inside b(i, j, k), so
+E[(X + s)^m] = sum_j b(m, j, s) F_j / j! for every shift s.  Each law's
+closed form is that one sum, written once in ``_b_moment``: shift 0 gives
+the raw moments and shift -M_1, with M_1 the law's closed mean, the central
+moments.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its embedded
+chain, built once per object.  The raw moments of the two chain laws come
+from the first-step recursion instead, a route independent of the b-sum.
+The binomial transform :func:`central_from_raw` is the oracle every central
+closed form is checked against, and :func:`factorial_moments_from_raw`
+inverts the raw/factorial relation through the Stirling-1 triangle.
 
 Conventions worth noting:
 
@@ -24,16 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
-from .exact import RationalLike, as_rational, binom, qpow
+from .exact import RationalLike, as_rational, binom, exact_field, qpow
 from .linalg import PartitionedChain, RationalMatrix, partition
 from .markov import (
     _alternating_nb_sum,
+    _check_orders,
+    _n1_moment_list,
+    _r1_moment_list,
     b_power_sum,
-    moment_anb,
-    moment_nb,
-    moment_recursive,
     nb_b_sum,
 )
 from .msn import msn_row
@@ -133,6 +138,11 @@ class PhaseType:
         rows.append(list(self.a.entries[0]) + [1 - sum(self.a.entries[0])])
         return partition(RationalMatrix(rows), list(range(1, dim + 1)))
 
+    @cached_property
+    def _recurrence(self) -> "Recurrence":
+        """Rbar_1 of the embedded chain, built once so I - mat is inverted once."""
+        return Recurrence(self.embedded_chain().swapped())
+
 
 @dataclass(frozen=True)
 class Recurrence:
@@ -147,49 +157,87 @@ DistributionSpec = Union[
     Binomial, Poisson, NegBinomial, AltNegBinomial, DiscreteUniform, PhaseType, Recurrence
 ]
 
+_LAWS = (Binomial, Poisson, NegBinomial, AltNegBinomial, DiscreteUniform, Recurrence)
+
+
+def _law(dist: DistributionSpec):
+    """The law to sum over: a PhaseType is the Recurrence of its embedded chain."""
+    if isinstance(dist, PhaseType):
+        return dist._recurrence
+    if not isinstance(dist, _LAWS):
+        raise TypeError(f"unknown distribution spec: {dist!r}")
+    return dist
+
+
+def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
+    """E[(X + shift)^m] = sum_j b(m, j, shift) E[C(X, j)], written once per law."""
+    if isinstance(law, NegBinomial):
+        # X - k is the failure count, so the b index is k + shift
+        return nb_b_sum((1 - law.p) / law.p, law.k, law.k + shift, m)
+    if isinstance(law, AltNegBinomial):
+        return _alternating_nb_sum((1 - law.p) / law.p, law.q, law.k, m, shift)
+    if isinstance(law, Recurrence):
+        # P_M (1+s)^m + P_MN sum_j b(m, j, 2+s) P_N^j (I-P_N)^(-j-1) P_NM
+        chain = law.chain
+        inner = b_power_sum(msn_row(m, 2 + shift), chain.swapped().resolvent, 1, chain.p_nm)
+        return chain.p_m[0, 0] * qpow(1 + shift, m) + (chain.p_mn @ inner)[0, 0]
+    row = msn_row(m, shift)
+    if isinstance(law, Binomial):
+        terms = (row[j] * binom(law.n, j) * qpow(law.p, j) for j in range(min(m, law.n) + 1))
+        return sum(terms, Fraction(0))
+    if isinstance(law, Poisson):
+        terms = (row[j] * qpow(law.lam, j) / math.factorial(j) for j in range(m + 1))
+        return sum(terms, Fraction(0))
+    # DiscreteUniform: lower index j+1, which reproduces M_1 = (n-1)/2 on {0..n-1}
+    return sum((row[j] * binom(law.n, j + 1) for j in range(m + 1)), Fraction(0)) / law.n
+
+
+def _mean(law) -> Fraction:
+    """M_1 by each law's closed form."""
+    if isinstance(law, Binomial):
+        return law.n * law.p
+    if isinstance(law, Poisson):
+        return law.lam
+    if isinstance(law, NegBinomial):
+        return law.k / law.p
+    if isinstance(law, AltNegBinomial):
+        p, q, k = law.p, law.q, law.k
+        mean = ((k - 1) * (p - q) + k) / p
+        computed = _b_moment(law, 1, 0)
+        if computed != mean:
+            raise ArithmeticError(
+                f"closed mean {mean} disagrees with the moment formula {computed}"
+            )
+        return mean
+    if isinstance(law, DiscreteUniform):
+        return Fraction(law.n - 1, 2)
+    # Recurrence: 1 + P_MN (I-P_N)^-1 e
+    chain = law.chain
+    ones_n = RationalMatrix.ones_column(chain.p_n.rows)
+    return 1 + (chain.p_mn @ chain.swapped().resolvent @ ones_n)[0, 0]
+
 
 def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
-    """Exact m-th raw moment via the distribution's closed form."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if isinstance(dist, Binomial):
-        row = msn_row(m, 0)
-        return sum(
-            (
-                row[j] * binom(dist.n, j) * qpow(dist.p, j)
-                for j in range(min(m, dist.n) + 1)
-            ),
-            Fraction(0),
-        )
-    if isinstance(dist, Poisson):
-        row = msn_row(m, 0)
-        return sum(
-            (
-                row[j] * qpow(dist.lam, j) / math.factorial(j)
-                for j in range(m + 1)
-            ),
-            Fraction(0),
-        )
-    if isinstance(dist, NegBinomial):
-        return moment_nb(dist.p, dist.k, m)
-    if isinstance(dist, AltNegBinomial):
-        return moment_anb(dist.p, dist.q, dist.k, m)
-    if isinstance(dist, DiscreteUniform):
-        # lower index j+1, which is what reproduces M_1 = (n-1)/2 on {0..n-1}
-        row = msn_row(m, 0)
-        return sum(
-            (row[j] * binom(dist.n, j + 1) for j in range(m + 1)),
-            Fraction(0),
-        ) / dist.n
-    if isinstance(dist, PhaseType):
-        return moment_recursive(dist.embedded_chain(), "Rbar1", m)[0, 0]
-    if isinstance(dist, Recurrence):
-        return moment_recursive(dist.chain, "R1", m)[0, 0]
-    raise TypeError(f"unknown distribution spec: {dist!r}")
+    """Exact m-th raw moment: the law's b-sum at shift 0.
+
+    The two chain laws take the first-step recursion instead, the route the
+    b-sum of their central moments is checked against.
+    """
+    _check_orders(m)
+    law = _law(dist)
+    if isinstance(law, Recurrence):
+        return raw_moments(law, m)[m]
+    return _b_moment(law, m, 0)
 
 
 def raw_moments(dist: DistributionSpec, m_max: int) -> list[Fraction]:
-    return [raw_moment(dist, m) for m in range(m_max + 1)]
+    """M_0..M_max; a chain law builds its first-step list once for all orders."""
+    _check_orders(m_max)
+    law = _law(dist)
+    if isinstance(law, Recurrence):
+        nbar = _n1_moment_list(law.chain.swapped(), m_max)
+        return [v[0, 0] for v in _r1_moment_list(law.chain, nbar)]
+    return [_b_moment(law, m, 0) for m in range(m_max + 1)]
 
 
 def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
@@ -208,19 +256,19 @@ def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
     ]
 
 
+def _factorial_b_sum(factorial: list[Fraction], m: int, shift: RationalLike) -> Fraction:
+    """E[(X + shift)^m] = sum_j b(m, j, shift) F_j / j! from factorial moments."""
+    row = msn_row(m, shift)
+    return sum(
+        (row[j] * factorial[j] / math.factorial(j) for j in range(m + 1)),
+        Fraction(0),
+    )
+
+
 def raw_from_factorial(factorial: Sequence[RationalLike]) -> list[Fraction]:
     """M_m = sum_j b(m, j, 0) F_j / j!, the forward direction."""
     factorial = [as_rational(v) for v in factorial]
-    out = []
-    for m in range(len(factorial)):
-        row = msn_row(m, 0)
-        out.append(
-            sum(
-                (row[j] * factorial[j] / math.factorial(j) for j in range(m + 1)),
-                Fraction(0),
-            )
-        )
-    return out
+    return [_factorial_b_sum(factorial, m, 0) for m in range(len(factorial))]
 
 
 def central_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
@@ -249,111 +297,51 @@ def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction
     if m >= len(factorial):
         raise ValueError(f"need factorial moments up to order {m}")
     mean = factorial[1] if len(factorial) > 1 else Fraction(0)
-    row = msn_row(m, -mean)
-    total = Fraction(0)
-    for j in range(m + 1):
-        total += row[j] * factorial[j] / math.factorial(j)
-    return total
+    return _factorial_b_sum(factorial, m, -mean)
 
 
 def central_closed(dist: DistributionSpec, m: int) -> Fraction:
-    """Exact m-th central moment by the distribution-specific closed form.
+    """Exact m-th central moment: the law's b-sum at shift -M_1.
 
-    Each form is the raw form with the third b parameter shifted by -M_1;
-    the contract (enforced in tests) is equality with
-    ``central_from_raw(raw_moments(dist, m))[m]``.
+    M_1 is the law's closed mean; the contract (enforced in tests) is
+    equality with ``central_from_raw(raw_moments(dist, m))[m]``.
     """
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if isinstance(dist, Binomial):
-        row = msn_row(m, -dist.n * dist.p)
-        return sum(
-            (
-                row[j] * binom(dist.n, j) * qpow(dist.p, j)
-                for j in range(min(m, dist.n) + 1)
-            ),
-            Fraction(0),
-        )
-    if isinstance(dist, Poisson):
-        row = msn_row(m, -dist.lam)
-        return sum(
-            (
-                row[j] * qpow(dist.lam, j) / math.factorial(j)
-                for j in range(m + 1)
-            ),
-            Fraction(0),
-        )
-    if isinstance(dist, NegBinomial):
-        w = (1 - dist.p) / dist.p
-        return nb_b_sum(w, dist.k, dist.k * (1 - Fraction(1) / dist.p), m)
-    if isinstance(dist, AltNegBinomial):
-        p, q, k = dist.p, dist.q, dist.k
-        mean = ((k - 1) * (p - q) + k) / p
-        computed = raw_moment(dist, 1)
-        if computed != mean:
-            raise ArithmeticError(
-                f"closed mean {mean} disagrees with the moment formula {computed}"
-            )
-        return _alternating_nb_sum((1 - p) / p, q, k, m, shift=-mean)
-    if isinstance(dist, DiscreteUniform):
-        row = msn_row(m, -Fraction(dist.n - 1, 2))
-        return sum(
-            (row[j] * binom(dist.n, j + 1) for j in range(m + 1)),
-            Fraction(0),
-        ) / dist.n
-    if isinstance(dist, PhaseType):
-        dim = dist.mat.rows
-        ones = RationalMatrix.ones_column(dim)
-        resolvent = (RationalMatrix.identity(dim) - dist.mat).inverse()
-        mean = 1 + (dist.a @ resolvent @ ones)[0, 0]
-        defect = 1 - sum(dist.a.entries[0])
-        inner = b_power_sum(msn_row(m, 2 - mean), resolvent, 0, ones)
-        return defect * qpow(1 - mean, m) + (dist.a @ inner)[0, 0]
-    if isinstance(dist, Recurrence):
-        chain = dist.chain
-        dim_n = chain.p_n.rows
-        ones_n = RationalMatrix.ones_column(dim_n)
-        v = chain.swapped().resolvent
-        mean = 1 + (chain.p_mn @ v @ ones_n)[0, 0]
-        inner = b_power_sum(msn_row(m, 2 - mean), v, 1, chain.p_nm)
-        return chain.p_m[0, 0] * qpow(1 - mean, m) + (chain.p_mn @ inner)[0, 0]
-    raise TypeError(f"unknown distribution spec: {dist!r}")
+    _check_orders(m)
+    law = _law(dist)
+    return _b_moment(law, m, -_mean(law))
 
 
 def spec_from_dict(obj: dict) -> DistributionSpec:
     """Parse the CLI JSON schema, e.g. {"type": "negbinomial", "p": "1/2", "k": 3}.
 
     A missing field raises ``ValueError("<type> spec needs field '<name>'")``,
-    and anything but a JSON object ``ValueError("distribution spec must be a
-    JSON object")``.
+    a float, boolean or (for ``n``, ``k``, ``N`` and ``M``) non-integral
+    value a ValueError naming the field, and anything but a JSON object
+    ``ValueError("distribution spec must be a JSON object")``.
     """
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
     kind = str(obj.get("type", "")).lower()
 
-    def field(name: str):
-        try:
-            return obj[name]
-        except KeyError:
-            raise ValueError(f"{kind} spec needs field {name!r}") from None
+    def field(name: str, integer: bool = False):
+        if name not in obj:
+            raise ValueError(f"{kind} spec needs field {name!r}")
+        return exact_field(obj[name], name, integer)
 
     if kind == "binomial":
-        return Binomial(n=int(field("n")), p=as_rational(field("p")))
+        return Binomial(n=field("n", True), p=field("p"))
     if kind == "poisson":
-        return Poisson(lam=as_rational(field("lambda")))
+        return Poisson(lam=field("lambda"))
     if kind == "negbinomial":
-        return NegBinomial(p=as_rational(field("p")), k=int(field("k")))
+        return NegBinomial(p=field("p"), k=field("k", True))
     if kind == "altnegbinomial":
-        return AltNegBinomial(
-            p=as_rational(field("p")), q=as_rational(field("q")), k=int(field("k"))
-        )
+        return AltNegBinomial(p=field("p"), q=field("q"), k=field("k", True))
     if kind == "uniform":
-        return DiscreteUniform(n=int(field("N")))
+        return DiscreteUniform(n=field("N", True))
     if kind == "phasetype":
         return PhaseType(
             a=RationalMatrix.row_vector(field("a")), mat=RationalMatrix(field("A"))
         )
     if kind == "recurrence":
-        matrix = RationalMatrix(field("P"))
-        return Recurrence(chain=partition(matrix, [int(i) for i in field("M")]))
+        return Recurrence(chain=partition(RationalMatrix(field("P")), field("M", True)))
     raise ValueError(f"unknown distribution type: {obj.get('type')!r}")

@@ -45,6 +45,22 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
+def exact_field(value, name: str, integer: bool = False):
+    """A JSON field as exact rationals (ints if ``integer``), lists entrywise.
+
+    Only JSON integers and literal strings are read: a float was rounded when
+    it was written and a boolean is no number, so either is a ValueError
+    naming the field, as is a non-integral value where an integer is needed.
+    """
+    if type(value) is list:
+        return [exact_field(v, name, integer) for v in value]
+    number = as_rational(value) if type(value) in (int, str) else None
+    if number is not None and (not integer or number.denominator == 1):
+        return number.numerator if integer else number
+    kind = "an integer" if integer else "an exact rational"
+    raise ValueError(f"field {name!r} must be {kind}, got {value!r}")
+
+
 def format_rational(value: Fraction) -> str:
     """Render as ``"num/den"``, or plain ``"n"`` for integers."""
     value = Fraction(value)

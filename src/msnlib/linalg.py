@@ -24,8 +24,9 @@ into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
 throughout the code), together with the products Q = P_NM @ P_MN and
 Qbar = P_MN @ P_NM, the constant block row sums when those exist, and one
 lazy resolvent slot per side, (I - P_M)^-1 and (I - P_N)^-1, each inverted
-on its first read.  Partitioning reads the first to check the chain; the
-second is inverted only by a route that needs it.
+on its first read.  Partitioning checks only that the matrix is stochastic
+and the index sets are sound; each resolvent is inverted by the first route
+that reads it, and a singular one is a ChainError naming its block.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import RationalLike, as_rational, format_rational
+from .exact import RationalLike, as_rational, exact_field, format_rational
 
 
 class SingularMatrixError(ValueError):
@@ -361,8 +362,9 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
     """Validate a stochastic matrix and split it by the 1-based set M.
 
     Rejects non-square or non-stochastic input (naming the offending row),
-    empty M or complement, out-of-range indices, and matrices for which
-    I - P_M is singular.
+    empty M or complement, and out-of-range indices.  Inverts nothing: a
+    chain whose M is absorbing is accepted, and only a route that reads the
+    singular ``I - P_M`` fails.
     """
     if not p.is_square:
         raise ChainError(f"transition matrix must be square, got {p.rows}x{p.cols}")
@@ -394,7 +396,7 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
     p_nm = block(n_set, m_set)
     p_n = block(n_set, n_set)
 
-    chain = PartitionedChain(
+    return PartitionedChain(
         p=p,
         m_indices=tuple(m_set),
         n_indices=tuple(n_set),
@@ -411,8 +413,6 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
             cache(partial(_resolvent, p_n, "I - P_N")),
         ),
     )
-    chain.resolvent  # inverts I - P_M, validating the chain
-    return chain
 
 
 def is_commutable(chain: PartitionedChain, side: str) -> bool:
@@ -442,8 +442,8 @@ def chain_from_dict(obj: dict) -> PartitionedChain:
     """Build a chain from the JSON schema {"P": [["1/2", ...], ...], "M": [1]}."""
     if not isinstance(obj, dict) or "P" not in obj or "M" not in obj:
         raise ChainError('chain JSON needs keys "P" and "M"')
-    matrix = RationalMatrix(obj["P"])
-    return partition(matrix, [int(i) for i in obj["M"]])
+    matrix = RationalMatrix(exact_field(obj["P"], "P"))
+    return partition(matrix, exact_field(obj["M"], "M", integer=True))
 
 
 def chain_from_json(path: str) -> PartitionedChain:

@@ -25,6 +25,14 @@ def absorbing_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def absorbing_m_file(tmp_path):
+    """State 1, all of M, is absorbing: I - P_M is singular."""
+    path = tmp_path / "absorbing_m.json"
+    path.write_text(json.dumps({"P": [["1", "0"], ["1/2", "1/2"]], "M": [1]}))
+    return str(path)
+
+
 class TestScalarCommands:
     def test_msn(self, capsys):
         assert invoke(capsys, "msn", "3", "2", "1") == (0, "12")
@@ -208,6 +216,42 @@ class TestMarkov:
         assert code == 3
         assert out.startswith("precondition failed: I - P_N is singular")
 
+    @pytest.mark.parametrize("method", ["convolved", "closed", "recursive"])
+    @pytest.mark.parametrize("m, want", [("1", "2"), ("2", "6")])
+    def test_absorbing_m_accepted(self, capsys, absorbing_m_file, method, m, want):
+        # Nbar_1 is geometric(1/2): mean 2, second moment 6
+        argv = ["--var", "Nbar", "--k", "1", "--m", m, "--method", method]
+        assert invoke(capsys, "markov", "--chain", absorbing_m_file, *argv) == (0, want)
+
+    def test_absorbing_m_second_passage(self, capsys, absorbing_m_file):
+        # Nbar_2 = Nbar_1 + 1 surely, so E[Nbar_2^2] = 6 + 2 * 2 + 1
+        argv = ["--var", "Nbar", "--k", "2", "--m", "2"]
+        assert invoke(capsys, "markov", "--chain", absorbing_m_file, *argv) == (0, "11")
+
+    @pytest.mark.parametrize("var", ["N", "Rbar"])
+    def test_absorbing_m_needs_its_resolvent(self, capsys, absorbing_m_file, var):
+        code, out = invoke(
+            capsys,
+            "markov", "--chain", absorbing_m_file, "--var", var, "--k", "1", "--m", "1",
+        )
+        assert code == 3
+        assert out.startswith("precondition failed: I - P_M is singular")
+
+    @pytest.mark.parametrize(
+        "chain, field",
+        [
+            ({"P": [[0.5, 0.5], ["1/2", "1/2"]], "M": [1]}, "'P' must be an exact rational"),
+            ({"P": [["1/2", "1/2"], ["1", "0"]], "M": [1.9]}, "'M' must be an integer"),
+            ({"P": [["1/2", "1/2"], ["1", "0"]], "M": [True]}, "'M' must be an integer"),
+        ],
+    )
+    def test_inexact_chain_field_exits_3_naming_it(self, capsys, tmp_path, chain, field):
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(chain))
+        code, out = self._markov_on(capsys, path)
+        assert code == 3
+        assert out.startswith(f"precondition failed: field {field}, got ")
+
     def _markov_on(self, capsys, path):
         return invoke(
             capsys, "markov", "--chain", str(path), "--var", "N", "--k", "1", "--m", "1"
@@ -265,6 +309,31 @@ class TestDist:
         assert out == "precondition failed: binomial spec needs field 'n'"
 
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ('{"type":"binomial","n":8,"p":0.5}', "'p' must be an exact rational"),
+            ('{"type":"poisson","lambda":true}', "'lambda' must be an exact rational"),
+            ('{"type":"binomial","n":3.9,"p":"1/2"}', "'n' must be an integer"),
+            ('{"type":"binomial","n":"7/2","p":"1/2"}', "'n' must be an integer"),
+            ('{"type":"negbinomial","p":"1/2","k":2.0}', "'k' must be an integer"),
+            ('{"type":"uniform","N":true}', "'N' must be an integer"),
+            ('{"type":"phasetype","a":[0.5],"A":[["1/2"]]}', "'a' must be an exact rational"),
+            (
+                '{"type":"recurrence","P":[["1/2","1/2"],["1","0"]],"M":[1.9]}',
+                "'M' must be an integer",
+            ),
+        ],
+    )
+    def test_inexact_field_exits_3_naming_it(self, capsys, spec, field):
+        code, out = invoke(capsys, "dist", "--spec", spec, "--m", "1")
+        assert code == 3
+        assert out.startswith(f"precondition failed: field {field}, got ")
+
+    def test_integer_string_field_accepted(self, capsys):
+        spec = '{"type":"binomial","n":"3","p":"1/2"}'
+        assert invoke(capsys, "dist", "--spec", spec, "--m", "1") == (0, "m=0: 1\nm=1: 3/2")
+
     @pytest.mark.parametrize("spec", ["[1]", '"x"'])
     def test_non_object_spec_exits_3(self, capsys, spec):
         code, out = invoke(capsys, "dist", "--spec", spec, "--m", "2")
@@ -291,6 +360,28 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["result"]["completed"] == 2000
         assert len(doc["result"]["estimates"]) == 4
+
+    @pytest.mark.parametrize(
+        "chain, var, k, exact",
+        [
+            # M absorbing: Nbar_1 is geometric(1/2)
+            ("absorbing_m_file", "Nbar", "1", (2, 6)),
+            # complement absorbing: N_3 = N_1 + 2 with N_1 geometric(1/2)
+            ("absorbing_file", "N", "3", (4, 18)),
+        ],
+    )
+    def test_absorbing_chain_within_five_standard_errors(
+        self, capsys, request, chain, var, k, exact
+    ):
+        code, out = invoke(
+            capsys,
+            "simulate", "--chain", request.getfixturevalue(chain), "--var", var,
+            "--k", k, "--reps", "20000", "--seed", "7", "--format", "json",
+        )
+        assert code == 0
+        estimates = json.loads(out)["result"]["estimates"]
+        for est, want in zip(estimates, exact):
+            assert abs(est["mean"] - want) <= 5 * est["std_error"]
 
 
 def test_usage_error_exit_code():
@@ -327,6 +418,28 @@ def test_bad_argument_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "zero denominator" in err or "must be nonnegative" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["markov", "--chain", "c.json", "--var", "N", "--k", "0", "--m", "1"],
+         "--k: must be positive, got 0"),
+        (["simulate", "--chain", "c.json", "--var", "N", "--k", "0", "--reps", "9",
+          "--seed", "1"], "--k: must be positive, got 0"),
+        (["simulate", "--chain", "c.json", "--var", "N", "--k", "1", "--reps", "0",
+          "--seed", "1"], "--reps: must be positive, got 0"),
+        (["simulate", "--chain", "c.json", "--var", "N", "--k", "1", "--reps", "9",
+          "--seed", "1", "--max-steps", "0"], "--max-steps: must be positive, got 0"),
+        (["simulate", "--chain", "c.json", "--var", "N", "--k", "1", "--reps", "9",
+          "--seed", "-1"], "--seed: must be nonnegative, got -1"),
+    ],
+)
+def test_out_of_range_count_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_zero_denominator_in_chain_file_exits_3(capsys, tmp_path):

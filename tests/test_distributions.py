@@ -323,3 +323,55 @@ def test_anb_closed_mean_matches_formula():
             for k in range(1, 6):
                 d = AltNegBinomial(p, q, k)
                 assert raw_moment(d, 1) == ((k - 1) * (p - q) + k) / p
+
+
+def test_phase_type_inverts_its_block_once(monkeypatch):
+    ph = random_phase_type(random.Random(37), 3)
+    inverted = []
+    inverse = RationalMatrix.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RationalMatrix, "inverse", counting)
+    raw = raw_moments(ph, 5)
+    central = [central_closed(ph, j) for j in range(6)]
+    assert len(inverted) <= 1
+    assert central == central_from_raw(raw)
+
+
+def _fractions(low, high):
+    return st.fractions(min_value=low, max_value=high, max_denominator=12)
+
+
+scalar_law_st = st.one_of(
+    st.builds(Binomial, st.integers(1, 8), _fractions(0, 1)),
+    st.builds(Poisson, _fractions(Fraction(1, 12), 5)),
+    st.builds(NegBinomial, _fractions(Fraction(1, 12), 1), st.integers(1, 4)),
+    st.builds(
+        AltNegBinomial,
+        _fractions(Fraction(1, 12), 1),
+        _fractions(0, Fraction(11, 12)),
+        st.integers(1, 4),
+    ),
+    st.builds(DiscreteUniform, st.integers(1, 12)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalar_law_st, st.integers(0, 8))
+def test_scalar_central_closed_matches_oracle(law, m):
+    assert central_closed(law, m) == central_from_raw(raw_moments(law, m))[m]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(scalar_law_st, phase_type_st(), recurrence_st()), st.integers(0, 6))
+def test_raw_moments_list_matches_each_order(law, m):
+    assert raw_moments(law, m) == [raw_moment(law, j) for j in range(m + 1)]
+
+
+def test_unknown_law_is_a_type_error():
+    for fn in (raw_moment, raw_moments, central_closed):
+        with pytest.raises(TypeError, match="unknown distribution spec"):
+            fn(object(), 2)

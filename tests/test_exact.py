@@ -9,6 +9,7 @@ from msnlib.exact import (
     binom,
     binom_gen,
     compositions,
+    exact_field,
     format_rational,
     multinom,
     qpow,
@@ -106,6 +107,29 @@ class TestRationalParsing:
     def test_zero_denominator_names_the_literal(self):
         with pytest.raises(ValueError, match="zero denominator.*'-3/0'"):
             as_rational("-3/0")
+
+
+class TestExactField:
+    def test_reads_integers_and_literals(self):
+        assert exact_field("-3/7", "p") == Fraction(-3, 7)
+        assert exact_field(4, "p") == 4
+        assert exact_field("6/2", "n", integer=True) == 3
+        assert type(exact_field("6/2", "n", integer=True)) is int
+
+    def test_reads_lists_entrywise(self):
+        assert exact_field([["1/2", 1], []], "P") == [[Fraction(1, 2), 1], []]
+        with pytest.raises(ValueError, match="field 'P' must be an exact rational"):
+            exact_field([["1/2"], ["1/4", 0.75]], "P")
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, None, {"a": 1}])
+    def test_rational_field_refuses_non_exact_values(self, value):
+        with pytest.raises(ValueError, match="field 'p' must be an exact rational"):
+            exact_field(value, "p")
+
+    @pytest.mark.parametrize("value", [3.9, 3.0, True, False, "7/2"])
+    def test_integer_field_refuses_non_integers(self, value):
+        with pytest.raises(ValueError, match="field 'n' must be an integer"):
+            exact_field(value, "n", integer=True)
 
 
 @given(

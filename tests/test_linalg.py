@@ -89,8 +89,10 @@ class TestPartition:
         assert c.q_bar == RationalMatrix([[Fraction(1, 3)]])
 
     def test_absorbing_state_rejected(self):
-        with pytest.raises(ChainError, match="singular"):
-            partition(RationalMatrix.identity(2), [1])
+        # partitioning inverts nothing; the first read of I - P_M fails
+        chain = partition(RationalMatrix.identity(2), [1])
+        with pytest.raises(ChainError, match="I - P_M is singular"):
+            chain.resolvent
 
     def test_bad_row_sum_named(self):
         bad = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
@@ -157,6 +159,11 @@ class TestPartition:
             chain_from_dict({"P": [["1"]]})
         with pytest.raises(ChainError):
             chain_from_dict([["1"]])
+
+    def test_absorbing_m_partitions(self):
+        # I - P_M = (0) is singular, yet the chain and its complement side work
+        c = chain_from_dict({"P": [["1", "0"], ["1/2", "1/2"]], "M": [1]})
+        assert c.swapped().resolvent == RationalMatrix([[2]])
 
 
 def _brute_commutable(chain, side, r_max, s_max):
