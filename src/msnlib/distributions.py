@@ -5,8 +5,13 @@ E[(X + s)^m] = sum_j b(m, j, s) F_j / j! for every shift s.  Each law's
 closed form is that one sum, written once in ``_b_moment``: shift 0 gives
 the raw moments and shift -M_1, with M_1 the law's closed mean, the central
 moments.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its embedded
-chain, built once per object.  The raw moments of the two chain laws come
-from the first-step recursion instead, a route independent of the b-sum.
+chain, built once per object, and its constructor inverts I - mat into the
+resolvent slot the moments read.  The raw moments of the two chain laws come
+from the first-step recursion instead, a route independent of the b-sum:
+each ``Recurrence`` keeps one first-step list (the Nbar_1 moment matrices
+and the raw moments built so far), which ``raw_moment`` and ``raw_moments``
+extend from its current length and never rebuild, so asking for orders
+0..m one at a time costs one build of order m.
 The binomial transform :func:`central_from_raw` is the oracle every central
 closed form is checked against, and :func:`factorial_moments_from_raw`
 inverts the raw/factorial relation through the Stirling-1 triangle.
@@ -32,7 +37,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
-from .linalg import PartitionedChain, RationalMatrix, partition
+from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
 from .markov import (
     _alternating_nb_sum,
     _check_orders,
@@ -125,8 +130,12 @@ class PhaseType:
             raise ValueError("initial vector mass must not exceed 1")
         if any(s > 1 for s in self.mat.row_sums()):
             raise ValueError("matrix row sums must not exceed 1")
-        # I - mat must be invertible; raises SingularMatrixError otherwise
-        (RationalMatrix.identity(self.mat.rows) - self.mat).inverse()
+        # I - mat must be invertible: inverting it here fills the resolvent
+        # slot the moments read, and a singular one is a SingularMatrixError
+        try:
+            self._recurrence.chain.complement_resolvent
+        except ChainError as exc:
+            raise exc.__cause__ from None
 
     def embedded_chain(self) -> PartitionedChain:
         """The chain [[mat, (I-mat) e], [a, 1 - a e]]; the law is Rbar_1 there."""
@@ -140,7 +149,8 @@ class PhaseType:
 
     @cached_property
     def _recurrence(self) -> "Recurrence":
-        """Rbar_1 of the embedded chain, built once so I - mat is inverted once."""
+        """Rbar_1 of the embedded chain, built once so I - mat is inverted once
+        and the first-step list is kept for the object's lifetime."""
         return Recurrence(self.embedded_chain().swapped())
 
 
@@ -151,6 +161,11 @@ class Recurrence:
     def __post_init__(self):
         if len(self.chain.m_indices) != 1:
             raise ValueError("recurrence law needs |M| = 1")
+
+    @cached_property
+    def _first_step(self) -> tuple[list[RationalMatrix], list[Fraction]]:
+        """The Nbar_1 moment matrices and R_1 raw moments built so far."""
+        return [], []
 
 
 DistributionSpec = Union[
@@ -179,7 +194,7 @@ def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
     if isinstance(law, Recurrence):
         # P_M (1+s)^m + P_MN sum_j b(m, j, 2+s) P_N^j (I-P_N)^(-j-1) P_NM
         chain = law.chain
-        inner = b_power_sum(msn_row(m, 2 + shift), chain.swapped().resolvent, 1, chain.p_nm)
+        inner = b_power_sum(msn_row(m, 2 + shift), chain.complement_resolvent, 1, chain.p_nm)
         return chain.p_m[0, 0] * qpow(1 + shift, m) + (chain.p_mn @ inner)[0, 0]
     row = msn_row(m, shift)
     if isinstance(law, Binomial):
@@ -214,7 +229,7 @@ def _mean(law) -> Fraction:
     # Recurrence: 1 + P_MN (I-P_N)^-1 e
     chain = law.chain
     ones_n = RationalMatrix.ones_column(chain.p_n.rows)
-    return 1 + (chain.p_mn @ chain.swapped().resolvent @ ones_n)[0, 0]
+    return 1 + (chain.p_mn @ chain.complement_resolvent @ ones_n)[0, 0]
 
 
 def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
@@ -231,12 +246,15 @@ def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
 
 
 def raw_moments(dist: DistributionSpec, m_max: int) -> list[Fraction]:
-    """M_0..M_max; a chain law builds its first-step list once for all orders."""
+    """M_0..M_max; a chain law extends its once-built first-step list."""
     _check_orders(m_max)
     law = _law(dist)
     if isinstance(law, Recurrence):
-        nbar = _n1_moment_list(law.chain.swapped(), m_max)
-        return [v[0, 0] for v in _r1_moment_list(law.chain, nbar)]
+        nbar, raw = law._first_step
+        if len(raw) <= m_max:
+            _n1_moment_list(law.chain.swapped(), m_max, nbar)
+            raw += [v[0, 0] for v in _r1_moment_list(law.chain, nbar, len(raw))]
+        return raw[: m_max + 1]
     return [_b_moment(law, m, 0) for m in range(m_max + 1)]
 
 
@@ -316,17 +334,19 @@ def spec_from_dict(obj: dict) -> DistributionSpec:
 
     A missing field raises ``ValueError("<type> spec needs field '<name>'")``,
     a float, boolean or (for ``n``, ``k``, ``N`` and ``M``) non-integral
-    value a ValueError naming the field, and anything but a JSON object
+    value, or a value of the wrong shape (``a`` and ``M`` are lists, ``A``
+    and ``P`` matrices), a ValueError naming the field, and anything but a
+    JSON object
     ``ValueError("distribution spec must be a JSON object")``.
     """
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
     kind = str(obj.get("type", "")).lower()
 
-    def field(name: str, integer: bool = False):
+    def field(name: str, integer: bool = False, depth: int = 0):
         if name not in obj:
             raise ValueError(f"{kind} spec needs field {name!r}")
-        return exact_field(obj[name], name, integer)
+        return exact_field(obj[name], name, integer, depth)
 
     if kind == "binomial":
         return Binomial(n=field("n", True), p=field("p"))
@@ -340,8 +360,10 @@ def spec_from_dict(obj: dict) -> DistributionSpec:
         return DiscreteUniform(n=field("N", True))
     if kind == "phasetype":
         return PhaseType(
-            a=RationalMatrix.row_vector(field("a")), mat=RationalMatrix(field("A"))
+            a=RationalMatrix.row_vector(field("a", depth=1)),
+            mat=RationalMatrix(field("A", depth=2)),
         )
     if kind == "recurrence":
-        return Recurrence(chain=partition(RationalMatrix(field("P")), field("M", True)))
+        matrix = RationalMatrix(field("P", depth=2))
+        return Recurrence(chain=partition(matrix, field("M", True, depth=1)))
     raise ValueError(f"unknown distribution type: {obj.get('type')!r}")

@@ -45,15 +45,21 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
-def exact_field(value, name: str, integer: bool = False):
-    """A JSON field as exact rationals (ints if ``integer``), lists entrywise.
+def exact_field(value, name: str, integer: bool = False, depth: int = 0):
+    """A JSON field as exact rationals (ints if ``integer``).
 
-    Only JSON integers and literal strings are read: a float was rounded when
-    it was written and a boolean is no number, so either is a ValueError
-    naming the field, as is a non-integral value where an integer is needed.
+    ``depth`` is the field's shape: 0 a scalar, 1 a list of scalars, 2 a
+    matrix (a list of such lists).  Only JSON integers and literal strings
+    are read: a float was rounded when it was written and a boolean is no
+    number, so either is a ValueError naming the field, as is a
+    non-integral value where an integer is needed and a value of the wrong
+    shape.
     """
-    if type(value) is list:
-        return [exact_field(v, name, integer) for v in value]
+    if depth:
+        if type(value) is not list:
+            shape = "a list" if depth == 1 else "a list of rows"
+            raise ValueError(f"field {name!r} must be {shape}, got {value!r}")
+        return [exact_field(v, name, integer, depth - 1) for v in value]
     number = as_rational(value) if type(value) in (int, str) else None
     if number is not None and (not integer or number.denominator == 1):
         return number.numerator if integer else number

@@ -23,10 +23,11 @@ is one integer sum over the lcm of the term denominators, reduced once.
 into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
 throughout the code), together with the products Q = P_NM @ P_MN and
 Qbar = P_MN @ P_NM, the constant block row sums when those exist, and one
-lazy resolvent slot per side, (I - P_M)^-1 and (I - P_N)^-1, each inverted
-on its first read.  Partitioning checks only that the matrix is stochastic
-and the index sets are sound; each resolvent is inverted by the first route
-that reads it, and a singular one is a ChainError naming its block.
+lazy resolvent slot per side, ``resolvent`` (I - P_M)^-1 and
+``complement_resolvent`` (I - P_N)^-1, each inverted on its first read.
+Partitioning checks only that the matrix is stochastic and the index sets
+are sound; each resolvent is inverted by the first route that reads it, and
+a singular one is a ChainError naming its block.
 """
 
 from __future__ import annotations
@@ -335,6 +336,11 @@ class PartitionedChain:
         """``(I - p_m)^-1``; a ChainError names the block when it is singular."""
         return self._resolvents[0]()
 
+    @property
+    def complement_resolvent(self) -> RationalMatrix:
+        """``(I - p_n)^-1``, the swapped chain's resolvent, without swapping."""
+        return self._resolvents[1]()
+
     def swapped(self) -> "PartitionedChain":
         """The same matrix partitioned by the complement of M.
 
@@ -442,8 +448,8 @@ def chain_from_dict(obj: dict) -> PartitionedChain:
     """Build a chain from the JSON schema {"P": [["1/2", ...], ...], "M": [1]}."""
     if not isinstance(obj, dict) or "P" not in obj or "M" not in obj:
         raise ChainError('chain JSON needs keys "P" and "M"')
-    matrix = RationalMatrix(exact_field(obj["P"], "P"))
-    return partition(matrix, exact_field(obj["M"], "M", integer=True))
+    matrix = RationalMatrix(exact_field(obj["P"], "P", depth=2))
+    return partition(matrix, exact_field(obj["M"], "M", integer=True, depth=1))
 
 
 def chain_from_json(path: str) -> PartitionedChain:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable, powers
-from .msn import msn_row
+from .msn import msn_row, msn_row_scaled
 
 
 class CommutabilityError(ValueError):
@@ -63,24 +63,35 @@ def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
     return chain.p_mn @ chain.p_n ** (n - 2) @ chain.p_nm
 
 
-def _n1_moment_list(chain: PartitionedChain, m_max: int) -> list[RationalMatrix]:
+def _n1_moment_list(
+    chain: PartitionedChain, m_max: int, out: list | None = None
+) -> list[RationalMatrix]:
     """M_0..M_max of N_1 by first-step recursion.
 
     M_0 = (I-P_M)^-1 P_MN and, for m >= 1,
     M_m = (I-P_M)^-1 (P_MN + P_M sum_{j<m} C(m,j) M_j).
+    Given ``out``, the list built so far for this chain, it is extended in
+    place from its current length and returned.
     """
     u = chain.resolvent
-    out = [u @ chain.p_mn]
-    for m in range(1, m_max + 1):
+    out = [] if out is None else out
+    if not out:
+        out.append(u @ chain.p_mn)
+    for m in range(len(out), m_max + 1):
         acc = combine([(binom(m, j), out[j], None) for j in range(m)])
         out.append(u @ combine([(1, chain.p_mn, None), (1, chain.p_m, acc)]))
     return out
 
 
-def _r1_moment_list(chain: PartitionedChain, nbar: list) -> list[RationalMatrix]:
-    """M_m(R_1) = P_M + P_MN sum_{j<=m} C(m,j) M_j(Nbar_1), from M_j(Nbar_1)."""
+def _r1_moment_list(
+    chain: PartitionedChain, nbar: list, start: int = 0
+) -> list[RationalMatrix]:
+    """M_m(R_1) = P_M + P_MN sum_{j<=m} C(m,j) M_j(Nbar_1), from M_j(Nbar_1).
+
+    Orders ``start``..len(nbar)-1, so a list built so far can be extended.
+    """
     out = []
-    for m in range(len(nbar)):
+    for m in range(start, len(nbar)):
         acc = combine([(binom(m, j), nbar[j], None) for j in range(m + 1)])
         out.append(combine([(1, chain.p_m, None), (1, chain.p_mn, acc)]))
     return out
@@ -173,13 +184,20 @@ def b_power_sum(
 def nb_b_sum(w: Fraction, r: int, k: RationalLike, m: int) -> Fraction:
     """sum_j C(j+r-1, j) b(m, j, k) w^j, the negative-binomial b sum.
 
-    ``binom`` gives C(j-1, j) = [j = 0], so r = 0 leaves b(m, 0, k).
+    With k = p/q and w = a/c in lowest terms, B_j = q^m b(m, j, k) is an
+    integer (:func:`msn_row_scaled`), so the sum is the integer
+    sum_j C(j+r-1, j) B_j a^j c^(m-j), run by Horner in a, over q^m c^m:
+    one division for the whole sum.  ``binom`` gives C(j-1, j) = [j = 0],
+    so r = 0 leaves b(m, 0, k).
     """
-    row = msn_row(m, k)
-    total = Fraction(0)
-    for j in reversed(range(m + 1)):
-        total = total * w + binom(j + r - 1, j) * row[j]
-    return total
+    row, scale = msn_row_scaled(m, k)
+    a, c = w.numerator, w.denominator
+    total = row[m] * binom(m + r - 1, m)
+    c_pow = 1
+    for j in reversed(range(m)):
+        c_pow *= c
+        total = total * a + binom(j + r - 1, j) * row[j] * c_pow
+    return Fraction(total, scale * c_pow)
 
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
@@ -191,7 +209,7 @@ def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
 def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
     _check_orders(m)
-    inner = b_power_sum(msn_row(m, 2), chain.swapped().resolvent, 1, chain.p_nm)
+    inner = b_power_sum(msn_row(m, 2), chain.complement_resolvent, 1, chain.p_nm)
     return combine([(1, chain.p_m, None), (1, chain.p_mn, inner)])
 
 
@@ -212,7 +230,7 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     _require_commutable(chain)
     pm_pows = powers(chain.p_m, k)
     q_pows = powers(chain.q, k - 1)
-    v = chain.swapped().resolvent
+    v = chain.complement_resolvent
 
     terms = [(qpow(k, m), pm_pows[k], None)]
     for r in range(1, k + 1):

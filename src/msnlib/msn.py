@@ -9,12 +9,16 @@ for integers i, j >= 0 and rational k, with 0**0 == 1.  At k == 0 the slice
 the second kind, which is why no division by j! is built into the family: the
 moment formulas downstream stay free of factorials this way.
 
-The production route is :func:`msn_row`: the whole row b(i, 0..i, k) as
-one integer difference table, which every closed-form moment in
-:mod:`msnlib.markov` and :mod:`msnlib.distributions` reads.  Three further,
-independent routes remain as cross-checks: the defining sum
-(:func:`msn_direct`), a recurrence-filled triangle (:func:`msn_table`), and
-the shift formula over the k == 0 slice (:func:`msn_shift`).
+The production route is one integer difference table per row.  For
+k = p/q in lowest terms, q**i b(i, j, k) is an integer, and
+:func:`msn_row_scaled` gives that scaled row (q**i b(i, 0, k), ...,
+q**i b(i, i, k)) together with q**i.  The negative-binomial sums of
+:mod:`msnlib.markov` run on those integers and divide once;
+:func:`msn_row` divides the row entrywise for the closed forms that need
+the Fractions themselves.  Three further, independent routes remain as
+cross-checks: the defining sum (:func:`msn_direct`), a recurrence-filled
+triangle (:func:`msn_table`), and the shift formula over the k == 0 slice
+(:func:`msn_shift`).
 """
 
 from __future__ import annotations
@@ -37,14 +41,13 @@ def msn_direct(i: int, j: int, k: RationalLike) -> Fraction:
     return total
 
 
-def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:
-    """The row (b(i, 0, k), ..., b(i, i, k)) from one integer difference table.
+def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
+    """The integer row (q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i.
 
     b(i, j, k) is the j-th forward difference of r -> (r + k)**i at r = 0.
     With k = p/q in lowest terms, q**i * b(i, j, k) is then the j-th forward
     difference of the integers (q*r + p)**i, r = 0..i, so the whole scaled
-    row costs i+1 integer powers and i(i+1)/2 integer subtractions; each
-    entry is divided by q**i once at the end.
+    row costs i+1 integer powers and i(i+1)/2 integer subtractions.
     """
     if i < 0:
         raise ValueError("indices must be nonnegative")
@@ -56,7 +59,12 @@ def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:
         scaled.append(diffs[0])
         for r in range(i - j):
             diffs[r] = diffs[r + 1] - diffs[r]
-    scale = q**i
+    return scaled, q**i
+
+
+def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:
+    """The row (b(i, 0, k), ..., b(i, i, k)): :func:`msn_row_scaled` over q**i."""
+    scaled, scale = msn_row_scaled(i, k)
     # tuple() of a list allocates the exact size; tuple() of a generator
     # allocates 10 slots and resizes, which strands every freed row in a
     # free list that no later row draws from (about 2 MB over a long run)

@@ -252,6 +252,23 @@ class TestMarkov:
         assert code == 3
         assert out.startswith(f"precondition failed: field {field}, got ")
 
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ({"P": [["1/2", "1/2"], ["1/3", "2/3"]], "M": 1}, "'M' must be a list, got 1"),
+            (
+                {"P": [["1/2", "1/2"], ["1/3", "2/3"]], "M": [[1]]},
+                "'M' must be an integer, got [1]",
+            ),
+            ({"P": [1, 2], "M": [1]}, "'P' must be a list, got 1"),
+            ({"P": [[["1"]]], "M": [1]}, "'P' must be an exact rational, got ['1']"),
+        ],
+    )
+    def test_misshapen_chain_field_exits_3_naming_it(self, capsys, tmp_path, chain, message):
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps(chain))
+        assert self._markov_on(capsys, path) == (3, f"precondition failed: field {message}")
+
     def _markov_on(self, capsys, path):
         return invoke(
             capsys, "markov", "--chain", str(path), "--var", "N", "--k", "1", "--m", "1"
@@ -329,6 +346,25 @@ class TestDist:
         code, out = invoke(capsys, "dist", "--spec", spec, "--m", "1")
         assert code == 3
         assert out.startswith(f"precondition failed: field {field}, got ")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"type":"phasetype","a":"1/2","A":[["1/2"]]}', "'a' must be a list, got '1/2'"),
+            (
+                '{"type":"phasetype","a":[["1/2"]],"A":[["1/2"]]}',
+                "'a' must be an exact rational, got ['1/2']",
+            ),
+            ('{"type":"phasetype","a":["1/2"],"A":["1/2"]}', "'A' must be a list, got '1/2'"),
+            (
+                '{"type":"recurrence","P":[["1/2","1/2"],["1","0"]],"M":1}',
+                "'M' must be a list, got 1",
+            ),
+        ],
+    )
+    def test_misshapen_field_exits_3_naming_it(self, capsys, spec, message):
+        code, out = invoke(capsys, "dist", "--spec", spec, "--m", "1")
+        assert (code, out) == (3, f"precondition failed: field {message}")
 
     def test_integer_string_field_accepted(self, capsys):
         spec = '{"type":"binomial","n":"3","p":"1/2"}'

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from msnlib.distributions import (
     spec_from_dict,
 )
 from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
-from msnlib.markov import moment_k_convolved
+from msnlib.markov import moment_k_convolved, moment_r1_closed
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -326,7 +327,6 @@ def test_anb_closed_mean_matches_formula():
 
 
 def test_phase_type_inverts_its_block_once(monkeypatch):
-    ph = random_phase_type(random.Random(37), 3)
     inverted = []
     inverse = RationalMatrix.inverse
 
@@ -335,10 +335,17 @@ def test_phase_type_inverts_its_block_once(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(RationalMatrix, "inverse", counting)
+    ph = random_phase_type(random.Random(37), 3)
     raw = raw_moments(ph, 5)
     central = [central_closed(ph, j) for j in range(6)]
-    assert len(inverted) <= 1
+    assert [raw_moment(ph, j) for j in range(7)] == raw_moments(ph, 6)
+    assert len(inverted) == 1
     assert central == central_from_raw(raw)
+
+
+def test_phase_type_with_singular_block_is_a_singular_matrix_error():
+    with pytest.raises(SingularMatrixError):
+        PhaseType(a=RationalMatrix.row_vector([Fraction(1, 2)]), mat=RationalMatrix([[1]]))
 
 
 def _fractions(low, high):
@@ -368,7 +375,33 @@ def test_scalar_central_closed_matches_oracle(law, m):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(scalar_law_st, phase_type_st(), recurrence_st()), st.integers(0, 6))
 def test_raw_moments_list_matches_each_order(law, m):
-    assert raw_moments(law, m) == [raw_moment(law, j) for j in range(m + 1)]
+    # the list comes from an equal but separate object, so a chain law's
+    # cached first-step list is not compared with itself
+    assert raw_moments(dataclasses.replace(law), m) == [
+        raw_moment(law, j) for j in range(m + 1)
+    ]
+
+
+def _r1_closed(law, m):
+    """The law's m-th raw moment by the b-sum closed form of M_m(R_1)."""
+    chain = law.embedded_chain().swapped() if isinstance(law, PhaseType) else law.chain
+    return moment_r1_closed(chain, m)[0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(phase_type_st(), recurrence_st()),
+    st.lists(st.integers(0, 8), min_size=1, max_size=12),
+)
+def test_chain_law_orders_in_any_order_extend_one_list(law, orders):
+    got = [raw_moment(law, j) for j in orders]
+    top = max(orders)
+    fresh = raw_moments(dataclasses.replace(law), top)
+    assert got == [fresh[j] for j in orders]
+    assert fresh == [_r1_closed(law, j) for j in range(top + 1)]
+    # callers get copies: changing one does not change the next answer
+    raw_moments(law, top)[0] = 7
+    assert raw_moments(law, top) == fresh
 
 
 def test_unknown_law_is_a_type_error():

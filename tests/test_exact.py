@@ -117,9 +117,26 @@ class TestExactField:
         assert type(exact_field("6/2", "n", integer=True)) is int
 
     def test_reads_lists_entrywise(self):
-        assert exact_field([["1/2", 1], []], "P") == [[Fraction(1, 2), 1], []]
+        assert exact_field([["1/2", 1], []], "P", depth=2) == [[Fraction(1, 2), 1], []]
+        assert exact_field(["6/2", 1], "M", integer=True, depth=1) == [3, 1]
         with pytest.raises(ValueError, match="field 'P' must be an exact rational"):
-            exact_field([["1/2"], ["1/4", 0.75]], "P")
+            exact_field([["1/2"], ["1/4", 0.75]], "P", depth=2)
+
+    @pytest.mark.parametrize(
+        "value, depth, shape",
+        [
+            ("1/2", 1, "a list, got '1/2'"),
+            (["1/2"], 0, "an exact rational, got ['1/2']"),
+            ([["1/2"]], 1, "an exact rational, got ['1/2']"),
+            ("1/2", 2, "a list of rows, got '1/2'"),
+            (["1/2"], 2, "a list, got '1/2'"),
+            ([[["1/2"]]], 2, "an exact rational, got ['1/2']"),
+        ],
+    )
+    def test_refuses_the_wrong_shape(self, value, depth, shape):
+        with pytest.raises(ValueError) as err:
+            exact_field(value, "P", depth=depth)
+        assert str(err.value) == f"field 'P' must be {shape}"
 
     @pytest.mark.parametrize("value", [0.5, 1.0, True, None, {"a": 1}])
     def test_rational_field_refuses_non_exact_values(self, value):

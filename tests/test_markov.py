@@ -31,7 +31,9 @@ from msnlib.markov import (
     moment_r1_closed,
     moment_rk_commutable,
     moment_rk_scalar,
+    nb_b_sum,
 )
+from msnlib.msn import msn_direct
 
 
 fractions_st = st.one_of(
@@ -99,6 +101,33 @@ def test_b_power_sum_matches_reference_loop(a_and_tail, shift, coeffs):
     tail = RationalMatrix(tail_rows)
     want = b_power_sum_reference(coeffs, a, shift, tail)
     assert b_power_sum(coeffs, v, shift, tail) == want
+
+
+def nb_b_sum_reference(w, r, k, m):
+    """sum_j C(j+r-1, j) b(m, j, k) w^j by Fraction Horner over the defining sum."""
+    total = Fraction(0)
+    for j in reversed(range(m + 1)):
+        total = total * w + binom(j + r - 1, j) * msn_direct(m, j, k)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=12)),
+    st.integers(0, 5),
+    st.one_of(
+        st.fractions(-12, 12, max_denominator=12),
+        # central shifts k - M_1 with a NegBinomial mean M_1 = k / p
+        st.builds(
+            lambda k, p: k - k / p,
+            st.integers(1, 5),
+            st.fractions(Fraction(1, 12), 1, max_denominator=12),
+        ),
+    ),
+    st.integers(0, 14),
+)
+def test_nb_b_sum_matches_fraction_horner(w, r, k, m):
+    assert nb_b_sum(w, r, k, m) == nb_b_sum_reference(w, r, k, m)
 
 
 def geometric_chain(p: Fraction):
