@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 
 from .distributions import central_closed, raw_moments, spec_from_dict
-from .exact import as_rational, format_rational
+from .exact import as_rational, binom, format_rational
 from .identities import (
     Context,
     K_SET,
@@ -40,7 +40,7 @@ from .identities import (
     check_ogf,
     run_identity_suite,
 )
-from .linalg import ChainError, SingularMatrixError, chain_from_json
+from .linalg import ChainError, RationalMatrix, SingularMatrixError, chain_from_json
 from .markov import (
     CommutabilityError,
     PreconditionError,
@@ -52,7 +52,7 @@ from .markov import (
     moment_rk_commutable,
 )
 from .msn import msn_direct, msn_table
-from .msn1 import msn1
+from .msn1 import inversion_matrix, msn1, msn1_table
 from .simulate import SimConfig, TruncationError, simulate
 
 _PRECONDITION_ERRORS = (
@@ -217,20 +217,10 @@ def _cmd_table(args):
 
 
 def _cmd_invcheck(args):
-    import math
-
-    from .exact import binom
-    from .linalg import RationalMatrix
-    from .msn1 import msn1_table
-
     n = args.i_max + 1
-    btab = msn_table(args.i_max, args.k1)
-    ctab = msn1_table(args.i_max, args.k2)
-    b_mat = RationalMatrix(
-        [[btab.value(i, r) / math.factorial(r) for r in range(n)] for i in range(n)]
+    product = inversion_matrix(
+        msn_table(args.i_max, args.k1), msn1_table(args.i_max, args.k2), n
     )
-    c_mat = RationalMatrix([[ctab.c(r, j) for j in range(n)] for r in range(n)])
-    product = b_mat @ c_mat
     expected = RationalMatrix(
         [
             [binom(i, j) * (args.k1 - args.k2) ** (i - j) if i >= j else 0 for j in range(n)]

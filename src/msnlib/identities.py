@@ -38,8 +38,8 @@ from itertools import product
 from .exact import as_rational, binom, binom_gen, compositions, multinom, qpow
 from .linalg import RationalMatrix
 from .msn import MsnTable, msn_table, surjection_count
-from .msn1 import Msn1Table, msn1_table
-from .series import TruncatedSeries, egf_coeffs, exp_x, ogf_coeffs
+from .msn1 import Msn1Table, inversion_matrix, msn1_table
+from .series import TruncatedSeries, binomial_gf_value, egf_coeffs, exp_x, ogf_coeffs
 
 K_SET: tuple[Fraction, ...] = tuple(
     as_rational(v) for v in (-5, -3, -1, "-1/2", 0, "1/3", 1, 2, 5)
@@ -49,6 +49,9 @@ K_SET: tuple[Fraction, ...] = tuple(
 # the largest i read by the checks whose ranges are fixed rather than tied
 # to i_max or order (a36, a37, a38, a41, a42, a44)
 FIXED_I = 8
+
+# the rational points x at which bgf checks sum_j b(i, j, k) C(x, j) = (x + k)^i
+BGF_POINTS = tuple(as_rational(v) for v in ("1/2", 1, 2))
 
 
 class IdentityFailure(AssertionError):
@@ -590,15 +593,11 @@ def check_sn2_k0(ctx):
 def check_a46(ctx):
     top = min(ctx.i_max, 10)
     for k1, k2 in product(ctx.k_set, repeat=2):
-        btab, ctab = ctx.table(k1), ctx.c_table(k2)
+        prod = inversion_matrix(ctx.table(k1), ctx.c_table(k2), top + 1)
         for i in range(top + 1):
             for j in range(i + 1):
-                total = sum(
-                    btab.value(i, r) * ctab.c(r, j) / math.factorial(r)
-                    for r in range(j, i + 1)
-                )
                 want = binom(i, j) * qpow(k1 - k2, i - j)
-                yield total, want, f"i={i}, j={j}, k1={k1}, k2={k2}"
+                yield prod[i, j], want, f"i={i}, j={j}, k1={k1}, k2={k2}"
 
 
 @_identity
@@ -606,18 +605,7 @@ def check_a46_matrix(ctx):
     top = min(ctx.i_max, 10)
     ident = RationalMatrix.identity(top + 1)
     for k in ctx.k_set:
-        btab = ctx.table(k)
-        ctab = ctx.c_table(k)
-        b_mat = RationalMatrix(
-            [
-                [btab.value(i, r) / math.factorial(r) for r in range(top + 1)]
-                for i in range(top + 1)
-            ]
-        )
-        c_mat = RationalMatrix(
-            [[ctab.c(r, j) for j in range(top + 1)] for r in range(top + 1)]
-        )
-        yield b_mat @ c_mat, ident, f"k={k}"
+        yield inversion_matrix(ctx.table(k), ctx.c_table(k), top + 1), ident, f"k={k}"
 
 
 # --------------------------------------------------- generating functions
@@ -681,11 +669,8 @@ def check_a42(ctx):
 
 
 @_identity
-def check_bgf(ctx, i_max: int = 8, k_set=None, x_set=None):
-    from .series import binomial_gf_value
-
-    xs = x_set or (as_rational("1/2"), as_rational(1), as_rational(2))
-    for k, x, i in product(k_set or ctx.k_set, xs, range(i_max + 1)):
+def check_bgf(ctx, i_max: int = 8, k_set=None):
+    for k, x, i in product(k_set or ctx.k_set, BGF_POINTS, range(i_max + 1)):
         yield binomial_gf_value(i, k, x), qpow(x + k, i), f"i={i}, k={k}, x={x}"
 
 

@@ -225,9 +225,13 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
 
     k^m P_M^k + sum_{r=1}^{k} C(k,r) P_M^(k-r) P_MN Q^(r-1)
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
+
+    At k = 1 this is :func:`moment_r1_closed` term for term, which holds on every
+    chain, so commutability is required only for k >= 2.
     """
     _check_orders(m, k)
-    _require_commutable(chain)
+    if k >= 2:
+        _require_commutable(chain)
     pm_pows = powers(chain.p_m, k)
     q_pows = powers(chain.q, k - 1)
     v = chain.complement_resolvent
@@ -288,9 +292,13 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
 
     sum_{r=0}^{k-1} C(k-1, r) sum_j b(m, j, k+r) C(j+r, j)
         * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r.
+
+    At k = 1 this is :func:`moment_n1_closed` term for term, which holds on every
+    chain, so commutability is required only for k >= 2.
     """
     _check_orders(m, k)
-    _require_commutable(chain)
+    if k >= 2:
+        _require_commutable(chain)
     pn_pows = powers(chain.p_n, k - 1)
     q_pows = powers(chain.q, k - 1)
     terms = []

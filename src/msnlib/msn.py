@@ -96,11 +96,6 @@ class MsnTable:
             return Fraction(0)
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        if i > self.i_max:
-            raise IndexError(f"row {i} beyond table size {self.i_max}")
-        return self._rows[i]
-
     def __repr__(self):
         return f"MsnTable(k={self.k}, i_max={self.i_max}, j_max={self.j_max})"
 

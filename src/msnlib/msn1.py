@@ -10,8 +10,9 @@ for i, j > 0, and generalizes to
     c(i, j, k) = sum_{r=j}^{i} C(r, j) * (-k)**(r-j) * s(i, r)
 
 so that c(i, j, 0) == s(i, j).  The c family is the two-sided inverse of the
-b family of :mod:`msnlib.msn` in the sense checked by
-:func:`inversion_product`.
+b family of :mod:`msnlib.msn`: :func:`inversion_matrix` is the one place the
+product sum_r b(i, r, k1) c(r, j, k2) / r! is formed, from tables the caller
+passes in, and :func:`inversion_product` reads one entry of it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 from fractions import Fraction
 
 from .exact import RationalLike, as_rational, binom, qpow
-from .msn import msn_table
+from .linalg import RationalMatrix
+from .msn import MsnTable, msn_table
 
 
 def stirling1_triangle(i_max: int) -> list[list[int]]:
@@ -82,18 +84,24 @@ def msn1_table(i_max: int, k: RationalLike) -> Msn1Table:
     return Msn1Table(k, i_max)
 
 
-def inversion_product(i: int, j: int, k1: RationalLike, k2: RationalLike) -> Fraction:
-    """sum_{r=j}^{i} b(i, r, k1) * c(r, j, k2) / r!.
+def inversion_matrix(btab: MsnTable, ctab: Msn1Table, n: int) -> RationalMatrix:
+    """The n x n matrix (b(i, r, k1) / r!) @ c(r, j, k2), i, r, j < n.
 
-    Contract: equals C(i, j) * (k1 - k2)**(i - j), so at k1 == k2 the b and c
-    triangles (scaled by 1/r!) are mutually inverse lower-triangular matrices.
+    ``btab`` holds b at k1 and ``ctab`` holds c at k2, both through row n - 1.
+    Entry (i, j) is sum_{r=j}^{i} b(i, r, k1) * c(r, j, k2) / r!.
+
+    Contract: it equals C(i, j) * (k1 - k2)**(i - j), so at k1 == k2 the b and
+    c triangles (scaled by 1/r!) are mutually inverse lower-triangular matrices.
     """
+    b_mat = RationalMatrix(
+        [[btab.value(i, r) / math.factorial(r) for r in range(n)] for i in range(n)]
+    )
+    c_mat = RationalMatrix([[ctab.c(r, j) for j in range(n)] for r in range(n)])
+    return b_mat @ c_mat
+
+
+def inversion_product(i: int, j: int, k1: RationalLike, k2: RationalLike) -> Fraction:
+    """Entry (i, j) of :func:`inversion_matrix` at k1, k2."""
     if not 0 <= j <= i:
         raise ValueError(f"need 0 <= j <= i, got i={i}, j={j}")
-    k1 = as_rational(k1)
-    k2 = as_rational(k2)
-    btab = msn_table(i, k1)
-    total = Fraction(0)
-    for r in range(j, i + 1):
-        total += btab.value(i, r) * msn1(r, j, k2) / math.factorial(r)
-    return total
+    return inversion_matrix(msn_table(i, k1), msn1_table(i, k2), i + 1)[i, j]

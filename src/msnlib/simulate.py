@@ -88,10 +88,6 @@ class SimResult:
     completed: int
     truncated: int
 
-    @property
-    def truncated_fraction(self) -> float:
-        return self.truncated / self.replications
-
     def mean(self, order: int) -> float:
         return self.estimates[order - 1].mean
 

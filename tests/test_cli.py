@@ -150,6 +150,24 @@ class TestMarkov:
             outs[method] = out
         assert len(set(outs.values())) == 1
 
+    @pytest.mark.parametrize("var", ["N", "R"])
+    def test_commutable_k1_on_noncommutable_chain(self, capsys, tmp_path, var):
+        """At --k 1 the commutable forms are the closed forms, which hold on
+        every chain; at --k 2 the same chain still fails the precondition."""
+        path = tmp_path / "noncommutable.json"
+        path.write_text(json.dumps({
+            "P": [["1/2", "1/4", "1/4"], ["1/3", "1/3", "1/3"], ["1/5", "3/5", "1/5"]],
+            "M": [1, 2],
+        }))
+        argv = ["markov", "--chain", str(path), "--var", var, "--m", "3"]
+        closed = invoke(capsys, *argv, "--k", "1", "--method", "closed")
+        assert invoke(capsys, *argv, "--k", "1", "--method", "commutable") == closed
+        assert closed[0] == 0
+        if var == "N":
+            assert closed[1] == "1837/9\n1598/9"
+        code, out = invoke(capsys, *argv, "--k", "2", "--method", "commutable")
+        assert code == 3 and "not M-commutable" in out
+
     def test_convolved_k2(self, capsys, chain_file):
         code, out = invoke(
             capsys,

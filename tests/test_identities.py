@@ -106,6 +106,14 @@ def test_perturbed_table_entry_fails_the_convolutions(monkeypatch, delta):
     assert results["a14"].ok
 
 
+def test_perturbed_table_entry_fails_the_inversion_checks(monkeypatch):
+    """a46 and a46_matrix read the Context's own b tables, not fresh ones."""
+    monkeypatch.setattr(identities, "msn_table", _perturbed_msn_table(Fraction(1)))
+    results = run_identity_suite(i_max=8, order=8, labels={"a46", "a46_matrix"})
+    assert [(r.label, r.ok) for r in results] == [("a46", False), ("a46_matrix", False)]
+    assert all("1/3" in r.detail for r in results), results
+
+
 def test_non_integer_scaled_value_names_the_entry(monkeypatch):
     monkeypatch.setattr(identities, "msn_table", _perturbed_msn_table(Fraction(1, 7)))
     ctx = Context(i_max=8, order=8)

@@ -431,6 +431,18 @@ class TestCommutableForms:
             moment_nk_commutable(c, 2, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(0, 6)
+)
+def test_commutable_forms_at_k1_hold_on_any_chain(seed, m_size, n_size, m):
+    """At k = 1 the commutable forms reduce term for term to the closed forms,
+    which need no commutability, so no random chain is refused."""
+    chain = random_chain(random.Random(seed), m_size, n_size)
+    assert moment_nk_commutable(chain, 1, m) == moment_n1_closed(chain, m)
+    assert moment_rk_commutable(chain, 1, m) == moment_r1_closed(chain, m)
+
+
 class TestScalarForms:
     def test_recurrence_scalar_example(self, two_state_chain):
         assert moment_rk_scalar(two_state_chain, 1, 1) == Fraction(7, 4)

@@ -2,11 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msnlib.exact import binom, qpow
 from msnlib.linalg import RationalMatrix
-from msnlib.msn import msn_table
-from msnlib.msn1 import inversion_product, msn1, msn1_table, stirling1, stirling1_triangle
+from msnlib.msn import msn_direct, msn_table
+from msnlib.msn1 import (
+    inversion_matrix,
+    inversion_product,
+    msn1,
+    msn1_table,
+    stirling1,
+    stirling1_triangle,
+)
 
 K_SAMPLE = [Fraction(v) for v in (-5, -3, -1)] + [
     Fraction(-1, 2),
@@ -86,6 +95,30 @@ class TestInversion:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             inversion_product(2, 3, 1, 1)
+
+
+def inversion_reference(i, j, k1, k2):
+    """sum_r b(i, r, k1) c(r, j, k2) / r!, entry by entry from the defining sums."""
+    terms = (msn_direct(i, r, k1) * msn1(r, j, k2) / math.factorial(r) for r in range(i + 1))
+    return sum(terms, Fraction(0))
+
+
+rationals_st = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 5, 7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals_st, rationals_st, st.integers(1, 10))
+def test_inversion_matrix_against_reference_and_contract(k1, k2, n):
+    got = inversion_matrix(msn_table(n - 1, k1), msn1_table(n - 1, k2), n)
+    assert got == RationalMatrix(
+        [[inversion_reference(i, j, k1, k2) for j in range(n)] for i in range(n)]
+    )
+    assert got == RationalMatrix(
+        [
+            [binom(i, j) * qpow(k1 - k2, i - j) if j <= i else 0 for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def test_matrix_inverse_pair():
