@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -68,11 +69,23 @@ def exact_field(value, name: str, integer: bool = False, depth: int = 0):
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as ``"num/den"``, or plain ``"n"`` for integers."""
+    """Render as ``"num/den"``, or plain ``"n"`` for integers, in full.
+
+    Python's limit on int-to-str conversion guards the parsing of untrusted
+    text, so it is lifted only while a longer value is rendered.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return format_rational(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def qpow(base: RationalLike, exp: int) -> Fraction:

@@ -21,13 +21,12 @@ is one integer sum over the lcm of the term denominators, reduced once.
 
 :class:`PartitionedChain` is a stochastic matrix split by a state subset M
 into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
-throughout the code), together with the products Q = P_NM @ P_MN and
-Qbar = P_MN @ P_NM, the constant block row sums when those exist, and one
-lazy resolvent slot per side, ``resolvent`` (I - P_M)^-1 and
+throughout the code), together with the constant block row sums when those
+exist, and one lazy resolvent slot per side, ``resolvent`` (I - P_M)^-1 and
 ``complement_resolvent`` (I - P_N)^-1, each inverted on its first read.
 Partitioning checks only that the matrix is stochastic and the index sets
-are sound; each resolvent is inverted by the first route that reads it, and
-a singular one is a ChainError naming its block.
+are sound, and forms no product; each resolvent is inverted by the first
+route that reads it, and a singular one is a ChainError naming its block.
 """
 
 from __future__ import annotations
@@ -281,16 +280,6 @@ def combine(terms) -> RationalMatrix:
     return RationalMatrix._reduced(acc, den)
 
 
-def powers(matrix: RationalMatrix, up_to: int) -> list[RationalMatrix]:
-    """``[I, A, A^2, ..., A^up_to]`` for a square matrix ``A``."""
-    pows = [RationalMatrix.identity(matrix.rows)]
-    if up_to >= 1:
-        pows.append(matrix)
-    for _ in range(up_to - 1):
-        pows.append(pows[-1] @ matrix)
-    return pows
-
-
 def _constant_row_sum(block: RationalMatrix) -> Fraction | None:
     sums = block.row_sums()
     first = sums[0]
@@ -309,8 +298,8 @@ def _resolvent(block: RationalMatrix, label: str) -> RationalMatrix:
 class PartitionedChain:
     """Stochastic matrix split by a 1-based index set M.
 
-    ``q = p_nm @ p_mn`` and ``q_bar = p_mn @ p_nm``; ``s_m`` / ``s_n`` are the
-    common row sums of the diagonal blocks when all rows agree, else None.
+    ``s_m`` / ``s_n`` are the common row sums of the diagonal blocks when all
+    rows agree, else None.  No product of the blocks is stored.
     """
 
     p: RationalMatrix
@@ -320,8 +309,6 @@ class PartitionedChain:
     p_mn: RationalMatrix
     p_nm: RationalMatrix
     p_n: RationalMatrix
-    q: RationalMatrix
-    q_bar: RationalMatrix
     s_m: Fraction | None
     s_n: Fraction | None
     # cached (I - p_m)^-1 and (I - p_n)^-1, each inverted on its first read
@@ -356,8 +343,6 @@ class PartitionedChain:
             p_mn=self.p_nm,
             p_nm=self.p_mn,
             p_n=self.p_m,
-            q=self.q_bar,
-            q_bar=self.q,
             s_m=self.s_n,
             s_n=self.s_m,
             _resolvents=self._resolvents[::-1],
@@ -370,7 +355,7 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
     Rejects non-square or non-stochastic input (naming the offending row),
     empty M or complement, and out-of-range indices.  Inverts nothing: a
     chain whose M is absorbing is accepted, and only a route that reads the
-    singular ``I - P_M`` fails.
+    singular ``I - P_M`` fails.  Forms no matrix product either.
     """
     if not p.is_square:
         raise ChainError(f"transition matrix must be square, got {p.rows}x{p.cols}")
@@ -410,8 +395,6 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
         p_mn=p_mn,
         p_nm=p_nm,
         p_n=p_n,
-        q=p_nm @ p_mn,
-        q_bar=p_mn @ p_nm,
         s_m=_constant_row_sum(p_m),
         s_n=_constant_row_sum(p_n),
         _resolvents=(
@@ -422,25 +405,25 @@ def partition(p: RationalMatrix, m_indices: Sequence[int]) -> PartitionedChain:
 
 
 def is_commutable(chain: PartitionedChain, side: str) -> bool:
-    """Whether the round-trip blocks commute with all powers of the diagonal block.
+    """Whether every round trip commutes with the diagonal block.
 
-    Side "M": P_MN @ P_N^s @ P_NM commutes with P_M^r for all r, s >= 0; side
-    "Mbar" is the mirror statement.  Checking r < |M| and s < |N| is exact,
-    not a truncation: by Cayley-Hamilton every higher power of a d x d block
-    is a linear combination of the first d powers.
+    Side "M": X_s = P_MN @ P_N^s @ P_NM commutes with P_M, and so with every
+    power of P_M, for all s >= 0; side "Mbar" is the mirror statement.
+    Checking s < |N| is exact, not a truncation: by Cayley-Hamilton every
+    higher power of P_N is a linear combination of the first |N|.
     """
     if side == "M":
         inner, outer, lift, drop = chain.p_n, chain.p_m, chain.p_mn, chain.p_nm
-    elif side in ("Mbar", "N"):
+    elif side == "Mbar":
         inner, outer, lift, drop = chain.p_m, chain.p_n, chain.p_nm, chain.p_mn
     else:
         raise ValueError(f"side must be 'M' or 'Mbar', got {side!r}")
-    outer_pows = powers(outer, outer.rows - 1)
-    for s_pow in powers(inner, inner.rows - 1):
-        round_trip = lift @ s_pow @ drop
-        for r_pow in outer_pows:
-            if round_trip @ r_pow != r_pow @ round_trip:
-                return False
+    for s in range(inner.rows):
+        if s:
+            drop = inner @ drop
+        round_trip = lift @ drop
+        if round_trip @ outer != outer @ round_trip:
+            return False
     return True
 
 

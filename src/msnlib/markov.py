@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
-from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable, powers
+from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
 from .msn import msn_row, msn_row_scaled
 
 
@@ -232,16 +232,17 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     _check_orders(m, k)
     if k >= 2:
         _require_commutable(chain)
-    pm_pows = powers(chain.p_m, k)
-    q_pows = powers(chain.q, k - 1)
+    q = chain.p_nm @ chain.p_mn
     v = chain.complement_resolvent
 
-    terms = [(qpow(k, m), pm_pows[k], None)]
+    terms = [(qpow(k, m), chain.p_m**k, None)]
+    left = chain.p_mn  # P_MN Q^(r-1)
     for r in range(1, k + 1):
         row = msn_row(m, k + r)
         coeffs = [binom(j + r - 1, j) * row[j] for j in range(m + 1)]
         inner = b_power_sum(coeffs, v, r, chain.p_nm)
-        terms.append((binom(k, r), pm_pows[k - r] @ chain.p_mn @ q_pows[r - 1], inner))
+        terms.append((binom(k, r), chain.p_m ** (k - r) @ left, inner))
+        left = left @ q
     return combine(terms)
 
 
@@ -299,11 +300,10 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     _check_orders(m, k)
     if k >= 2:
         _require_commutable(chain)
-    pn_pows = powers(chain.p_n, k - 1)
-    q_pows = powers(chain.q, k - 1)
+    q = chain.p_nm @ chain.p_mn
     terms = []
     for r in range(k):
-        tail = chain.p_mn @ pn_pows[k - 1 - r] @ q_pows[r]
+        tail = chain.p_mn @ chain.p_n ** (k - 1 - r) @ q**r
         row = msn_row(m, k + r)
         coeffs = [binom(j + r, j) * row[j] for j in range(m + 1)]
         inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -55,6 +56,26 @@ class TestScalarCommands:
         assert doc["result"]["value"] == "12"
         assert doc["status"] == {"code": "ok", "message": ""}
         assert doc["inputs"] == {"i": 3, "j": 2, "k": "1"}
+
+    def test_value_beyond_the_int_digit_limit_is_printed(self, capsys):
+        # b(30000, 2, 1) = 3^30000 - 2^30001 + 1 has 14314 digits, more than
+        # Python's default limit of 4300 for int <-> str conversion
+        limit = sys.get_int_max_str_digits()
+        code, out = invoke(capsys, "msn", "30000", "2", "1")
+        assert code == 0
+        assert len(out) == 14314
+        value = 0
+        for start in range(0, len(out), 1000):
+            chunk = out[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 3**30000 - 2**30001 + 1
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_literal_beyond_the_int_digit_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["msn", "1", "1", "1" * 5000])
+        assert exc.value.code == 2
+        assert "Exceeds the limit" in capsys.readouterr().err
 
 
 class TestTable:

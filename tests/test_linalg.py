@@ -85,8 +85,19 @@ class TestPartition:
         assert c.p_n == RationalMatrix([[Fraction(1, 3)]])
         assert c.s_m == Fraction(1, 2)
         assert c.s_n == Fraction(1, 3)
-        assert c.q == RationalMatrix([[Fraction(1, 3)]])
-        assert c.q_bar == RationalMatrix([[Fraction(1, 3)]])
+
+    def test_partition_forms_no_product(self, monkeypatch):
+        products = []
+        matmul = RationalMatrix.__matmul__
+
+        def counting(self, other):
+            products.append((self, other))
+            return matmul(self, other)
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+        c = random_chain(random.Random(5), 3, 2)
+        partition(c.p, [2, 4]).swapped()
+        assert products == []
 
     def test_absorbing_state_rejected(self):
         # partitioning inverts nothing; the first read of I - P_M fails
@@ -179,6 +190,17 @@ def _brute_commutable(chain, side, r_max, s_max):
     return True
 
 
+def _perturbed(rng, p):
+    """``p`` with 1/12 moved from one entry of a row to another, if it has it."""
+    rows = p.to_lists()
+    row = rng.choice(rows)
+    src, dst = rng.sample(range(len(row)), 2)
+    if row[src] >= Fraction(1, 12):
+        row[src] -= Fraction(1, 12)
+        row[dst] += Fraction(1, 12)
+    return RationalMatrix(rows)
+
+
 class TestCommutability:
     def test_single_state_m_side(self, two_state_chain):
         assert is_commutable(two_state_chain, "M")
@@ -204,25 +226,44 @@ class TestCommutability:
         assert not is_commutable(c, "M")
         assert not _brute_commutable(c, "M", 8, 8)
 
-    def test_finite_check_matches_brute_force(self):
-        rng = random.Random(123)
-        for _ in range(12):
-            m_size = rng.randint(1, 3)
-            n_size = rng.randint(1, 3)
-            c = (
-                scalar_block_chain(rng, m_size, n_size)
-                if rng.random() < 0.5
-                else random_chain(rng, m_size, n_size)
-            )
-            dim = c.size
-            for side in ("M", "Mbar"):
-                assert is_commutable(c, side) == _brute_commutable(
-                    c, side, 2 * dim, 2 * dim
-                )
+    def test_needs_every_round_trip(self):
+        # X_0 = P_MN P_NM commutes with P_M but X_1 = P_MN P_N P_NM does not
+        p = RationalMatrix(
+            [
+                [Fraction(3, 10), 0, Fraction(7, 10), 0],
+                [0, Fraction(1, 2), 0, Fraction(1, 2)],
+                [Fraction(2, 5), 0, Fraction(3, 10), Fraction(3, 10)],
+                [0, Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)],
+            ]
+        )
+        c = partition(p, [1, 2])
+        assert _brute_commutable(c, "M", 1, 0)
+        assert not is_commutable(c, "M")
+        assert not _brute_commutable(c, "M", 8, 8)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(["random", "scalar", "perturbed"]),
+        st.sampled_from(["M", "Mbar"]),
+    )
+    def test_finite_check_matches_brute_force(self, seed, m_size, n_size, family, side):
+        rng = random.Random(seed)
+        if family == "random":
+            c = random_chain(rng, m_size, n_size)
+        else:
+            c = scalar_block_chain(rng, m_size, n_size)
+            if family == "perturbed":
+                c = partition(_perturbed(rng, c.p), c.m_indices)
+        dim = c.size
+        assert is_commutable(c, side) == _brute_commutable(c, side, 2 * dim, 2 * dim)
 
     def test_bad_side_rejected(self, two_state_chain):
-        with pytest.raises(ValueError):
-            is_commutable(two_state_chain, "X")
+        for side in ("X", "N"):
+            with pytest.raises(ValueError, match="side must be 'M' or 'Mbar'"):
+                is_commutable(two_state_chain, side)
 
 
 # ---------------------------------------------------------------------------
