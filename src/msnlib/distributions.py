@@ -4,14 +4,17 @@ The b family keeps the j! of the factorial moments F_j inside b(i, j, k), so
 E[(X + s)^m] = sum_j b(m, j, s) F_j / j! for every shift s.  Each law's
 closed form is that one sum, written once in ``_b_moment``: shift 0 gives
 the raw moments and shift -M_1, with M_1 the law's closed mean, the central
-moments.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its embedded
-chain, built once per object, and its constructor inverts I - mat into the
-resolvent slot the moments read.  The raw moments of the two chain laws come
-from the first-step recursion instead, a route independent of the b-sum:
-each ``Recurrence`` keeps one first-step list (the Nbar_1 moment matrices
-and the raw moments built so far), which ``raw_moment`` and ``raw_moments``
-extend from its current length and never rebuild, so asking for orders
-0..m one at a time costs one build of order m.
+moments.  Every such sum runs on the scaled integer b row of
+:func:`msnlib.msn.msn_row_scaled` as one integer over one denominator and
+divides once; the matrix sum of the chain laws is ``b_power_sum``'s
+integer Horner.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its
+embedded chain, built once per object, and its constructor inverts I - mat
+into the resolvent slot the moments read.  The raw moments of the two chain
+laws come from the first-step recursion instead, a route independent of the
+b-sum: each ``Recurrence`` keeps one first-step list (the Nbar_1 moment
+matrices and the raw moments built so far), which ``raw_moment`` and
+``raw_moments`` extend from its current length and never rebuild, so asking
+for orders 0..m one at a time costs one build of order m.
 The binomial transform :func:`central_from_raw` is the oracle every central
 closed form is checked against, and :func:`factorial_moments_from_raw`
 inverts the raw/factorial relation through the Stirling-1 triangle.
@@ -41,12 +44,13 @@ from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
 from .markov import (
     _alternating_nb_sum,
     _check_orders,
+    _horner,
     _n1_moment_list,
     _r1_moment_list,
     b_power_sum,
     nb_b_sum,
 )
-from .msn import msn_row
+from .msn import msn_row, msn_row_scaled
 from .msn1 import stirling1_triangle
 
 
@@ -185,7 +189,16 @@ def _law(dist: DistributionSpec):
 
 
 def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
-    """E[(X + shift)^m] = sum_j b(m, j, shift) E[C(X, j)], written once per law."""
+    """E[(X + shift)^m] = sum_j b(m, j, shift) E[C(X, j)], written once per law.
+
+    Each sum runs on the integer row B_j = Q^m b(m, j, shift) of
+    :func:`msn_row_scaled` and divides once.  With p = a/c (or lambda = a/c)
+    the scalar laws are the integers
+    Binomial: sum_{j<=J} B_j C(n, j) a^j c^(J-j) over Q^m c^J, J = min(m, n);
+    Poisson: sum_j B_j (m!/j!) a^j c^(m-j) over Q^m c^m m!;
+    DiscreteUniform: sum_j B_j C(n, j+1) over Q^m n;
+    the first two by Horner in a.
+    """
     if isinstance(law, NegBinomial):
         # X - k is the failure count, so the b index is k + shift
         return nb_b_sum((1 - law.p) / law.p, law.k, law.k + shift, m)
@@ -194,17 +207,25 @@ def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
     if isinstance(law, Recurrence):
         # P_M (1+s)^m + P_MN sum_j b(m, j, 2+s) P_N^j (I-P_N)^(-j-1) P_NM
         chain = law.chain
-        inner = b_power_sum(msn_row(m, 2 + shift), chain.complement_resolvent, 1, chain.p_nm)
+        row, scale = msn_row_scaled(m, 2 + shift)
+        inner = b_power_sum(row, chain.complement_resolvent, 1, chain.p_nm, scale)
         return chain.p_m[0, 0] * qpow(1 + shift, m) + (chain.p_mn @ inner)[0, 0]
-    row = msn_row(m, shift)
+    row, scale = msn_row_scaled(m, shift)
+    if isinstance(law, DiscreteUniform):
+        # lower index j+1, which reproduces M_1 = (n-1)/2 on {0..n-1}
+        total = sum(b * binom(law.n, j + 1) for j, b in enumerate(row))
+        return Fraction(total, scale * law.n)
     if isinstance(law, Binomial):
-        terms = (row[j] * binom(law.n, j) * qpow(law.p, j) for j in range(min(m, law.n) + 1))
-        return sum(terms, Fraction(0))
-    if isinstance(law, Poisson):
-        terms = (row[j] * qpow(law.lam, j) / math.factorial(j) for j in range(m + 1))
-        return sum(terms, Fraction(0))
-    # DiscreteUniform: lower index j+1, which reproduces M_1 = (n-1)/2 on {0..n-1}
-    return sum((row[j] * binom(law.n, j + 1) for j in range(m + 1)), Fraction(0)) / law.n
+        terms = [b * binom(law.n, j) for j, b in enumerate(row[: law.n + 1])]
+        total, c_pow = _horner(terms, law.p.numerator, law.p.denominator)
+        return Fraction(total, scale * c_pow)
+    # Poisson: 1/j! is (m!/j!) / m!, with m!/j! a running product
+    falling = 1
+    for j in reversed(range(m + 1)):
+        row[j] *= falling
+        falling *= j or 1
+    total, c_pow = _horner(row, law.lam.numerator, law.lam.denominator)
+    return Fraction(total, scale * c_pow * falling)
 
 
 def _mean(law) -> Fraction:

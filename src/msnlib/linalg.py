@@ -171,14 +171,19 @@ class RationalMatrix:
             raise ValueError("matrix power needs a square matrix")
         if n < 0:
             raise ValueError("negative powers: invert first")
-        result = RationalMatrix.identity(self.rows)
+        if n == 0:
+            return RationalMatrix.identity(self.rows)
+        # square-and-multiply from the lowest set bit: A ** 1 forms no product
         base = self
-        while n:
+        while not n & 1:
+            base = base @ base
+            n >>= 1
+        result = base
+        while n > 1:
+            n >>= 1
+            base = base @ base
             if n & 1:
                 result = result @ base
-            n >>= 1
-            if n:
-                base = base @ base
         return result
 
     def transpose(self) -> "RationalMatrix":

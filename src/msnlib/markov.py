@@ -19,17 +19,23 @@ Two independent computation routes exist for every moment:
   constant-row-sum specializations for general k).
 
 The recursive route is the oracle: the closed forms must reproduce it
-exactly, and the test suite enforces that.
+exactly, and the test suite enforces that.  Every closed-form b-sum runs on
+the scaled integer b rows of :func:`msnlib.msn.msn_rows_scaled`, one table
+for all the consecutive shifts a form reads, and divides once: the scalar
+sums by an integer Horner over one denominator, the matrix sums by
+:func:`b_power_sum`'s integer Horner, reduced once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
-from .msn import msn_row, msn_row_scaled
+from .msn import msn_row_scaled, msn_rows_scaled
 
 
 class CommutabilityError(ValueError):
@@ -160,25 +166,63 @@ def moment_k_convolved(
 
 
 def b_power_sum(
-    coeffs: Sequence[RationalLike],
+    coeffs: Sequence[int | Fraction],
     resolvent: RationalMatrix,
     shift: int,
     tail: RationalMatrix,
+    scale: int = 1,
 ) -> RationalMatrix:
-    """sum_j coeffs[j] A^j V^(j+shift) tail, for the resolvent V = (I-A)^-1.
+    """sum_j (coeffs[j] / scale) A^j V^(j+shift) tail, for V = (I-A)^-1.
 
     A V = V - I, so the sum is the polynomial sum_j coeffs[j] (V-I)^j applied
-    to V^shift tail, evaluated by Horner: one product per term, each only as
-    wide as ``tail``.
+    to x = V^shift tail, evaluated by Horner: one product per term, each only
+    as wide as ``tail``.  The Horner runs on integers.  With V = N/s,
+    x = X/e and the coefficients n_j/D over one denominator D, the step
+    acc <- (N - s I) acc + n_j s^(m-j) X keeps acc equal to s^(m-j) e D times
+    the partial sum, so the sum is acc / (s^m e D scale), reduced once.  The
+    closed forms pass a scaled integer row of :func:`msn_rows_scaled` with
+    its scale, and so form no Fraction at all.
     """
     x = tail
     for _ in range(shift):
         x = resolvent @ x
-    step = resolvent - RationalMatrix.identity(resolvent.rows)
-    acc = coeffs[-1] * x
-    for coeff in reversed(coeffs[:-1]):
-        acc = combine([(1, step, acc), (coeff, x, None)])
-    return acc
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    s = resolvent.den
+    step = [list(row) for row in resolvent.num]
+    for i, row in enumerate(step):
+        row[i] -= s
+    acc = [[nums[-1] * v for v in row] for row in x.num]
+    s_pow = 1
+    for n in reversed(nums[:-1]):
+        s_pow *= s
+        f = n * s_pow
+        cols = tuple(zip(*acc))
+        acc = [
+            [sum(map(mul, left, col)) + f * v for col, v in zip(cols, row)]
+            for left, row in zip(step, x.num)
+        ]
+    return RationalMatrix._reduced(acc, s_pow * x.den * den * scale)
+
+
+def _horner(terms: list[int], a: int, c: int) -> tuple[int, int]:
+    """The integer sum_j terms[j] a^j c^(J-j) by Horner in a, and c^J.
+
+    J = len(terms) - 1.  Over c^J this is sum_j terms[j] w^j for w = a/c,
+    which is how every scalar b-sum divides once.
+    """
+    total = terms[-1]
+    c_pow = 1
+    for t in reversed(terms[:-1]):
+        c_pow *= c
+        total = total * a + t * c_pow
+    return total, c_pow
+
+
+def _nb_horner(row: list[int], w: Fraction, r: int) -> tuple[int, int]:
+    """:func:`_horner` of sum_j C(j+r-1, j) row[j] w^j: the integer and c^m."""
+    terms = [binom(j + r - 1, j) * b for j, b in enumerate(row)]
+    return _horner(terms, w.numerator, w.denominator)
 
 
 def nb_b_sum(w: Fraction, r: int, k: RationalLike, m: int) -> Fraction:
@@ -186,30 +230,27 @@ def nb_b_sum(w: Fraction, r: int, k: RationalLike, m: int) -> Fraction:
 
     With k = p/q and w = a/c in lowest terms, B_j = q^m b(m, j, k) is an
     integer (:func:`msn_row_scaled`), so the sum is the integer
-    sum_j C(j+r-1, j) B_j a^j c^(m-j), run by Horner in a, over q^m c^m:
-    one division for the whole sum.  ``binom`` gives C(j-1, j) = [j = 0],
-    so r = 0 leaves b(m, 0, k).
+    sum_j C(j+r-1, j) B_j a^j c^(m-j), run by Horner in a (:func:`_nb_horner`),
+    over q^m c^m: one division for the whole sum.  ``binom`` gives
+    C(j-1, j) = [j = 0], so r = 0 leaves b(m, 0, k).
     """
     row, scale = msn_row_scaled(m, k)
-    a, c = w.numerator, w.denominator
-    total = row[m] * binom(m + r - 1, m)
-    c_pow = 1
-    for j in reversed(range(m)):
-        c_pow *= c
-        total = total * a + binom(j + r - 1, j) * row[j] * c_pow
+    total, c_pow = _nb_horner(row, w, r)
     return Fraction(total, scale * c_pow)
 
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
     _check_orders(m)
-    return b_power_sum(msn_row(m, 1), chain.resolvent, 1, chain.p_mn)
+    row, scale = msn_row_scaled(m, 1)
+    return b_power_sum(row, chain.resolvent, 1, chain.p_mn, scale)
 
 
 def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
     _check_orders(m)
-    inner = b_power_sum(msn_row(m, 2), chain.complement_resolvent, 1, chain.p_nm)
+    row, scale = msn_row_scaled(m, 2)
+    inner = b_power_sum(row, chain.complement_resolvent, 1, chain.p_nm, scale)
     return combine([(1, chain.p_m, None), (1, chain.p_mn, inner)])
 
 
@@ -227,22 +268,26 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
 
     At k = 1 this is :func:`moment_r1_closed` term for term, which holds on every
-    chain, so commutability is required only for k >= 2.
+    chain, so commutability is required only for k >= 2.  The b rows of the
+    shifts k+1..2k come from one table, and Q = P_NM P_MN is formed only
+    for k >= 2.
     """
     _check_orders(m, k)
     if k >= 2:
         _require_commutable(chain)
-    q = chain.p_nm @ chain.p_mn
+        q = chain.p_nm @ chain.p_mn
     v = chain.complement_resolvent
+    rows, scale = msn_rows_scaled(m, k + 1, k)
 
     terms = [(qpow(k, m), chain.p_m**k, None)]
     left = chain.p_mn  # P_MN Q^(r-1)
-    for r in range(1, k + 1):
-        row = msn_row(m, k + r)
-        coeffs = [binom(j + r - 1, j) * row[j] for j in range(m + 1)]
-        inner = b_power_sum(coeffs, v, r, chain.p_nm)
-        terms.append((binom(k, r), chain.p_m ** (k - r) @ left, inner))
-        left = left @ q
+    for r, row in enumerate(rows, 1):
+        if r > 1:
+            left = left @ q
+        coeffs = [binom(j + r - 1, j) * b for j, b in enumerate(row)]
+        inner = b_power_sum(coeffs, v, r, chain.p_nm, scale)
+        outer = left if r == k else chain.p_m ** (k - r) @ left
+        terms.append((binom(k, r), outer, inner))
     return combine(terms)
 
 
@@ -252,7 +297,10 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
     sum_{r=0}^{k} C(k,r) p^r (1-p)^(k-r)
         * sum_j C(j+r-1, j) b(m, j, k+r) (s_N / (1-s_N))^j
     with p = 1 - P_M.  The powers of p are combined before evaluation so the
-    formula stays polynomial in p (no division by 1-p).
+    formula stays polynomial in p (no division by 1-p).  With p = u/d, the
+    rows of the shifts k..2k come from one table, and every term is an
+    integer over d^k Q^m c^m, with Q^m the rows' scale and w = a/c
+    (:func:`_nb_horner`): one division in all.
     """
     _check_orders(m, k)
     if chain.p_m.rows != 1:
@@ -263,11 +311,13 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
         raise PreconditionError("requires s_N != 1")
     p = 1 - chain.p_m[0, 0]
     w = chain.s_n / (1 - chain.s_n)
-    total = Fraction(0)
-    for r in range(k + 1):
-        inner = nb_b_sum(w, r, k + r, m)
-        total += binom(k, r) * qpow(p, r) * qpow(1 - p, k - r) * inner
-    return total
+    u, d = p.numerator, p.denominator
+    rows, scale = msn_rows_scaled(m, k, k + 1)
+    total = 0
+    for r, row in enumerate(rows):
+        inner, c_pow = _nb_horner(row, w, r)
+        total += binom(k, r) * u**r * (d - u) ** (k - r) * inner
+    return Fraction(total, d**k * scale * c_pow)
 
 
 def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
@@ -300,13 +350,18 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     _check_orders(m, k)
     if k >= 2:
         _require_commutable(chain)
-    q = chain.p_nm @ chain.p_mn
+        q = chain.p_nm @ chain.p_mn
+    rows, scale = msn_rows_scaled(m, k, k)
     terms = []
-    for r in range(k):
-        tail = chain.p_mn @ chain.p_n ** (k - 1 - r) @ q**r
-        row = msn_row(m, k + r)
-        coeffs = [binom(j + r, j) * row[j] for j in range(m + 1)]
-        inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail)
+    for r, row in enumerate(rows):
+        # zero powers are skipped, not multiplied in as the identity
+        tail = chain.p_mn
+        if r < k - 1:
+            tail = tail @ chain.p_n ** (k - 1 - r)
+        if r:
+            tail = tail @ q**r
+        coeffs = [binom(j + r, j) * b for j, b in enumerate(row)]
+        inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail, scale)
         terms.append((binom(k - 1, r), inner, None))
     return combine(terms)
 
@@ -339,13 +394,18 @@ def _alternating_nb_sum(
     sum_{r<k} C(k-1, r) (1-q)^r q^(k-1-r) sum_j C(j+r, j) b(m, j, k+r+shift) w^j;
     ``shift = -M_1`` gives the central moment.  The factor ((1-q)/q)^r q^(k-1)
     is expanded to (1-q)^r q^(k-1-r) so q = 0 stays well-defined (only the
-    r = k-1 term survives there).
+    r = k-1 term survives there).  With q = u/d, the rows of the k shifts
+    come from one table, and every term is an integer over d^(k-1) Q^m c^m,
+    with Q^m the rows' scale and w = a/c (:func:`_nb_horner`): one division
+    in all.
     """
-    total = Fraction(0)
-    for r in range(k):
-        inner = nb_b_sum(w, r + 1, k + r + shift, m)
-        total += binom(k - 1, r) * qpow(1 - q, r) * qpow(q, k - 1 - r) * inner
-    return total
+    u, d = q.numerator, q.denominator
+    rows, scale = msn_rows_scaled(m, k + shift, k)
+    total = 0
+    for r, row in enumerate(rows):
+        inner, c_pow = _nb_horner(row, w, r + 1)
+        total += binom(k - 1, r) * (d - u) ** r * u ** (k - 1 - r) * inner
+    return Fraction(total, d ** (k - 1) * scale * c_pow)
 
 
 def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:

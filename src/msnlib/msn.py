@@ -9,13 +9,14 @@ for integers i, j >= 0 and rational k, with 0**0 == 1.  At k == 0 the slice
 the second kind, which is why no division by j! is built into the family: the
 moment formulas downstream stay free of factorials this way.
 
-The production route is one integer difference table per row.  For
-k = p/q in lowest terms, q**i b(i, j, k) is an integer, and
-:func:`msn_row_scaled` gives that scaled row (q**i b(i, 0, k), ...,
-q**i b(i, i, k)) together with q**i.  The negative-binomial sums of
-:mod:`msnlib.markov` run on those integers and divide once;
-:func:`msn_row` divides the row entrywise for the closed forms that need
-the Fractions themselves.  Three further, independent routes remain as
+The production route is one integer difference table.  For k = p/q in
+lowest terms, q**i b(i, j, k) is an integer, and :func:`msn_rows_scaled`
+gives the scaled rows (q**i b(i, 0, k + t), ..., q**i b(i, i, k + t)) of the
+consecutive shifts t = 0, 1, ..., together with q**i, from one table;
+:func:`msn_row_scaled` is its one-row case.  Every closed-form b-sum of
+:mod:`msnlib.markov` and :mod:`msnlib.distributions` runs on those integers
+and divides once; :func:`msn_row` divides a row entrywise for the sums that
+need the Fractions themselves.  Three further, independent routes remain as
 cross-checks: the defining sum (:func:`msn_direct`), a recurrence-filled
 triangle (:func:`msn_table`), and the shift formula over the k == 0 slice
 (:func:`msn_shift`).
@@ -41,25 +42,40 @@ def msn_direct(i: int, j: int, k: RationalLike) -> Fraction:
     return total
 
 
-def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
-    """The integer row (q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i.
+def msn_rows_scaled(i: int, k: RationalLike, count: int) -> tuple[list[list[int]], int]:
+    """The integer rows q**i b(i, ., k + t) for t = 0..count-1, and q**i.
 
-    b(i, j, k) is the j-th forward difference of r -> (r + k)**i at r = 0.
-    With k = p/q in lowest terms, q**i * b(i, j, k) is then the j-th forward
-    difference of the integers (q*r + p)**i, r = 0..i, so the whole scaled
-    row costs i+1 integer powers and i(i+1)/2 integer subtractions.
+    b(i, j, k + t) is the j-th forward difference of r -> (r + k)**i at
+    r = t.  With k = p/q in lowest terms, q**i * b(i, j, k + t) is then the
+    j-th forward difference of the integers (q*r + p)**i at r = t, so one
+    difference table over r = 0..i+count-1 holds every row: row t is the
+    column of differences that starts at r = t.  The consecutive shifts are
+    the step b(i, j, k+1) = b(i, j, k) + b(i, j+1, k) read off the table,
+    and all of them share the scale q**i.
     """
     if i < 0:
         raise ValueError("indices must be nonnegative")
     k = as_rational(k)
     p, q = k.numerator, k.denominator
-    diffs = [(q * r + p) ** i for r in range(i + 1)]
-    scaled = []
+    diffs = [(q * r + p) ** i for r in range(i + count)]
+    rows = [[] for _ in range(count)]
     for j in range(i + 1):
-        scaled.append(diffs[0])
-        for r in range(i - j):
-            diffs[r] = diffs[r + 1] - diffs[r]
-    return scaled, q**i
+        for row, value in zip(rows, diffs):
+            row.append(value)
+        if j < i:
+            for r in range(i + count - 1 - j):
+                diffs[r] = diffs[r + 1] - diffs[r]
+    return rows, q**i
+
+
+def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
+    """The integer row (q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i.
+
+    The one-row case of :func:`msn_rows_scaled`: i+1 integer powers and
+    i(i+1)/2 integer subtractions.
+    """
+    rows, scale = msn_rows_scaled(i, k, 1)
+    return rows[0], scale
 
 
 def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:

@@ -25,7 +25,9 @@ from msnlib.distributions import (
     spec_from_dict,
 )
 from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
+from msnlib.exact import binom
 from msnlib.markov import moment_k_convolved, moment_r1_closed
+from msnlib.msn import stirling2_triangle
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -370,6 +372,36 @@ scalar_law_st = st.one_of(
 @given(scalar_law_st, st.integers(0, 8))
 def test_scalar_central_closed_matches_oracle(law, m):
     assert central_closed(law, m) == central_from_raw(raw_moments(law, m))[m]
+
+
+def _support_or_touchard_sum(law, m):
+    """M_m by a route that never reads a b row: the support sum of a finite
+    law, and the Touchard polynomial sum_j S(m, j) lambda^j for Poisson."""
+    if isinstance(law, Binomial):
+        p, n = law.p, law.n
+        return sum(
+            Fraction(v**m) * binom(n, v) * p**v * (1 - p) ** (n - v) for v in range(n + 1)
+        )
+    if isinstance(law, DiscreteUniform):
+        return sum(Fraction(v**m, law.n) for v in range(law.n))
+    return sum(s * law.lam**j for j, s in enumerate(stirling2_triangle(m)[m]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            Binomial,
+            st.integers(1, 12),
+            st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), _fractions(0, 1)),
+        ),
+        st.builds(DiscreteUniform, st.integers(1, 12)),
+        st.builds(Poisson, _fractions(Fraction(1, 12), 12)),
+    ),
+    st.integers(0, 20),
+)
+def test_scalar_raw_moments_match_support_and_touchard_sums(law, m):
+    assert raw_moment(law, m) == _support_or_touchard_sum(law, m)
 
 
 @settings(max_examples=80, deadline=None)

@@ -61,6 +61,26 @@ class TestMatrixOps:
         assert (m**5)[0, 1] == 5
         assert m**0 == RationalMatrix.identity(2)
 
+    def test_powers_start_from_the_lowest_set_bit(self, monkeypatch):
+        products = []
+        matmul = RationalMatrix.__matmul__
+
+        def counting(self, other):
+            products.append((self, other))
+            return matmul(self, other)
+
+        p = random_chain(random.Random(5), 3, 2).p
+        monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+        assert p**0 == RationalMatrix.identity(5) and products == []
+        assert p**1 is p and products == []
+        want = p
+        for n in range(2, 12):
+            want = matmul(want, p)
+            products.clear()
+            assert p**n == want
+            # one squaring per bit above the lowest, one product per further set bit
+            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]])

@@ -17,6 +17,7 @@ from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, parti
 from msnlib.markov import (
     CommutabilityError,
     PreconditionError,
+    _alternating_nb_sum,
     b_power_sum,
     dist_n1,
     dist_r1,
@@ -128,6 +129,82 @@ def nb_b_sum_reference(w, r, k, m):
 )
 def test_nb_b_sum_matches_fraction_horner(w, r, k, m):
     assert nb_b_sum(w, r, k, m) == nb_b_sum_reference(w, r, k, m)
+
+
+probability_st = st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12)
+
+
+@st.composite
+def anb_sum_args_st(draw):
+    """(w, q, k, m, shift) of the alternating sum, with q = 0 or 0 < q < 1 and
+    a mixed-sign rational shift or the central shift -M_1 of an AltNegBinomial."""
+    k = draw(st.integers(1, 5))
+    q = draw(st.one_of(st.just(Fraction(0)), probability_st))
+    p = draw(st.one_of(st.just(Fraction(1)), probability_st))
+    shift = draw(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(-12, 12, max_denominator=12),
+            st.just(-((k - 1) * (p - q) + k) / p),
+        )
+    )
+    return (1 - p) / p, q, k, draw(st.integers(0, 14)), shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(anb_sum_args_st())
+def test_alternating_sum_matches_reference_terms(args):
+    w, q, k, m, shift = args
+    want = sum(
+        binom(k - 1, r) * (1 - q) ** r * q ** (k - 1 - r)
+        * nb_b_sum_reference(w, r + 1, k + r + shift, m)
+        for r in range(k)
+    )
+    assert _alternating_nb_sum(w, q, k, m, shift) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.just(Fraction(1)), probability_st),
+    st.one_of(st.just(Fraction(0)), probability_st),
+    st.integers(1, 5),
+    st.integers(0, 14),
+)
+def test_rk_scalar_matches_reference_terms(p, s_n, k, m):
+    # two states: leave M with probability p, stay in N with probability s_n
+    chain = anb_chain(p, s_n)
+    w = s_n / (1 - s_n)
+    want = sum(
+        binom(k, r) * p**r * (1 - p) ** (k - r) * nb_b_sum_reference(w, r, k + r, m)
+        for r in range(k + 1)
+    )
+    assert moment_rk_scalar(chain, k, m) == want
+
+
+def _count_products(monkeypatch) -> list:
+    products = []
+    matmul = RationalMatrix.__matmul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+    return products
+
+
+def test_commutable_forms_at_k1_skip_zero_powers_and_q(monkeypatch):
+    chain = random_chain(random.Random(3), 2, 2)
+    # invert both resolvents before counting (inversion forms no product anyway)
+    chain.resolvent
+    chain.complement_resolvent
+    products = _count_products(monkeypatch)
+    moment_rk_commutable(chain, 1, 4)
+    # only V @ P_NM, the V^1 of the shift; no Q, no I @ P_M, no P_M^0 @ P_MN
+    assert len(products) == 1
+    products.clear()
+    moment_nk_commutable(chain, 1, 4)
+    assert len(products) == 1
 
 
 def geometric_chain(p: Fraction):

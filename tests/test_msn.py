@@ -9,6 +9,8 @@ from msnlib.exact import qpow
 from msnlib.msn import (
     msn_direct,
     msn_row,
+    msn_row_scaled,
+    msn_rows_scaled,
     msn_shift,
     msn_table,
     stirling2,
@@ -211,3 +213,16 @@ def test_one_step_shift_recurrence(i, j, k):
 def test_row_matches_direct(i, p, q):
     k = Fraction(p, q)
     assert msn_row(i, k) == tuple(msn_direct(i, j, k) for j in range(i + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 14),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+    st.integers(1, 6),
+)
+def test_shifted_table_rows_are_single_rows(i, k, count):
+    rows, scale = msn_rows_scaled(i, k, count)
+    assert len(rows) == count
+    for t, row in enumerate(rows):
+        assert (row, scale) == msn_row_scaled(i, k + t)
