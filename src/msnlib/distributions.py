@@ -4,17 +4,22 @@ The b family keeps the j! of the factorial moments F_j inside b(i, j, k), so
 E[(X + s)^m] = sum_j b(m, j, s) F_j / j! for every shift s.  Each law's
 closed form is that one sum, written once in ``_b_moment``: shift 0 gives
 the raw moments and shift -M_1, with M_1 the law's closed mean, the central
-moments.  Every such sum runs on the scaled integer b row of
-:func:`msnlib.msn.msn_row_scaled` as one integer over one denominator and
-divides once; the matrix sum of the chain laws is ``b_power_sum``'s
-integer Horner.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its
-embedded chain, built once per object, and its constructor inverts I - mat
-into the resolvent slot the moments read.  The raw moments of the two chain
-laws come from the first-step recursion instead, a route independent of the
-b-sum: each ``Recurrence`` keeps one first-step list (the Nbar_1 moment
-matrices and the raw moments built so far), which ``raw_moment`` and
-``raw_moments`` extend from its current length and never rebuild, so asking
-for orders 0..m one at a time costs one build of order m.
+moments.  Every such sum runs on scaled integer b rows as one integer over
+one denominator and divides once.  A law object keeps one
+:class:`msnlib.msn.RowSweep` per b index its sum reads at each shift, and
+its closed mean, from first use for its lifetime: asking for orders 0..m one
+at a time steps each row once per order, so the orders cost one sweep, not
+one difference table each.  The chain laws' central sum is a dot product of
+the swept row with integer weights the law extends one matrix-vector step
+per order (``_ChainWeights``).  A ``PhaseType`` is the ``Recurrence`` law
+Rbar_1 of its embedded chain, built once per object, and its constructor
+inverts I - mat into the resolvent slot the moments read.  The raw moments
+of the two chain laws come from the first-step recursion instead, a route
+independent of the b-sum: each ``Recurrence`` keeps one first-step list (the
+Nbar_1 moment matrices, their binomial sums and the raw moments built so
+far), which ``raw_moment`` and ``raw_moments`` extend from its current
+length and never rebuild, so asking for orders 0..m one at a time costs one
+build of order m.
 The binomial transform :func:`central_from_raw` is the oracle every central
 closed form is checked against, and :func:`factorial_moments_from_raw`
 inverts the raw/factorial relation through the Stirling-1 triangle.
@@ -37,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
@@ -46,16 +52,30 @@ from .markov import (
     _check_orders,
     _horner,
     _n1_moment_list,
+    _nb_horner,
     _r1_moment_list,
-    b_power_sum,
-    nb_b_sum,
 )
-from .msn import msn_row, msn_row_scaled
+from .msn import RowSweep, msn_row_scaled
 from .msn1 import stirling1_triangle
 
 
+class _Law:
+    """What a law object keeps between calls: its closed mean, and one
+    :class:`RowSweep` per b index its sum reads at each shift it was asked
+    for (shift 0 for the raw moments, -M_1 for the central ones).  The slots
+    fill on first use and live as long as the object."""
+
+    @cached_property
+    def _closed_mean(self) -> Fraction:
+        return _mean(self)
+
+    @cached_property
+    def _sweeps(self) -> dict:
+        return {}
+
+
 @dataclass(frozen=True)
-class Binomial:
+class Binomial(_Law):
     n: int
     p: Fraction
 
@@ -68,7 +88,7 @@ class Binomial:
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Law):
     lam: Fraction
 
     def __post_init__(self):
@@ -78,7 +98,7 @@ class Poisson:
 
 
 @dataclass(frozen=True)
-class NegBinomial:
+class NegBinomial(_Law):
     p: Fraction
     k: int
 
@@ -91,7 +111,7 @@ class NegBinomial:
 
 
 @dataclass(frozen=True)
-class AltNegBinomial:
+class AltNegBinomial(_Law):
     p: Fraction
     q: Fraction
     k: int
@@ -108,7 +128,7 @@ class AltNegBinomial:
 
 
 @dataclass(frozen=True)
-class DiscreteUniform:
+class DiscreteUniform(_Law):
     n: int
 
     def __post_init__(self):
@@ -159,7 +179,7 @@ class PhaseType:
 
 
 @dataclass(frozen=True)
-class Recurrence:
+class Recurrence(_Law):
     chain: PartitionedChain
 
     def __post_init__(self):
@@ -167,50 +187,118 @@ class Recurrence:
             raise ValueError("recurrence law needs |M| = 1")
 
     @cached_property
-    def _first_step(self) -> tuple[list[RationalMatrix], list[Fraction]]:
-        """The Nbar_1 moment matrices and R_1 raw moments built so far."""
-        return [], []
+    def _first_step(self) -> tuple[list, list, list[Fraction]]:
+        """The Nbar_1 moment matrices, their binomial sums and the R_1 raw
+        moments built so far."""
+        return [], [], []
+
+    @cached_property
+    def _weights(self) -> "_ChainWeights":
+        return _ChainWeights(self.chain)
+
+
+class _ChainWeights:
+    """The integers Y_j of P_MN (V-I)^j V P_NM = Y_j / (s^(j+1) e), j = 0, 1, ...
+
+    V = N/s = (I-P_N)^-1, P_MN = L/e_1 and P_NM = R/e_2 with e = e_1 e_2 and
+    |M| = 1, so Y_j = L (N - sI)^j N R.  The column x_j = (N - sI)^j N R is
+    kept, and each new order costs one matrix-vector step x <- (N - sI) x.
+    Since P_N^j V^(j+1) = (V-I)^j V, the central b-sum of a chain law is
+    sum_j b(m, j, k) Y_j / (s^(j+1) e): one integer dot product with a
+    scaled b row, over one denominator.
+    """
+
+    __slots__ = ("s", "e", "y", "_left", "_step", "_x")
+
+    def __init__(self, chain: PartitionedChain):
+        v = chain.complement_resolvent
+        self.s = v.den
+        self.e = chain.p_mn.den * chain.p_nm.den
+        self.y = []
+        self._left = chain.p_mn.num[0]
+        self._step = [
+            [n - self.s if i == j else n for j, n in enumerate(row)]
+            for i, row in enumerate(v.num)
+        ]
+        right = [row[0] for row in chain.p_nm.num]
+        self._x = [sum(map(mul, row, right)) for row in v.num]
+
+    def upto(self, m: int) -> list[int]:
+        """Y_0..Y_m (the list may run longer); extends the kept list."""
+        y = self.y
+        while len(y) <= m:
+            if y:
+                self._x = [sum(map(mul, row, self._x)) for row in self._step]
+            y.append(sum(map(mul, self._left, self._x)))
+        return y
 
 
 DistributionSpec = Union[
     Binomial, Poisson, NegBinomial, AltNegBinomial, DiscreteUniform, PhaseType, Recurrence
 ]
 
-_LAWS = (Binomial, Poisson, NegBinomial, AltNegBinomial, DiscreteUniform, Recurrence)
-
 
 def _law(dist: DistributionSpec):
     """The law to sum over: a PhaseType is the Recurrence of its embedded chain."""
     if isinstance(dist, PhaseType):
         return dist._recurrence
-    if not isinstance(dist, _LAWS):
+    if not isinstance(dist, _Law):
         raise TypeError(f"unknown distribution spec: {dist!r}")
     return dist
+
+
+def _rows(law, m: int, shift: Fraction) -> tuple[list[list[int]], int]:
+    """The scaled b rows of order m that the law's sum reads at this shift.
+
+    One row per b index: k + shift for NegBinomial (X - k is the failure
+    count), the k consecutive k + r + shift for AltNegBinomial, 2 + shift
+    for a chain law and the shift itself otherwise.  Each comes from the
+    law's sweep for that index, so orders asked in turn step one row each.
+    """
+    sweeps = law._sweeps.get(shift)
+    if sweeps is None:
+        if isinstance(law, NegBinomial):
+            firsts = [law.k + shift]
+        elif isinstance(law, AltNegBinomial):
+            firsts = [law.k + r + shift for r in range(law.k)]
+        elif isinstance(law, Recurrence):
+            firsts = [2 + shift]
+        else:
+            firsts = [shift]
+        sweeps = law._sweeps[shift] = [RowSweep(k) for k in firsts]
+    rows = [sweep.row(m) for sweep in sweeps]
+    return [row for row, _ in rows], rows[0][1]
 
 
 def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
     """E[(X + shift)^m] = sum_j b(m, j, shift) E[C(X, j)], written once per law.
 
-    Each sum runs on the integer row B_j = Q^m b(m, j, shift) of
-    :func:`msn_row_scaled` and divides once.  With p = a/c (or lambda = a/c)
-    the scalar laws are the integers
+    Each sum runs on the integer rows B_j = Q^m b(m, j, .) of :func:`_rows`
+    and divides once.  With p = a/c (or lambda = a/c) the scalar laws are
+    the integers
     Binomial: sum_{j<=J} B_j C(n, j) a^j c^(J-j) over Q^m c^J, J = min(m, n);
     Poisson: sum_j B_j (m!/j!) a^j c^(m-j) over Q^m c^m m!;
     DiscreteUniform: sum_j B_j C(n, j+1) over Q^m n;
-    the first two by Horner in a.
+    the first two by Horner in a.  A chain law is
+    P_M (1+shift)^m + sum_j B_j Y_j s^(m-j) / (Q^m s^(m+1) e), with the
+    integers Y_j, s and e of :class:`_ChainWeights`.
     """
+    shift = as_rational(shift)
+    rows, scale = _rows(law, m, shift)
+    row = rows[0]
     if isinstance(law, NegBinomial):
-        # X - k is the failure count, so the b index is k + shift
-        return nb_b_sum((1 - law.p) / law.p, law.k, law.k + shift, m)
+        total, c_pow = _nb_horner(row, (1 - law.p) / law.p, law.k)
+        return Fraction(total, scale * c_pow)
     if isinstance(law, AltNegBinomial):
-        return _alternating_nb_sum((1 - law.p) / law.p, law.q, law.k, m, shift)
+        w = (1 - law.p) / law.p
+        return _alternating_nb_sum(w, law.q, law.k, m, shift, (rows, scale))
     if isinstance(law, Recurrence):
         # P_M (1+s)^m + P_MN sum_j b(m, j, 2+s) P_N^j (I-P_N)^(-j-1) P_NM
-        chain = law.chain
-        row, scale = msn_row_scaled(m, 2 + shift)
-        inner = b_power_sum(row, chain.complement_resolvent, 1, chain.p_nm, scale)
-        return chain.p_m[0, 0] * qpow(1 + shift, m) + (chain.p_mn @ inner)[0, 0]
-    row, scale = msn_row_scaled(m, shift)
+        weights = law._weights
+        terms = list(map(mul, row, weights.upto(m)))
+        total, s_pow = _horner(terms, 1, weights.s)
+        inner = Fraction(total, scale * s_pow * weights.s * weights.e)
+        return law.chain.p_m[0, 0] * qpow(1 + shift, m) + inner
     if isinstance(law, DiscreteUniform):
         # lower index j+1, which reproduces M_1 = (n-1)/2 on {0..n-1}
         total = sum(b * binom(law.n, j + 1) for j, b in enumerate(row))
@@ -219,17 +307,20 @@ def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
         terms = [b * binom(law.n, j) for j, b in enumerate(row[: law.n + 1])]
         total, c_pow = _horner(terms, law.p.numerator, law.p.denominator)
         return Fraction(total, scale * c_pow)
-    # Poisson: 1/j! is (m!/j!) / m!, with m!/j! a running product
+    # Poisson: 1/j! is (m!/j!) / m!, with m!/j! a running product; the row
+    # belongs to the sweep, so the terms are a copy
+    terms = row[:]
     falling = 1
     for j in reversed(range(m + 1)):
-        row[j] *= falling
+        terms[j] *= falling
         falling *= j or 1
-    total, c_pow = _horner(row, law.lam.numerator, law.lam.denominator)
+    total, c_pow = _horner(terms, law.lam.numerator, law.lam.denominator)
     return Fraction(total, scale * c_pow * falling)
 
 
 def _mean(law) -> Fraction:
-    """M_1 by each law's closed form."""
+    """M_1 by each law's closed form; read it through ``law._closed_mean``,
+    which computes it (and the AltNegBinomial cross-check) once per object."""
     if isinstance(law, Binomial):
         return law.n * law.p
     if isinstance(law, Poisson):
@@ -271,10 +362,10 @@ def raw_moments(dist: DistributionSpec, m_max: int) -> list[Fraction]:
     _check_orders(m_max)
     law = _law(dist)
     if isinstance(law, Recurrence):
-        nbar, raw = law._first_step
+        nbar, sums, raw = law._first_step
         if len(raw) <= m_max:
-            _n1_moment_list(law.chain.swapped(), m_max, nbar)
-            raw += [v[0, 0] for v in _r1_moment_list(law.chain, nbar, len(raw))]
+            _n1_moment_list(law.chain.swapped(), m_max, (nbar, sums))
+            raw += [v[0, 0] for v in _r1_moment_list(law.chain, sums, len(raw))]
         return raw[: m_max + 1]
     return [_b_moment(law, m, 0) for m in range(m_max + 1)]
 
@@ -296,12 +387,17 @@ def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
 
 
 def _factorial_b_sum(factorial: list[Fraction], m: int, shift: RationalLike) -> Fraction:
-    """E[(X + shift)^m] = sum_j b(m, j, shift) F_j / j! from factorial moments."""
-    row = msn_row(m, shift)
-    return sum(
-        (row[j] * factorial[j] / math.factorial(j) for j in range(m + 1)),
-        Fraction(0),
-    )
+    """E[(X + shift)^m] = sum_j b(m, j, shift) F_j / j! from factorial moments.
+
+    With G_j = F_j / j! over their lcm D and B_j = Q^m b(m, j, shift) from
+    :func:`msn_row_scaled`, this is the integer sum_j B_j D G_j over Q^m D:
+    one division.
+    """
+    row, scale = msn_row_scaled(m, shift)
+    weights = [factorial[j] / math.factorial(j) for j in range(m + 1)]
+    den = math.lcm(*(g.denominator for g in weights))
+    total = sum(b * g.numerator * (den // g.denominator) for b, g in zip(row, weights))
+    return Fraction(total, scale * den)
 
 
 def raw_from_factorial(factorial: Sequence[RationalLike]) -> list[Fraction]:
@@ -347,7 +443,7 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
     """
     _check_orders(m)
     law = _law(dist)
-    return _b_moment(law, m, -_mean(law))
+    return _b_moment(law, m, -law._closed_mean)
 
 
 def spec_from_dict(obj: dict) -> DistributionSpec:

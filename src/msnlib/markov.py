@@ -70,37 +70,45 @@ def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
 
 
 def _n1_moment_list(
-    chain: PartitionedChain, m_max: int, out: list | None = None
-) -> list[RationalMatrix]:
-    """M_0..M_max of N_1 by first-step recursion.
+    chain: PartitionedChain, m_max: int, out: tuple[list, list] | None = None
+) -> tuple[list[RationalMatrix], list[RationalMatrix]]:
+    """M_0..M_max of N_1 by first-step recursion, and their binomial sums.
 
-    M_0 = (I-P_M)^-1 P_MN and, for m >= 1,
-    M_m = (I-P_M)^-1 (P_MN + P_M sum_{j<m} C(m,j) M_j).
-    Given ``out``, the list built so far for this chain, it is extended in
-    place from its current length and returned.
+    M_0 = u P_MN with u = (I-P_M)^-1 and, for m >= 1,
+    M_m = u (P_MN + P_M acc_m), acc_m = sum_{j<m} C(m,j) M_j.
+    Since u P_M = u - I, the binomial sum S_m = sum_{j<=m} C(m,j) M_j is
+    M_0 + u acc_m and M_m = S_m - acc_m: one matrix product per order.
+    Returns the lists (M_0..M_max) and (S_0..S_max), S_0 = M_0, which the
+    R_1 moments read (:func:`_r1_moment_list`).  Given ``out``, the pair
+    built so far for this chain, both are extended in place from their
+    current length and returned.
     """
     u = chain.resolvent
-    out = [] if out is None else out
-    if not out:
-        out.append(u @ chain.p_mn)
-    for m in range(len(out), m_max + 1):
-        acc = combine([(binom(m, j), out[j], None) for j in range(m)])
-        out.append(u @ combine([(1, chain.p_mn, None), (1, chain.p_m, acc)]))
-    return out
+    moments, sums = ([], []) if out is None else out
+    if not moments:
+        moments.append(u @ chain.p_mn)
+        sums.append(moments[0])
+    for m in range(len(moments), m_max + 1):
+        acc = combine([(binom(m, j), moments[j], None) for j in range(m)])
+        total = combine([(1, moments[0], None), (1, u, acc)])
+        moments.append(combine([(1, total, None), (-1, acc, None)]))
+        sums.append(total)
+    return moments, sums
 
 
 def _r1_moment_list(
-    chain: PartitionedChain, nbar: list, start: int = 0
+    chain: PartitionedChain, sums: list, start: int = 0
 ) -> list[RationalMatrix]:
-    """M_m(R_1) = P_M + P_MN sum_{j<=m} C(m,j) M_j(Nbar_1), from M_j(Nbar_1).
+    """M_m(R_1) = P_M + P_MN S_m, with S_m = sum_{j<=m} C(m,j) M_j(Nbar_1).
 
-    Orders ``start``..len(nbar)-1, so a list built so far can be extended.
+    ``sums`` is the second list of :func:`_n1_moment_list` on the swapped
+    chain.  Orders ``start``..len(sums)-1, so a list built so far can be
+    extended.
     """
-    out = []
-    for m in range(start, len(nbar)):
-        acc = combine([(binom(m, j), nbar[j], None) for j in range(m + 1)])
-        out.append(combine([(1, chain.p_m, None), (1, chain.p_mn, acc)]))
-    return out
+    return [
+        combine([(1, chain.p_m, None), (1, chain.p_mn, total)])
+        for total in sums[start:]
+    ]
 
 
 _VARIABLES = ("N1", "R1", "Nbar1", "Rbar1")
@@ -117,9 +125,9 @@ def moment_recursive(chain: PartitionedChain, variable: str, m: int) -> Rational
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
     if variable == "N1":
-        return _n1_moment_list(chain, m)[m]
+        return _n1_moment_list(chain, m)[0][m]
     if variable == "R1":
-        return _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m))[m]
+        return _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m)[1])[m]
     return moment_recursive(chain.swapped(), variable.replace("bar", ""), m)
 
 
@@ -144,7 +152,7 @@ def moment_k_convolved(
     R_k = R_(k-1) + R_1 and N_k = N_1 + Rbar_(k-1) give
     M_m(R_k) = sum_j C(m,j) M_j(R_(k-1)) M_(m-j)(R_1)  and
     M_m(N_k) = sum_j C(m,j) M_(m-j)(N_1) M_j(Rbar_(k-1)).
-    The bases are built for orders 0..m, Rbar_1's from N_1's list
+    The bases are built for orders 0..m, Rbar_1's from N_1's binomial sums
     (M_m(Rbar_1) = P_N + P_NM sum_j C(m,j) M_j(N_1)), and so is every
     convolution round but the last, which builds order m only.
     Valid for every chain; serves as the oracle for the commutable forms.
@@ -154,14 +162,14 @@ def moment_k_convolved(
         raise ValueError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
     chain = chain.swapped() if variable.endswith("bar") else chain
     if variable[0] == "R":
-        r1 = _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m))
+        r1 = _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m)[1])
         if k == 1:
             return r1[m]
         return _convolve(_convolve_rounds(r1, k - 1, m), r1, m)
-    n1 = _n1_moment_list(chain, m)
+    n1, sums = _n1_moment_list(chain, m)
     if k == 1:
         return n1[m]
-    rbar1 = _r1_moment_list(chain.swapped(), n1)
+    rbar1 = _r1_moment_list(chain.swapped(), sums)
     return _convolve(n1, _convolve_rounds(rbar1, k - 1, m), m)
 
 
@@ -220,8 +228,16 @@ def _horner(terms: list[int], a: int, c: int) -> tuple[int, int]:
 
 
 def _nb_horner(row: list[int], w: Fraction, r: int) -> tuple[int, int]:
-    """:func:`_horner` of sum_j C(j+r-1, j) row[j] w^j: the integer and c^m."""
-    terms = [binom(j + r - 1, j) * b for j, b in enumerate(row)]
+    """:func:`_horner` of sum_j C(j+r-1, j) row[j] w^j: the integer and c^m.
+
+    The coefficient runs as C(j+r, j+1) = C(j+r-1, j) (j+r) / (j+1), an
+    exact integer step, which at r = 0 gives C(j-1, j) = [j = 0].
+    """
+    terms = []
+    coeff = 1
+    for j, b in enumerate(row):
+        terms.append(coeff * b)
+        coeff = coeff * (j + r) // (j + 1)
     return _horner(terms, w.numerator, w.denominator)
 
 
@@ -387,7 +403,12 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
 
 
 def _alternating_nb_sum(
-    w: Fraction, q: Fraction, k: int, m: int, shift: RationalLike = 0
+    w: Fraction,
+    q: Fraction,
+    k: int,
+    m: int,
+    shift: RationalLike = 0,
+    rows: tuple[list[list[int]], int] | None = None,
 ) -> Fraction:
     """Shared kernel of the |N| = 1 passage-time forms.
 
@@ -397,10 +418,11 @@ def _alternating_nb_sum(
     r = k-1 term survives there).  With q = u/d, the rows of the k shifts
     come from one table, and every term is an integer over d^(k-1) Q^m c^m,
     with Q^m the rows' scale and w = a/c (:func:`_nb_horner`): one division
-    in all.
+    in all.  A caller that already holds those rows and their scale passes
+    them as ``rows``.
     """
     u, d = q.numerator, q.denominator
-    rows, scale = msn_rows_scaled(m, k + shift, k)
+    rows, scale = rows or msn_rows_scaled(m, k + shift, k)
     total = 0
     for r, row in enumerate(rows):
         inner, c_pow = _nb_horner(row, w, r + 1)

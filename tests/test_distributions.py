@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain
+import msnlib.distributions as distributions
 from msnlib.distributions import (
     AltNegBinomial,
     Binomial,
@@ -27,7 +29,7 @@ from msnlib.distributions import (
 from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
 from msnlib.exact import binom
 from msnlib.markov import moment_k_convolved, moment_r1_closed
-from msnlib.msn import stirling2_triangle
+from msnlib.msn import msn_row, stirling2_triangle
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -434,6 +436,63 @@ def test_chain_law_orders_in_any_order_extend_one_list(law, orders):
     # callers get copies: changing one does not change the next answer
     raw_moments(law, top)[0] = 7
     assert raw_moments(law, top) == fresh
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(scalar_law_st, phase_type_st(), recurrence_st()),
+    st.lists(
+        st.tuples(st.sampled_from(["raw", "central"]), st.integers(0, 10)),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_orders_in_any_order_match_a_fresh_object(law, asks):
+    # repeated, descending and interleaved raw and central orders on one
+    # object step its sweeps and lists; each answer must be the one a fresh
+    # object gives for that order alone
+    asks += [(kind, j) for kind, j in reversed(asks)]
+    fn = {"raw": raw_moment, "central": central_closed}
+    got = [fn[kind](law, j) for kind, j in asks]
+    assert got == [fn[kind](dataclasses.replace(law), j) for kind, j in asks]
+
+
+def test_anb_checks_its_closed_mean_once_per_object(monkeypatch):
+    calls = []
+    b_moment = distributions._b_moment
+
+    def counting(law, m, shift):
+        calls.append(shift)
+        return b_moment(law, m, shift)
+
+    monkeypatch.setattr(distributions, "_b_moment", counting)
+    law = AltNegBinomial(Fraction(3, 7), Fraction(2, 5), 3)
+    central = [central_closed(law, j) for j in range(17)]
+    # one order-1 raw b-sum for the closed mean's cross-check, then one
+    # central b-sum per order
+    assert calls.count(0) == 1
+    assert len(calls) == 18
+    assert central == central_from_raw(raw_moments(dataclasses.replace(law), 16))
+
+
+def factorial_b_sum_reference(factorial, m, shift):
+    """sum_j b(m, j, shift) F_j / j! as a sum of reduced Fraction terms."""
+    row = msn_row(m, shift)
+    return sum(
+        (row[j] * factorial[j] / math.factorial(j) for j in range(m + 1)),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.fractions(-20, 20, max_denominator=15), min_size=1, max_size=14),
+    st.fractions(-8, 8, max_denominator=12),
+)
+def test_factorial_b_sum_matches_fraction_terms(factorial, shift):
+    m = len(factorial) - 1
+    want = factorial_b_sum_reference(factorial, m, shift)
+    assert distributions._factorial_b_sum(factorial, m, shift) == want
 
 
 def test_unknown_law_is_a_type_error():

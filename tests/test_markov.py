@@ -12,6 +12,7 @@ from conftest import (
     rowsum_chain,
     scalar_block_chain,
 )
+import msnlib.markov as markov
 from msnlib.exact import binom
 from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, partition
 from msnlib.markov import (
@@ -205,6 +206,30 @@ def test_commutable_forms_at_k1_skip_zero_powers_and_q(monkeypatch):
     products.clear()
     moment_nk_commutable(chain, 1, 4)
     assert len(products) == 1
+
+
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_first_step_forms_one_product_per_order(monkeypatch, m):
+    chain = random_chain(random.Random(5), 2, 3)
+    chain.resolvent
+    products = _count_products(monkeypatch)
+    combine = markov.combine
+
+    def counting(terms):
+        terms = list(terms)
+        products.extend(t for t in terms if t[2] is not None)
+        return combine(terms)
+
+    monkeypatch.setattr(markov, "combine", counting)
+    moments, sums = markov._n1_moment_list(chain, m)
+    # u @ P_MN for M_0, then S_m = M_0 + u acc_m, and M_m = S_m - acc_m
+    assert len(products) == 1 + m
+    monkeypatch.undo()
+    assert moments == [moment_n1_closed(chain, j) for j in range(m + 1)]
+    assert sums == [
+        sum((binom(j, i) * moments[i] for i in range(j)), moments[j])
+        for j in range(m + 1)
+    ]
 
 
 def geometric_chain(p: Fraction):
