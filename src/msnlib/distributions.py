@@ -2,24 +2,21 @@
 
 The b family keeps the j! of the factorial moments F_j inside b(i, j, k), so
 E[(X + s)^m] = sum_j b(m, j, s) F_j / j! for every shift s.  Each law's
-closed form is that one sum, written once in ``_b_moment``: shift 0 gives
-the raw moments and shift -M_1, with M_1 the law's closed mean, the central
-moments.  Every such sum runs on scaled integer b rows as one integer over
-one denominator and divides once.  A law object keeps one
-:class:`msnlib.msn.RowSweep` per b index its sum reads at each shift, and
-its closed mean, from first use for its lifetime: asking for orders 0..m one
-at a time steps each row once per order, so the orders cost one sweep, not
-one difference table each.  The chain laws' central sum is a dot product of
-the swept row with integer weights the law extends one matrix-vector step
-per order (``_ChainWeights``).  A ``PhaseType`` is the ``Recurrence`` law
-Rbar_1 of its embedded chain, built once per object, and its constructor
-inverts I - mat into the resolvent slot the moments read.  The raw moments
-of the two chain laws come from the first-step recursion instead, a route
-independent of the b-sum: each ``Recurrence`` keeps one first-step list (the
-Nbar_1 moment matrices, their binomial sums and the raw moments built so
-far), which ``raw_moment`` and ``raw_moments`` extend from its current
-length and never rebuild, so asking for orders 0..m one at a time costs one
-build of order m.
+closed form is that one sum, written once as a generator of the orders
+m = 0, 1, ... in ``_sums``: shift 0 gives the raw moments and shift -M_1,
+with M_1 the law's closed mean, the central moments.  Every such sum runs
+on the scaled integer b rows that :func:`msnlib.msn.msn_row_sweep` steps
+one order at a time, as one integer over one denominator, and divides once.
+A law object keeps, for each shift it was asked at, that generator and the
+list of the moments it has produced, and its closed mean, from first use
+for its lifetime: asking for orders 0..m in any order costs one sweep, and
+a lower order is a list read.  The chain laws' central sum is a dot product
+of the swept row with integer weights extended one matrix-vector step per
+order.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its embedded
+chain, built once per object, and its constructor inverts I - mat into the
+resolvent slot the moments read.  The raw moments of the two chain laws
+come from the first-step recursion instead (:func:`msnlib.markov._first_step`),
+a route independent of the b-sum, one matrix product per order.
 The binomial transform :func:`central_from_raw` is the oracle every central
 closed form is checked against, and :func:`factorial_moments_from_raw`
 inverts the raw/factorial relation through the Stirling-1 triangle.
@@ -42,35 +39,37 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from operator import mul
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
 from .markov import (
-    _alternating_nb_sum,
     _check_orders,
+    _first_step,
     _horner,
-    _n1_moment_list,
-    _nb_horner,
+    _nb_mixture,
     _r1_moment_list,
+    nb_b_sum,
 )
-from .msn import RowSweep, msn_row_scaled
+from .msn import msn_row_scaled, msn_row_sweep
 from .msn1 import stirling1_triangle
 
 
 class _Law:
-    """What a law object keeps between calls: its closed mean, and one
-    :class:`RowSweep` per b index its sum reads at each shift it was asked
-    for (shift 0 for the raw moments, -M_1 for the central ones).  The slots
-    fill on first use and live as long as the object."""
+    """What a law object keeps between calls: its closed mean, and for each
+    shift it was asked at (0 for the raw moments, -M_1 for the central ones)
+    the moments E[(X + shift)^m] produced so far and the generator that
+    produces the next (:func:`_moments`).  The slots fill on first use and
+    live as long as the object."""
 
     @cached_property
     def _closed_mean(self) -> Fraction:
         return _mean(self)
 
     @cached_property
-    def _sweeps(self) -> dict:
+    def _lists(self) -> dict:
         return {}
 
 
@@ -174,7 +173,7 @@ class PhaseType:
     @cached_property
     def _recurrence(self) -> "Recurrence":
         """Rbar_1 of the embedded chain, built once so I - mat is inverted once
-        and the first-step list is kept for the object's lifetime."""
+        and its moment lists are kept for the object's lifetime."""
         return Recurrence(self.embedded_chain().swapped())
 
 
@@ -185,52 +184,6 @@ class Recurrence(_Law):
     def __post_init__(self):
         if len(self.chain.m_indices) != 1:
             raise ValueError("recurrence law needs |M| = 1")
-
-    @cached_property
-    def _first_step(self) -> tuple[list, list, list[Fraction]]:
-        """The Nbar_1 moment matrices, their binomial sums and the R_1 raw
-        moments built so far."""
-        return [], [], []
-
-    @cached_property
-    def _weights(self) -> "_ChainWeights":
-        return _ChainWeights(self.chain)
-
-
-class _ChainWeights:
-    """The integers Y_j of P_MN (V-I)^j V P_NM = Y_j / (s^(j+1) e), j = 0, 1, ...
-
-    V = N/s = (I-P_N)^-1, P_MN = L/e_1 and P_NM = R/e_2 with e = e_1 e_2 and
-    |M| = 1, so Y_j = L (N - sI)^j N R.  The column x_j = (N - sI)^j N R is
-    kept, and each new order costs one matrix-vector step x <- (N - sI) x.
-    Since P_N^j V^(j+1) = (V-I)^j V, the central b-sum of a chain law is
-    sum_j b(m, j, k) Y_j / (s^(j+1) e): one integer dot product with a
-    scaled b row, over one denominator.
-    """
-
-    __slots__ = ("s", "e", "y", "_left", "_step", "_x")
-
-    def __init__(self, chain: PartitionedChain):
-        v = chain.complement_resolvent
-        self.s = v.den
-        self.e = chain.p_mn.den * chain.p_nm.den
-        self.y = []
-        self._left = chain.p_mn.num[0]
-        self._step = [
-            [n - self.s if i == j else n for j, n in enumerate(row)]
-            for i, row in enumerate(v.num)
-        ]
-        right = [row[0] for row in chain.p_nm.num]
-        self._x = [sum(map(mul, row, right)) for row in v.num]
-
-    def upto(self, m: int) -> list[int]:
-        """Y_0..Y_m (the list may run longer); extends the kept list."""
-        y = self.y
-        while len(y) <= m:
-            if y:
-                self._x = [sum(map(mul, row, self._x)) for row in self._step]
-            y.append(sum(map(mul, self._left, self._x)))
-        return y
 
 
 DistributionSpec = Union[
@@ -247,75 +200,121 @@ def _law(dist: DistributionSpec):
     return dist
 
 
-def _rows(law, m: int, shift: Fraction) -> tuple[list[list[int]], int]:
-    """The scaled b rows of order m that the law's sum reads at this shift.
+def _moments(law, m: int, shift: RationalLike) -> list[Fraction]:
+    """E[(X + shift)^m] for the orders 0..m (the list may run longer).
 
-    One row per b index: k + shift for NegBinomial (X - k is the failure
-    count), the k consecutive k + r + shift for AltNegBinomial, 2 + shift
-    for a chain law and the shift itself otherwise.  Each comes from the
-    law's sweep for that index, so orders asked in turn step one row each.
+    The law's list at this shift, extended from its generator
+    (:func:`_sums`) only past its current length, so a lower order is a
+    list read.  The list belongs to the law: read it, do not change it.
     """
-    sweeps = law._sweeps.get(shift)
-    if sweeps is None:
-        if isinstance(law, NegBinomial):
-            firsts = [law.k + shift]
-        elif isinstance(law, AltNegBinomial):
-            firsts = [law.k + r + shift for r in range(law.k)]
-        elif isinstance(law, Recurrence):
-            firsts = [2 + shift]
-        else:
-            firsts = [shift]
-        sweeps = law._sweeps[shift] = [RowSweep(k) for k in firsts]
-    rows = [sweep.row(m) for sweep in sweeps]
-    return [row for row, _ in rows], rows[0][1]
+    entry = law._lists.get(shift)
+    if entry is None:
+        entry = law._lists[shift] = ([], _sums(law, shift))
+    values, sums = entry
+    if len(values) <= m:
+        try:
+            values.extend(islice(sums, m + 1 - len(values)))
+        except BaseException:
+            # a generator that raised is finished: start afresh next time
+            del law._lists[shift]
+            raise
+    return values
 
 
-def _b_moment(law, m: int, shift: RationalLike) -> Fraction:
-    """E[(X + shift)^m] = sum_j b(m, j, shift) E[C(X, j)], written once per law.
+def _sums(law, shift: RationalLike) -> Iterator[Fraction]:
+    """E[(X + shift)^m] = sum_j b(m, j, shift) E[C(X, j)], m = 0, 1, ...
 
-    Each sum runs on the integer rows B_j = Q^m b(m, j, .) of :func:`_rows`
-    and divides once.  With p = a/c (or lambda = a/c) the scalar laws are
-    the integers
+    One generator per law, given the law's fields and never the law, so a
+    law that keeps it makes no reference cycle.  Each sum runs on the scaled
+    integer rows B_j = Q^m b(m, j, .) of :func:`msn_row_sweep` and divides
+    once.  With p = a/c (or lambda = a/c) the scalar laws are the integers
     Binomial: sum_{j<=J} B_j C(n, j) a^j c^(J-j) over Q^m c^J, J = min(m, n);
     Poisson: sum_j B_j (m!/j!) a^j c^(m-j) over Q^m c^m m!;
     DiscreteUniform: sum_j B_j C(n, j+1) over Q^m n;
-    the first two by Horner in a.  A chain law is
-    P_M (1+shift)^m + sum_j B_j Y_j s^(m-j) / (Q^m s^(m+1) e), with the
-    integers Y_j, s and e of :class:`_ChainWeights`.
+    the first two by Horner in a.  NegBinomial reads b(m, j, k + shift)
+    (X - k is the failure count), AltNegBinomial the k consecutive
+    b(m, j, k + r + shift), and a chain law b(m, j, 2 + shift)
+    (:func:`_chain_sums`), except at shift 0, where its raw moments come
+    from the first-step recursion, the route its b-sum is checked against.
     """
-    shift = as_rational(shift)
-    rows, scale = _rows(law, m, shift)
-    row = rows[0]
-    if isinstance(law, NegBinomial):
-        total, c_pow = _nb_horner(row, (1 - law.p) / law.p, law.k)
-        return Fraction(total, scale * c_pow)
-    if isinstance(law, AltNegBinomial):
-        w = (1 - law.p) / law.p
-        return _alternating_nb_sum(w, law.q, law.k, m, shift, (rows, scale))
     if isinstance(law, Recurrence):
-        # P_M (1+s)^m + P_MN sum_j b(m, j, 2+s) P_N^j (I-P_N)^(-j-1) P_NM
-        weights = law._weights
-        terms = list(map(mul, row, weights.upto(m)))
-        total, s_pow = _horner(terms, 1, weights.s)
-        inner = Fraction(total, scale * s_pow * weights.s * weights.e)
-        return law.chain.p_m[0, 0] * qpow(1 + shift, m) + inner
+        chain = law.chain
+        if shift == 0:
+            return (
+                _r1_moment_list(chain, [total])[0][0, 0]
+                for _, total in _first_step(chain.swapped())
+            )
+        return _chain_sums(chain, shift)
+    if isinstance(law, NegBinomial):
+        w, k = (1 - law.p) / law.p, law.k
+        return (nb_b_sum(row, scale, w, k) for row, scale in msn_row_sweep(k + shift))
+    if isinstance(law, AltNegBinomial):
+        w, x, k = (1 - law.p) / law.p, 1 - law.q, law.k
+        return (
+            _nb_mixture([row for row, _ in rows], rows[0][1], w, x, 1)
+            for rows in zip(*[msn_row_sweep(k + r + shift) for r in range(k)])
+        )
     if isinstance(law, DiscreteUniform):
         # lower index j+1, which reproduces M_1 = (n-1)/2 on {0..n-1}
-        total = sum(b * binom(law.n, j + 1) for j, b in enumerate(row))
-        return Fraction(total, scale * law.n)
+        n = law.n
+        coeffs = [binom(n, j + 1) for j in range(n)]
+        return (
+            Fraction(sum(map(mul, row, coeffs)), scale * n)
+            for row, scale in msn_row_sweep(shift)
+        )
     if isinstance(law, Binomial):
-        terms = [b * binom(law.n, j) for j, b in enumerate(row[: law.n + 1])]
-        total, c_pow = _horner(terms, law.p.numerator, law.p.denominator)
-        return Fraction(total, scale * c_pow)
-    # Poisson: 1/j! is (m!/j!) / m!, with m!/j! a running product; the row
-    # belongs to the sweep, so the terms are a copy
-    terms = row[:]
-    falling = 1
-    for j in reversed(range(m + 1)):
-        terms[j] *= falling
-        falling *= j or 1
-    total, c_pow = _horner(terms, law.lam.numerator, law.lam.denominator)
-    return Fraction(total, scale * c_pow * falling)
+        return _binomial_sums(law.n, law.p, shift)
+    return _poisson_sums(law.lam, shift)
+
+
+def _binomial_sums(n: int, p: Fraction, shift: RationalLike) -> Iterator[Fraction]:
+    coeffs = [binom(n, j) for j in range(n + 1)]
+    for row, scale in msn_row_sweep(shift):
+        total, c_pow = _horner(list(map(mul, row, coeffs)), p.numerator, p.denominator)
+        yield Fraction(total, scale * c_pow)
+
+
+def _poisson_sums(lam: Fraction, shift: RationalLike) -> Iterator[Fraction]:
+    # 1/j! is (m!/j!) / m!, with m!/j! a running product; the next row is
+    # stepped from this one, so the terms are a copy
+    for m, (row, scale) in enumerate(msn_row_sweep(shift)):
+        terms = row[:]
+        falling = 1
+        for j in reversed(range(m + 1)):
+            terms[j] *= falling
+            falling *= j or 1
+        total, c_pow = _horner(terms, lam.numerator, lam.denominator)
+        yield Fraction(total, scale * c_pow * falling)
+
+
+def _chain_sums(chain: PartitionedChain, shift: Fraction) -> Iterator[Fraction]:
+    """P_M (1+shift)^m + P_MN sum_j b(m, j, 2+shift) P_N^j (I-P_N)^(-j-1) P_NM.
+
+    V = N/s = (I-P_N)^-1, P_MN = L/e_1 and P_NM = R/e_2 with e = e_1 e_2 and
+    |M| = 1.  Since P_N^j V^(j+1) = (V-I)^j V, the j-th term is
+    Y_j / (s^(j+1) e) with the integer Y_j = L (N - sI)^j N R.  The column
+    x_j = (N - sI)^j N R is kept, and each new order costs one
+    matrix-vector step x <- (N - sI) x and one integer dot product with the
+    scaled row B_j = Q^m b(m, j, 2+shift): the sum is
+    sum_j B_j Y_j s^(m-j) over Q^m s^(m+1) e.
+    """
+    v = chain.complement_resolvent
+    s, e = v.den, chain.p_mn.den * chain.p_nm.den
+    left = chain.p_mn.num[0]
+    step = [
+        [n - s if i == j else n for j, n in enumerate(row)]
+        for i, row in enumerate(v.num)
+    ]
+    right = [row[0] for row in chain.p_nm.num]
+    x = [sum(map(mul, row, right)) for row in v.num]
+    p_m = chain.p_m[0, 0]
+    y = []
+    for m, (row, scale) in enumerate(msn_row_sweep(2 + shift)):
+        if m:
+            x = [sum(map(mul, r, x)) for r in step]
+        y.append(sum(map(mul, left, x)))
+        total, s_pow = _horner(list(map(mul, row, y)), 1, s)
+        yield p_m * qpow(1 + shift, m) + Fraction(total, scale * s_pow * s * e)
 
 
 def _mean(law) -> Fraction:
@@ -330,7 +329,7 @@ def _mean(law) -> Fraction:
     if isinstance(law, AltNegBinomial):
         p, q, k = law.p, law.q, law.k
         mean = ((k - 1) * (p - q) + k) / p
-        computed = _b_moment(law, 1, 0)
+        computed = _moments(law, 1, 0)[1]
         if computed != mean:
             raise ArithmeticError(
                 f"closed mean {mean} disagrees with the moment formula {computed}"
@@ -345,29 +344,19 @@ def _mean(law) -> Fraction:
 
 
 def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
-    """Exact m-th raw moment: the law's b-sum at shift 0.
+    """Exact m-th raw moment: the law's moments at shift 0 (:func:`_sums`).
 
-    The two chain laws take the first-step recursion instead, the route the
+    The two chain laws take the first-step recursion there, the route the
     b-sum of their central moments is checked against.
     """
     _check_orders(m)
-    law = _law(dist)
-    if isinstance(law, Recurrence):
-        return raw_moments(law, m)[m]
-    return _b_moment(law, m, 0)
+    return _moments(_law(dist), m, 0)[m]
 
 
 def raw_moments(dist: DistributionSpec, m_max: int) -> list[Fraction]:
-    """M_0..M_max; a chain law extends its once-built first-step list."""
+    """M_0..M_max, a copy of the law's list at shift 0."""
     _check_orders(m_max)
-    law = _law(dist)
-    if isinstance(law, Recurrence):
-        nbar, sums, raw = law._first_step
-        if len(raw) <= m_max:
-            _n1_moment_list(law.chain.swapped(), m_max, (nbar, sums))
-            raw += [v[0, 0] for v in _r1_moment_list(law.chain, sums, len(raw))]
-        return raw[: m_max + 1]
-    return [_b_moment(law, m, 0) for m in range(m_max + 1)]
+    return _moments(_law(dist), m_max, 0)[: m_max + 1]
 
 
 def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
@@ -386,24 +375,23 @@ def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
     ]
 
 
-def _factorial_b_sum(factorial: list[Fraction], m: int, shift: RationalLike) -> Fraction:
-    """E[(X + shift)^m] = sum_j b(m, j, shift) F_j / j! from factorial moments.
+def _factorial_b_sums(factorial: list[Fraction], rows) -> list[Fraction]:
+    """sum_j b(m, j, shift) F_j / j! for each scaled row (B, Q^m) of ``rows``.
 
-    With G_j = F_j / j! over their lcm D and B_j = Q^m b(m, j, shift) from
-    :func:`msn_row_scaled`, this is the integer sum_j B_j D G_j over Q^m D:
-    one division.
+    With G_j = F_j / j! over their lcm D, formed once for all the rows, and
+    B_j = Q^m b(m, j, shift), each sum is the integer sum_j B_j D G_j over
+    Q^m D: one division.
     """
-    row, scale = msn_row_scaled(m, shift)
-    weights = [factorial[j] / math.factorial(j) for j in range(m + 1)]
+    weights = [f / math.factorial(j) for j, f in enumerate(factorial)]
     den = math.lcm(*(g.denominator for g in weights))
-    total = sum(b * g.numerator * (den // g.denominator) for b, g in zip(row, weights))
-    return Fraction(total, scale * den)
+    nums = [g.numerator * (den // g.denominator) for g in weights]
+    return [Fraction(sum(map(mul, row, nums)), scale * den) for row, scale in rows]
 
 
 def raw_from_factorial(factorial: Sequence[RationalLike]) -> list[Fraction]:
     """M_m = sum_j b(m, j, 0) F_j / j!, the forward direction."""
     factorial = [as_rational(v) for v in factorial]
-    return [_factorial_b_sum(factorial, m, 0) for m in range(len(factorial))]
+    return _factorial_b_sums(factorial, islice(msn_row_sweep(0), len(factorial)))
 
 
 def central_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
@@ -432,7 +420,7 @@ def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction
     if m >= len(factorial):
         raise ValueError(f"need factorial moments up to order {m}")
     mean = factorial[1] if len(factorial) > 1 else Fraction(0)
-    return _factorial_b_sum(factorial, m, -mean)
+    return _factorial_b_sums(factorial[: m + 1], [msn_row_scaled(m, -mean)])[0]
 
 
 def central_closed(dist: DistributionSpec, m: int) -> Fraction:
@@ -443,7 +431,7 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
     """
     _check_orders(m)
     law = _law(dist)
-    return _b_moment(law, m, -law._closed_mean)
+    return _moments(law, m, -law._closed_mean)[m]
 
 
 def spec_from_dict(obj: dict) -> DistributionSpec:

@@ -19,19 +19,25 @@ Two independent computation routes exist for every moment:
   constant-row-sum specializations for general k).
 
 The recursive route is the oracle: the closed forms must reproduce it
-exactly, and the test suite enforces that.  Every closed-form b-sum runs on
-the scaled integer b rows of :func:`msnlib.msn.msn_rows_scaled`, one table
-for all the consecutive shifts a form reads, and divides once: the scalar
-sums by an integer Horner over one denominator, the matrix sums by
-:func:`b_power_sum`'s integer Horner, reduced once.
+exactly, and the test suite enforces that.  Its first-step recursion is
+one generator, :func:`_first_step`, which forms one matrix product per
+order: a route takes the orders it needs, and a holder of the generator
+(a chain law of :mod:`msnlib.distributions`) takes more later.  Every
+closed-form b-sum runs on the scaled integer b rows of
+:func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
+shifts a form reads, and divides once: the scalar sums by an integer Horner
+over one denominator (one negative-binomial sum :func:`nb_b_sum`, or the
+binomial mixture :func:`_nb_mixture` of such sums over consecutive shifts),
+the matrix sums by :func:`b_power_sum`'s integer Horner, reduced once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
@@ -69,46 +75,39 @@ def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
     return chain.p_mn @ chain.p_n ** (n - 2) @ chain.p_nm
 
 
-def _n1_moment_list(
-    chain: PartitionedChain, m_max: int, out: tuple[list, list] | None = None
-) -> tuple[list[RationalMatrix], list[RationalMatrix]]:
-    """M_0..M_max of N_1 by first-step recursion, and their binomial sums.
+def _first_step(chain: PartitionedChain) -> Iterator[tuple[RationalMatrix, RationalMatrix]]:
+    """(M_m, S_m) of N_1 by first-step recursion, m = 0, 1, ...
 
     M_0 = u P_MN with u = (I-P_M)^-1 and, for m >= 1,
     M_m = u (P_MN + P_M acc_m), acc_m = sum_{j<m} C(m,j) M_j.
     Since u P_M = u - I, the binomial sum S_m = sum_{j<=m} C(m,j) M_j is
     M_0 + u acc_m and M_m = S_m - acc_m: one matrix product per order.
-    Returns the lists (M_0..M_max) and (S_0..S_max), S_0 = M_0, which the
-    R_1 moments read (:func:`_r1_moment_list`).  Given ``out``, the pair
-    built so far for this chain, both are extended in place from their
-    current length and returned.
+    S_0 = M_0, and the R_1 moments read the S_m (:func:`_r1_moment_list`).
     """
     u = chain.resolvent
-    moments, sums = ([], []) if out is None else out
-    if not moments:
-        moments.append(u @ chain.p_mn)
-        sums.append(moments[0])
-    for m in range(len(moments), m_max + 1):
+    moments = [u @ chain.p_mn]
+    yield moments[0], moments[0]
+    for m in count(1):
         acc = combine([(binom(m, j), moments[j], None) for j in range(m)])
         total = combine([(1, moments[0], None), (1, u, acc)])
         moments.append(combine([(1, total, None), (-1, acc, None)]))
-        sums.append(total)
-    return moments, sums
+        yield moments[m], total
 
 
-def _r1_moment_list(
-    chain: PartitionedChain, sums: list, start: int = 0
-) -> list[RationalMatrix]:
+def _n1_moment_list(
+    chain: PartitionedChain, m_max: int
+) -> tuple[list[RationalMatrix], list[RationalMatrix]]:
+    """The lists (M_0..M_max) and (S_0..S_max) of :func:`_first_step`."""
+    moments, sums = zip(*islice(_first_step(chain), m_max + 1))
+    return list(moments), list(sums)
+
+
+def _r1_moment_list(chain: PartitionedChain, sums: list) -> list[RationalMatrix]:
     """M_m(R_1) = P_M + P_MN S_m, with S_m = sum_{j<=m} C(m,j) M_j(Nbar_1).
 
-    ``sums`` is the second list of :func:`_n1_moment_list` on the swapped
-    chain.  Orders ``start``..len(sums)-1, so a list built so far can be
-    extended.
+    ``sums`` holds S_0, S_1, ... of :func:`_first_step` on the swapped chain.
     """
-    return [
-        combine([(1, chain.p_m, None), (1, chain.p_mn, total)])
-        for total in sums[start:]
-    ]
+    return [combine([(1, chain.p_m, None), (1, chain.p_mn, total)]) for total in sums]
 
 
 _VARIABLES = ("N1", "R1", "Nbar1", "Rbar1")
@@ -241,18 +240,38 @@ def _nb_horner(row: list[int], w: Fraction, r: int) -> tuple[int, int]:
     return _horner(terms, w.numerator, w.denominator)
 
 
-def nb_b_sum(w: Fraction, r: int, k: RationalLike, m: int) -> Fraction:
+def nb_b_sum(row: list[int], scale: int, w: Fraction, r: int) -> Fraction:
     """sum_j C(j+r-1, j) b(m, j, k) w^j, the negative-binomial b sum.
 
-    With k = p/q and w = a/c in lowest terms, B_j = q^m b(m, j, k) is an
-    integer (:func:`msn_row_scaled`), so the sum is the integer
-    sum_j C(j+r-1, j) B_j a^j c^(m-j), run by Horner in a (:func:`_nb_horner`),
-    over q^m c^m: one division for the whole sum.  ``binom`` gives
-    C(j-1, j) = [j = 0], so r = 0 leaves b(m, 0, k).
+    ``row`` and ``scale`` are the integers B_j = q^m b(m, j, k) and q^m of
+    a scaled b row (:func:`msnlib.msn.msn_row_scaled`).  With w = a/c in
+    lowest terms the sum is the integer sum_j C(j+r-1, j) B_j a^j c^(m-j),
+    run by Horner in a (:func:`_nb_horner`), over q^m c^m: one division for
+    the whole sum.  ``binom`` gives C(j-1, j) = [j = 0], so r = 0 leaves
+    b(m, 0, k).
     """
-    row, scale = msn_row_scaled(m, k)
     total, c_pow = _nb_horner(row, w, r)
     return Fraction(total, scale * c_pow)
+
+
+def _nb_mixture(
+    rows: list[list[int]], scale: int, w: Fraction, x: Fraction, r0: int
+) -> Fraction:
+    """sum_r C(n, r) x^r (1-x)^(n-r) sum_j C(j+r+r0-1, j) b(m, j, k_r) w^j.
+
+    n = len(rows) - 1, and ``rows`` and ``scale`` are the scaled b rows
+    q^m b(m, ., k_r) of the n+1 shifts k_r the mixture reads, over their
+    common q^m.  The powers of x are combined before evaluation, so x = 0
+    and x = 1 stay well-defined.  With x = a/d every term is an integer
+    over d^n q^m c^m, w = a'/c (:func:`_nb_horner`): one division in all.
+    """
+    n = len(rows) - 1
+    a, d = x.numerator, x.denominator
+    total = 0
+    for r, row in enumerate(rows):
+        inner, c_pow = _nb_horner(row, w, r + r0)
+        total += binom(n, r) * a**r * (d - a) ** (n - r) * inner
+    return Fraction(total, d**n * scale * c_pow)
 
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
@@ -312,11 +331,8 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
 
     sum_{r=0}^{k} C(k,r) p^r (1-p)^(k-r)
         * sum_j C(j+r-1, j) b(m, j, k+r) (s_N / (1-s_N))^j
-    with p = 1 - P_M.  The powers of p are combined before evaluation so the
-    formula stays polynomial in p (no division by 1-p).  With p = u/d, the
-    rows of the shifts k..2k come from one table, and every term is an
-    integer over d^k Q^m c^m, with Q^m the rows' scale and w = a/c
-    (:func:`_nb_horner`): one division in all.
+    with p = 1 - P_M: the mixture :func:`_nb_mixture` over the rows of the
+    shifts k..2k, which come from one table.
     """
     _check_orders(m, k)
     if chain.p_m.rows != 1:
@@ -325,15 +341,8 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
         raise PreconditionError("requires constant row sums in P_N")
     if chain.s_n == 1:
         raise PreconditionError("requires s_N != 1")
-    p = 1 - chain.p_m[0, 0]
     w = chain.s_n / (1 - chain.s_n)
-    u, d = p.numerator, p.denominator
-    rows, scale = msn_rows_scaled(m, k, k + 1)
-    total = 0
-    for r, row in enumerate(rows):
-        inner, c_pow = _nb_horner(row, w, r)
-        total += binom(k, r) * u**r * (d - u) ** (k - r) * inner
-    return Fraction(total, d**k * scale * c_pow)
+    return _nb_mixture(*msn_rows_scaled(m, k, k + 1), w, 1 - chain.p_m[0, 0], 0)
 
 
 def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
@@ -351,7 +360,7 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
     w = chain.s_m / (1 - chain.s_m)
-    return nb_b_sum(w, k, 2 * k, m)
+    return nb_b_sum(*msn_row_scaled(m, 2 * k), w, k)
 
 
 def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -387,7 +396,10 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
 
     A scalar times the all-ones column over M:
     sum_{r=0}^{k-1} C(k-1, r) (1-q)^r q^(k-1-r)
-        * sum_j b(m, j, k+r) C(j+r, j) (s_M / (1-s_M))^j.
+        * sum_j b(m, j, k+r) C(j+r, j) (s_M / (1-s_M))^j,
+    the mixture :func:`_nb_mixture` with x = 1-q.  The factor
+    ((1-q)/q)^r q^(k-1) is expanded so q = 0 stays well-defined (only the
+    r = k-1 term survives there).
     """
     _check_orders(m, k)
     if chain.p_n.rows != 1:
@@ -396,38 +408,9 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
         raise PreconditionError("requires constant row sums in P_M")
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
-    q = chain.p_n[0, 0]
     w = chain.s_m / (1 - chain.s_m)
-    value = _alternating_nb_sum(w, q, k, m)
+    value = _nb_mixture(*msn_rows_scaled(m, k, k), w, 1 - chain.p_n[0, 0], 1)
     return value * RationalMatrix.ones_column(chain.p_m.rows)
-
-
-def _alternating_nb_sum(
-    w: Fraction,
-    q: Fraction,
-    k: int,
-    m: int,
-    shift: RationalLike = 0,
-    rows: tuple[list[list[int]], int] | None = None,
-) -> Fraction:
-    """Shared kernel of the |N| = 1 passage-time forms.
-
-    sum_{r<k} C(k-1, r) (1-q)^r q^(k-1-r) sum_j C(j+r, j) b(m, j, k+r+shift) w^j;
-    ``shift = -M_1`` gives the central moment.  The factor ((1-q)/q)^r q^(k-1)
-    is expanded to (1-q)^r q^(k-1-r) so q = 0 stays well-defined (only the
-    r = k-1 term survives there).  With q = u/d, the rows of the k shifts
-    come from one table, and every term is an integer over d^(k-1) Q^m c^m,
-    with Q^m the rows' scale and w = a/c (:func:`_nb_horner`): one division
-    in all.  A caller that already holds those rows and their scale passes
-    them as ``rows``.
-    """
-    u, d = q.numerator, q.denominator
-    rows, scale = rows or msn_rows_scaled(m, k + shift, k)
-    total = 0
-    for r, row in enumerate(rows):
-        inner, c_pow = _nb_horner(row, w, r + 1)
-        total += binom(k - 1, r) * (d - u) ** r * u ** (k - 1 - r) * inner
-    return Fraction(total, d ** (k - 1) * scale * c_pow)
 
 
 def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:
@@ -445,7 +428,7 @@ def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:
     if not 0 <= q < 1:
         raise ValueError(f"need 0 <= q < 1, got q = {q}")
     _check_orders(m, k)
-    return _alternating_nb_sum((1 - p) / p, q, k, m)
+    return _nb_mixture(*msn_rows_scaled(m, k, k), (1 - p) / p, 1 - q, 1)
 
 
 def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
@@ -458,4 +441,4 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     if not 0 < p <= 1:
         raise ValueError(f"need 0 < p <= 1, got p = {p}")
     _check_orders(m, k)
-    return nb_b_sum((1 - p) / p, k, k, m)
+    return nb_b_sum(*msn_row_scaled(m, k), (1 - p) / p, k)

@@ -16,13 +16,15 @@ consecutive shifts t = 0, 1, ..., together with q**i, from one table;
 :func:`msn_row_scaled` is its one-row case.  Every closed-form b-sum of
 :mod:`msnlib.markov` and :mod:`msnlib.distributions` runs on those integers
 and divides once; :func:`msn_row` divides a row entrywise for the sums that
-need the Fractions themselves.  A caller that asks for the orders i = 0, 1,
-... of one k in turn steps one row instead: :func:`msn_row_step` maps row i
-to row i+1 by the triangle recurrence in integers, and a :class:`RowSweep`
-keeps the last row it reached, so orders 0..m cost O(m^2) integer steps, not
-the O(m^3) of m+1 difference tables.  Three further, independent routes
-remain as cross-checks: the defining sum (:func:`msn_direct`), a recurrence-filled
-triangle (:func:`msn_table`), and the shift formula over the k == 0 slice
+need the Fractions themselves.  A caller that reads the orders i = 0, 1,
+... of one k in turn draws them from the generator :func:`msn_row_sweep`
+instead, which steps each row to the next by the triangle recurrence in
+integers: orders 0..m cost O(m^2) integer steps, not the O(m^3) of m+1
+difference tables.  A caller that asks for one order once takes the
+difference table, which reaches a single row faster than stepping from
+row 0.  Three further, independent routes remain as cross-checks: the
+defining sum (:func:`msn_direct`), a recurrence-filled triangle
+(:func:`msn_table`), and the shift formula over the k == 0 slice
 (:func:`msn_shift`).
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import RationalLike, as_rational, binom, qpow
 
@@ -91,50 +94,28 @@ def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:
     return tuple([Fraction(v, scale) for v in scaled])
 
 
-def msn_row_step(row: list[int], k: Fraction | int) -> list[int]:
-    """Row i+1 of q**i b(i, ., k) from row i, for k = p/q in lowest terms.
+def msn_row_sweep(k: RationalLike) -> Iterator[tuple[list[int], int]]:
+    """The scaled rows (q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i, i = 0, 1, ...
 
     b(i+1, j, k) = j b(i, j-1, k) + (j + k) b(i, j, k), times q**(i+1), is
     B(i+1, j) = q j B(i, j-1) + (q j + p) B(i, j) on the integers
-    B(i, j) = q**i b(i, j, k): two integer products per entry.
+    B(i, j) = q**i b(i, j, k), for k = p/q in lowest terms: two integer
+    products per entry, so rows 0..m cost O(m^2) steps where m+1 difference
+    tables cost O(m^3).  The next row is stepped from the one yielded, so
+    read a row, do not change it.
     """
+    k = as_rational(k)
     p, q = k.numerator, k.denominator
-    out = [p * row[0]]
-    out += [
-        q * j * left + (q * j + p) * b
-        for j, left, b in zip(range(1, len(row)), row, row[1:])
-    ]
-    out.append(q * len(row) * row[-1])
-    return out
-
-
-class RowSweep:
-    """The scaled rows q**i b(i, ., k) of one k, stepped i = 0, 1, ... in turn.
-
-    Only the last row is kept (i+1 integers) and the scale q**i with it.
-    :meth:`row` steps forward to the order asked for; an order below the
-    current one is a fresh :func:`msn_row_scaled` and leaves the sweep where
-    it is.  The returned list belongs to the sweep: read it, do not change it.
-    """
-
-    __slots__ = ("k", "i", "_row", "_scale")
-
-    def __init__(self, k: RationalLike):
-        self.k = as_rational(k)
-        self.i = 0
-        self._row = [1]
-        self._scale = 1
-
-    def row(self, i: int) -> tuple[list[int], int]:
-        """(q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i."""
-        if i < self.i:
-            return msn_row_scaled(i, self.k)
-        q = self.k.denominator
-        while self.i < i:
-            self._row = msn_row_step(self._row, self.k)
-            self._scale *= q
-            self.i += 1
-        return self._row, self._scale
+    row, scale = [1], 1
+    while True:
+        yield row, scale
+        step = [p * row[0]]
+        step += [
+            q * j * left + (q * j + p) * b
+            for j, left, b in zip(range(1, len(row)), row, row[1:])
+        ]
+        step.append(q * len(row) * row[-1])
+        row, scale = step, scale * q
 
 
 class MsnTable:

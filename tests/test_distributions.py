@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import random_chain
 import msnlib.distributions as distributions
+import msnlib.markov as markov
+import msnlib.msn as msn
 from msnlib.distributions import (
     AltNegBinomial,
     Binomial,
@@ -26,10 +31,10 @@ from msnlib.distributions import (
     raw_moments,
     spec_from_dict,
 )
-from msnlib.linalg import RationalMatrix, SingularMatrixError, partition
+from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, partition
 from msnlib.exact import binom
 from msnlib.markov import moment_k_convolved, moment_r1_closed
-from msnlib.msn import msn_row, stirling2_triangle
+from msnlib.msn import msn_row, msn_row_scaled, msn_row_sweep, stirling2_triangle
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -458,21 +463,82 @@ def test_orders_in_any_order_match_a_fresh_object(law, asks):
 
 
 def test_anb_checks_its_closed_mean_once_per_object(monkeypatch):
-    calls = []
-    b_moment = distributions._b_moment
+    yields = []
+    sums = distributions._sums
 
-    def counting(law, m, shift):
-        calls.append(shift)
-        return b_moment(law, m, shift)
+    def counting(law, shift):
+        for value in sums(law, shift):
+            yields.append(shift)
+            yield value
 
-    monkeypatch.setattr(distributions, "_b_moment", counting)
+    monkeypatch.setattr(distributions, "_sums", counting)
     law = AltNegBinomial(Fraction(3, 7), Fraction(2, 5), 3)
     central = [central_closed(law, j) for j in range(17)]
-    # one order-1 raw b-sum for the closed mean's cross-check, then one
-    # central b-sum per order
-    assert calls.count(0) == 1
-    assert len(calls) == 18
+    # the closed mean's cross-check reads orders 0 and 1 of the raw list
+    # once, then each central order is one yield
+    assert yields.count(0) == 2
+    assert len(yields) == 19
     assert central == central_from_raw(raw_moments(dataclasses.replace(law), 16))
+
+
+# one law of each type, made one at a time so each can be the only reference
+LAW_MAKERS = [
+    lambda: Binomial(7, Fraction(2, 5)),
+    lambda: Poisson(Fraction(7, 3)),
+    lambda: NegBinomial(Fraction(3, 7), 3),
+    lambda: AltNegBinomial(Fraction(3, 7), Fraction(2, 5), 3),
+    lambda: DiscreteUniform(9),
+    lambda: random_phase_type(random.Random(41), 2),
+    lambda: Recurrence(random_chain(random.Random(43), 1, 2)),
+]
+
+
+def test_laws_keep_no_reference_cycle():
+    # a law keeps its moment generators; one whose frame held the law would
+    # make a cycle that only the cyclic collector frees
+    gc.disable()
+    try:
+        for make in LAW_MAKERS:
+            law = make()
+            raw_moments(law, 6)
+            for j in range(7):
+                raw_moment(law, j)
+                central_closed(law, j)
+            ref = weakref.ref(law)
+            del law
+            assert ref() is None, make()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make", [LAW_MAKERS[0], LAW_MAKERS[3], LAW_MAKERS[5]])
+def test_lower_orders_are_list_reads(monkeypatch, make):
+    law = make()
+    calls = []
+    rows_scaled = msn.msn_rows_scaled
+
+    def counting(*args):
+        calls.append(args)
+        return rows_scaled(*args)
+
+    # msn_row_scaled and the markov forms reach the difference table here
+    monkeypatch.setattr(msn, "msn_rows_scaled", counting)
+    monkeypatch.setattr(markov, "msn_rows_scaled", counting)
+    orders = [*range(11), *reversed(range(11))]
+    for fn in (raw_moment, central_closed):
+        got = [fn(law, j) for j in orders]
+        assert got == got[:11] + got[:11][::-1]
+    assert calls == []
+
+
+def test_a_failed_order_fails_again_with_the_same_error():
+    # I - P_N is singular; a generator that raised is finished, so the law
+    # must start a fresh one rather than read a short list
+    matrix = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+    law = Recurrence(partition(matrix, [1]))
+    for fn in (raw_moment, raw_moment, central_closed, raw_moments):
+        with pytest.raises(ChainError, match="I - P_N is singular"):
+            fn(law, 2)
 
 
 def factorial_b_sum_reference(factorial, m, shift):
@@ -491,8 +557,11 @@ def factorial_b_sum_reference(factorial, m, shift):
 )
 def test_factorial_b_sum_matches_fraction_terms(factorial, shift):
     m = len(factorial) - 1
-    want = factorial_b_sum_reference(factorial, m, shift)
-    assert distributions._factorial_b_sum(factorial, m, shift) == want
+    want = [factorial_b_sum_reference(factorial, j, shift) for j in range(m + 1)]
+    sweep = islice(msn_row_sweep(shift), m + 1)
+    assert distributions._factorial_b_sums(factorial, sweep) == want
+    one_row = [msn_row_scaled(m, shift)]
+    assert distributions._factorial_b_sums(factorial, one_row) == want[-1:]
 
 
 def test_unknown_law_is_a_type_error():

@@ -18,7 +18,7 @@ from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, parti
 from msnlib.markov import (
     CommutabilityError,
     PreconditionError,
-    _alternating_nb_sum,
+    _nb_mixture,
     b_power_sum,
     dist_n1,
     dist_r1,
@@ -35,7 +35,7 @@ from msnlib.markov import (
     moment_rk_scalar,
     nb_b_sum,
 )
-from msnlib.msn import msn_direct
+from msnlib.msn import msn_direct, msn_row_scaled, msn_rows_scaled
 
 
 fractions_st = st.one_of(
@@ -129,7 +129,7 @@ def nb_b_sum_reference(w, r, k, m):
     st.integers(0, 14),
 )
 def test_nb_b_sum_matches_fraction_horner(w, r, k, m):
-    assert nb_b_sum(w, r, k, m) == nb_b_sum_reference(w, r, k, m)
+    assert nb_b_sum(*msn_row_scaled(m, k), w, r) == nb_b_sum_reference(w, r, k, m)
 
 
 probability_st = st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12)
@@ -161,7 +161,7 @@ def test_alternating_sum_matches_reference_terms(args):
         * nb_b_sum_reference(w, r + 1, k + r + shift, m)
         for r in range(k)
     )
-    assert _alternating_nb_sum(w, q, k, m, shift) == want
+    assert _nb_mixture(*msn_rows_scaled(m, k + shift, k), w, 1 - q, 1) == want
 
 
 @settings(max_examples=100, deadline=None)

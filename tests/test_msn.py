@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from msnlib.exact import qpow
 from msnlib.msn import (
-    RowSweep,
     msn_direct,
     msn_row,
     msn_row_scaled,
-    msn_row_step,
+    msn_row_sweep,
     msn_rows_scaled,
     msn_shift,
     msn_table,
@@ -235,22 +234,6 @@ def test_shifted_table_rows_are_single_rows(i, k, count):
 def test_row_step_walks_the_defining_sum(i_max, p, q):
     k = Fraction(p, q)
     q = k.denominator
-    row = [1]
-    for i in range(i_max + 1):
+    for i, (row, scale) in zip(range(i_max + 1), msn_row_sweep(k)):
+        assert scale == q**i
         assert row == [q**i * msn_direct(i, j, k) for j in range(i + 1)]
-        row = msn_row_step(row, k)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.fractions(min_value=-12, max_value=12, max_denominator=12),
-    st.lists(st.integers(0, 16), min_size=1, max_size=10),
-)
-def test_sweep_serves_any_order_and_keeps_its_last_row(k, orders):
-    sweep = RowSweep(k)
-    top = 0
-    for i in orders:
-        assert sweep.row(i) == msn_row_scaled(i, k)
-        # a lower order leaves the sweep at the highest order reached
-        top = max(top, i)
-        assert sweep.i == top
