@@ -40,7 +40,6 @@ from .markov import (
 from .msn import (
     MsnTable,
     msn_direct,
-    msn_row,
     msn_shift,
     msn_table,
     stirling2,
@@ -123,7 +122,6 @@ __all__ = [
     "msn1",
     "msn1_table",
     "msn_direct",
-    "msn_row",
     "msn_shift",
     "msn_table",
     "multinom",

@@ -96,7 +96,10 @@ _count_arg = partial(_size_arg, minimum=1)
 
 
 def _kset_arg(text: str) -> tuple[Fraction, ...]:
-    return tuple(_rational_arg(part) for part in text.split(",") if part.strip())
+    values = tuple(_rational_arg(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,16 +10,16 @@ one order at a time, as one integer over one denominator, and divides once.
 A law object keeps, for each shift it was asked at, that generator and the
 list of the moments it has produced, and its closed mean, from first use
 for its lifetime: asking for orders 0..m in any order costs one sweep, and
-a lower order is a list read.  The chain laws' central sum is a dot product
-of the swept row with integer weights extended one matrix-vector step per
-order.  A ``PhaseType`` is the ``Recurrence`` law Rbar_1 of its embedded
-chain, built once per object, and its constructor inverts I - mat into the
-resolvent slot the moments read.  The raw moments of the two chain laws
-come from the first-step recursion instead (:func:`msnlib.markov._first_step`),
-a route independent of the b-sum, one matrix product per order.
-The binomial transform :func:`central_from_raw` is the oracle every central
-closed form is checked against, and :func:`factorial_moments_from_raw`
-inverts the raw/factorial relation through the Stirling-1 triangle.
+a lower order is a list read.  A chain law's sum, raw and central alike,
+is a dot product of the swept row with integer weights extended one
+matrix-vector step per order, with no recursion over earlier moments.  A
+``PhaseType`` is a ``Recurrence``: the law Rbar_1 of its embedded chain,
+which its constructor builds and whose I - mat it inverts into the
+resolvent slot the moments read.  The first-step recursion
+(:func:`msnlib.markov.moment_recursive`) is the oracle the chain laws' sums
+are checked against, as the binomial transform :func:`central_from_raw` is
+for every central closed form; :func:`factorial_moments_from_raw` inverts
+the raw/factorial relation through the Stirling-1 triangle.
 
 Conventions worth noting:
 
@@ -36,7 +36,7 @@ Conventions worth noting:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -45,14 +45,7 @@ from typing import Iterator, Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
-from .markov import (
-    _check_orders,
-    _first_step,
-    _horner,
-    _nb_mixture,
-    _r1_moment_list,
-    nb_b_sum,
-)
+from .markov import _check_orders, _horner, _nb_mixture, nb_b_sum
 from .msn import msn_row_scaled, msn_row_sweep
 from .msn1 import stirling1_triangle
 
@@ -136,7 +129,19 @@ class DiscreteUniform(_Law):
 
 
 @dataclass(frozen=True)
-class PhaseType:
+class Recurrence(_Law):
+    chain: PartitionedChain
+
+    def __post_init__(self):
+        if len(self.chain.m_indices) != 1:
+            raise ValueError("recurrence law needs |M| = 1")
+
+
+@dataclass(frozen=True)
+class PhaseType(Recurrence):
+    """The law Rbar_1 of :meth:`embedded_chain`, which ``chain`` holds."""
+
+    chain: PartitionedChain = field(init=False, repr=False, compare=False)
     a: RationalMatrix
     mat: RationalMatrix
 
@@ -153,10 +158,11 @@ class PhaseType:
             raise ValueError("initial vector mass must not exceed 1")
         if any(s > 1 for s in self.mat.row_sums()):
             raise ValueError("matrix row sums must not exceed 1")
+        object.__setattr__(self, "chain", self.embedded_chain().swapped())
         # I - mat must be invertible: inverting it here fills the resolvent
         # slot the moments read, and a singular one is a SingularMatrixError
         try:
-            self._recurrence.chain.complement_resolvent
+            self.chain.complement_resolvent
         except ChainError as exc:
             raise exc.__cause__ from None
 
@@ -170,21 +176,6 @@ class PhaseType:
         rows.append(list(self.a.entries[0]) + [1 - sum(self.a.entries[0])])
         return partition(RationalMatrix(rows), list(range(1, dim + 1)))
 
-    @cached_property
-    def _recurrence(self) -> "Recurrence":
-        """Rbar_1 of the embedded chain, built once so I - mat is inverted once
-        and its moment lists are kept for the object's lifetime."""
-        return Recurrence(self.embedded_chain().swapped())
-
-
-@dataclass(frozen=True)
-class Recurrence(_Law):
-    chain: PartitionedChain
-
-    def __post_init__(self):
-        if len(self.chain.m_indices) != 1:
-            raise ValueError("recurrence law needs |M| = 1")
-
 
 DistributionSpec = Union[
     Binomial, Poisson, NegBinomial, AltNegBinomial, DiscreteUniform, PhaseType, Recurrence
@@ -192,9 +183,6 @@ DistributionSpec = Union[
 
 
 def _law(dist: DistributionSpec):
-    """The law to sum over: a PhaseType is the Recurrence of its embedded chain."""
-    if isinstance(dist, PhaseType):
-        return dist._recurrence
     if not isinstance(dist, _Law):
         raise TypeError(f"unknown distribution spec: {dist!r}")
     return dist
@@ -234,17 +222,10 @@ def _sums(law, shift: RationalLike) -> Iterator[Fraction]:
     the first two by Horner in a.  NegBinomial reads b(m, j, k + shift)
     (X - k is the failure count), AltNegBinomial the k consecutive
     b(m, j, k + r + shift), and a chain law b(m, j, 2 + shift)
-    (:func:`_chain_sums`), except at shift 0, where its raw moments come
-    from the first-step recursion, the route its b-sum is checked against.
+    (:func:`_chain_sums`).
     """
     if isinstance(law, Recurrence):
-        chain = law.chain
-        if shift == 0:
-            return (
-                _r1_moment_list(chain, [total])[0][0, 0]
-                for _, total in _first_step(chain.swapped())
-            )
-        return _chain_sums(chain, shift)
+        return _chain_sums(law.chain, shift)
     if isinstance(law, NegBinomial):
         w, k = (1 - law.p) / law.p, law.k
         return (nb_b_sum(row, scale, w, k) for row, scale in msn_row_sweep(k + shift))
@@ -344,11 +325,7 @@ def _mean(law) -> Fraction:
 
 
 def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
-    """Exact m-th raw moment: the law's moments at shift 0 (:func:`_sums`).
-
-    The two chain laws take the first-step recursion there, the route the
-    b-sum of their central moments is checked against.
-    """
+    """Exact m-th raw moment: the law's moments at shift 0 (:func:`_sums`)."""
     _check_orders(m)
     return _moments(_law(dist), m, 0)[m]
 

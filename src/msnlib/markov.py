@@ -19,11 +19,10 @@ Two independent computation routes exist for every moment:
   constant-row-sum specializations for general k).
 
 The recursive route is the oracle: the closed forms must reproduce it
-exactly, and the test suite enforces that.  Its first-step recursion is
-one generator, :func:`_first_step`, which forms one matrix product per
-order: a route takes the orders it needs, and a holder of the generator
-(a chain law of :mod:`msnlib.distributions`) takes more later.  Every
-closed-form b-sum runs on the scaled integer b rows of
+exactly, and the test suite enforces that, as it does for the chain laws
+of :mod:`msnlib.distributions`.  Its first-step recursion
+(:func:`_n1_moment_list`) forms the orders 0..m with one matrix product
+per order.  Every closed-form b-sum runs on the scaled integer b rows of
 :func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
 shifts a form reads, and divides once: the scalar sums by an integer Horner
 over one denominator (one negative-binomial sum :func:`nb_b_sum`, or the
@@ -34,10 +33,9 @@ the matrix sums by :func:`b_power_sum`'s integer Horner, reduced once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
@@ -75,8 +73,10 @@ def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
     return chain.p_mn @ chain.p_n ** (n - 2) @ chain.p_nm
 
 
-def _first_step(chain: PartitionedChain) -> Iterator[tuple[RationalMatrix, RationalMatrix]]:
-    """(M_m, S_m) of N_1 by first-step recursion, m = 0, 1, ...
+def _n1_moment_list(
+    chain: PartitionedChain, m_max: int
+) -> tuple[list[RationalMatrix], list[RationalMatrix]]:
+    """(M_0..M_max) of N_1 by first-step recursion, and (S_0..S_max).
 
     M_0 = u P_MN with u = (I-P_M)^-1 and, for m >= 1,
     M_m = u (P_MN + P_M acc_m), acc_m = sum_{j<m} C(m,j) M_j.
@@ -86,26 +86,18 @@ def _first_step(chain: PartitionedChain) -> Iterator[tuple[RationalMatrix, Ratio
     """
     u = chain.resolvent
     moments = [u @ chain.p_mn]
-    yield moments[0], moments[0]
-    for m in count(1):
+    sums = moments[:]
+    for m in range(1, m_max + 1):
         acc = combine([(binom(m, j), moments[j], None) for j in range(m)])
-        total = combine([(1, moments[0], None), (1, u, acc)])
-        moments.append(combine([(1, total, None), (-1, acc, None)]))
-        yield moments[m], total
-
-
-def _n1_moment_list(
-    chain: PartitionedChain, m_max: int
-) -> tuple[list[RationalMatrix], list[RationalMatrix]]:
-    """The lists (M_0..M_max) and (S_0..S_max) of :func:`_first_step`."""
-    moments, sums = zip(*islice(_first_step(chain), m_max + 1))
-    return list(moments), list(sums)
+        sums.append(combine([(1, moments[0], None), (1, u, acc)]))
+        moments.append(combine([(1, sums[m], None), (-1, acc, None)]))
+    return moments, sums
 
 
 def _r1_moment_list(chain: PartitionedChain, sums: list) -> list[RationalMatrix]:
     """M_m(R_1) = P_M + P_MN S_m, with S_m = sum_{j<=m} C(m,j) M_j(Nbar_1).
 
-    ``sums`` holds S_0, S_1, ... of :func:`_first_step` on the swapped chain.
+    ``sums`` holds S_0, S_1, ... of :func:`_n1_moment_list` on the swapped chain.
     """
     return [combine([(1, chain.p_m, None), (1, chain.p_mn, total)]) for total in sums]
 

@@ -15,17 +15,15 @@ gives the scaled rows (q**i b(i, 0, k + t), ..., q**i b(i, i, k + t)) of the
 consecutive shifts t = 0, 1, ..., together with q**i, from one table;
 :func:`msn_row_scaled` is its one-row case.  Every closed-form b-sum of
 :mod:`msnlib.markov` and :mod:`msnlib.distributions` runs on those integers
-and divides once; :func:`msn_row` divides a row entrywise for the sums that
-need the Fractions themselves.  A caller that reads the orders i = 0, 1,
-... of one k in turn draws them from the generator :func:`msn_row_sweep`
-instead, which steps each row to the next by the triangle recurrence in
-integers: orders 0..m cost O(m^2) integer steps, not the O(m^3) of m+1
-difference tables.  A caller that asks for one order once takes the
-difference table, which reaches a single row faster than stepping from
-row 0.  Three further, independent routes remain as cross-checks: the
-defining sum (:func:`msn_direct`), a recurrence-filled triangle
-(:func:`msn_table`), and the shift formula over the k == 0 slice
-(:func:`msn_shift`).
+and divides once.  A caller that reads the orders i = 0, 1, ... of one k
+in turn draws them from the generator :func:`msn_row_sweep` instead, which
+steps each row to the next by the triangle recurrence in integers: orders
+0..m cost O(m^2) integer steps, not the O(m^3) of m+1 difference tables.
+A caller that asks for one order once takes the difference table, which
+reaches a single row faster than stepping from row 0.  Three further,
+independent routes remain as cross-checks: the defining sum
+(:func:`msn_direct`), a recurrence-filled triangle (:func:`msn_table`), and
+the shift formula over the k == 0 slice (:func:`msn_shift`).
 """
 
 from __future__ import annotations
@@ -83,15 +81,6 @@ def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
     """
     rows, scale = msn_rows_scaled(i, k, 1)
     return rows[0], scale
-
-
-def msn_row(i: int, k: RationalLike) -> tuple[Fraction, ...]:
-    """The row (b(i, 0, k), ..., b(i, i, k)): :func:`msn_row_scaled` over q**i."""
-    scaled, scale = msn_row_scaled(i, k)
-    # tuple() of a list allocates the exact size; tuple() of a generator
-    # allocates 10 slots and resizes, which strands every freed row in a
-    # free list that no later row draws from (about 2 MB over a long run)
-    return tuple([Fraction(v, scale) for v in scaled])
 
 
 def msn_row_sweep(k: RationalLike) -> Iterator[tuple[list[int], int]]:

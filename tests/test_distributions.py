@@ -33,8 +33,8 @@ from msnlib.distributions import (
 )
 from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, partition
 from msnlib.exact import binom
-from msnlib.markov import moment_k_convolved, moment_r1_closed
-from msnlib.msn import msn_row, msn_row_scaled, msn_row_sweep, stirling2_triangle
+from msnlib.markov import moment_k_convolved, moment_r1_closed, moment_recursive
+from msnlib.msn import msn_direct, msn_row_scaled, msn_row_sweep, stirling2_triangle
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -279,10 +279,21 @@ def recurrence_st(draw) -> Recurrence:
     return Recurrence(chain=partition(RationalMatrix(rows), [1]))
 
 
+def _first_step_raw(law, m):
+    """M_0..M_m of a chain law by the first-step recursion, not its b-sum."""
+    return [moment_recursive(law.chain, "R1", j)[0, 0] for j in range(m + 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(phase_type_st(), recurrence_st()), st.integers(0, 6))
 def test_matrix_central_closed_matches_oracle(spec, m):
-    assert central_closed(spec, m) == central_from_raw(raw_moments(spec, m))[m]
+    assert central_closed(spec, m) == central_from_raw(_first_step_raw(spec, m))[m]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(phase_type_st(), recurrence_st()), st.integers(0, 6))
+def test_chain_law_raw_moments_match_first_step_recursion(law, m):
+    assert raw_moments(law, m) == _first_step_raw(law, m)
 
 
 def test_phase_type_without_initial_mass_is_the_atom_at_one():
@@ -414,8 +425,8 @@ def test_scalar_raw_moments_match_support_and_touchard_sums(law, m):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(scalar_law_st, phase_type_st(), recurrence_st()), st.integers(0, 6))
 def test_raw_moments_list_matches_each_order(law, m):
-    # the list comes from an equal but separate object, so a chain law's
-    # cached first-step list is not compared with itself
+    # the list comes from an equal but separate object, so a law's cached
+    # list is not compared with itself
     assert raw_moments(dataclasses.replace(law), m) == [
         raw_moment(law, j) for j in range(m + 1)
     ]
@@ -543,9 +554,11 @@ def test_a_failed_order_fails_again_with_the_same_error():
 
 def factorial_b_sum_reference(factorial, m, shift):
     """sum_j b(m, j, shift) F_j / j! as a sum of reduced Fraction terms."""
-    row = msn_row(m, shift)
     return sum(
-        (row[j] * factorial[j] / math.factorial(j) for j in range(m + 1)),
+        (
+            msn_direct(m, j, shift) * factorial[j] / math.factorial(j)
+            for j in range(m + 1)
+        ),
         Fraction(0),
     )
 

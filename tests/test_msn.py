@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from msnlib.exact import qpow
 from msnlib.msn import (
     msn_direct,
-    msn_row,
     msn_row_scaled,
     msn_row_sweep,
     msn_rows_scaled,
@@ -52,17 +51,18 @@ class TestDirect:
 
 class TestRow:
     def test_example(self):
-        # b(3, j, 1) for j = 0..3: 1, 7, 12, 6
-        assert msn_row(3, 1) == (1, 7, 12, 6)
+        # b(3, j, 1) for j = 0..3: 1, 7, 12, 6, with scale 1^3
+        assert msn_row_scaled(3, 1) == ([1, 7, 12, 6], 1)
 
-    def test_entries_are_reduced_fractions(self):
-        row = msn_row(4, Fraction(1, 2))
-        assert all(type(v) is Fraction for v in row)
-        assert row[0] == Fraction(1, 16) and row[4] == 24
+    def test_entries_are_integers_over_one_scale(self):
+        # 2^4 b(4, j, 1/2): b(4, 0, 1/2) = 1/16 and b(4, 4, 1/2) = 4!
+        row, scale = msn_row_scaled(4, Fraction(1, 2))
+        assert all(type(v) is int for v in row)
+        assert scale == 16 and row[0] == 1 and row[4] == 24 * 16
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            msn_row(-1, 0)
+            msn_row_scaled(-1, 0)
 
 
 class TestTable:
@@ -213,7 +213,10 @@ def test_one_step_shift_recurrence(i, j, k):
 @given(st.integers(0, 14), st.integers(-60, 60), st.integers(1, 12))
 def test_row_matches_direct(i, p, q):
     k = Fraction(p, q)
-    assert msn_row(i, k) == tuple(msn_direct(i, j, k) for j in range(i + 1))
+    row, scale = msn_row_scaled(i, k)
+    assert [Fraction(v, scale) for v in row] == [
+        msn_direct(i, j, k) for j in range(i + 1)
+    ]
 
 
 @settings(max_examples=200, deadline=None)
