@@ -10,12 +10,14 @@ one order at a time, as one integer over one denominator, and divides once.
 A law object keeps, for each shift it was asked at, that generator and the
 list of the moments it has produced, and its closed mean, from first use
 for its lifetime: asking for orders 0..m in any order costs one sweep, and
-a lower order is a list read.  A chain law's sum, raw and central alike,
-is a dot product of the swept row with integer weights extended one
-matrix-vector step per order, with no recursion over earlier moments.  A
-``PhaseType`` is a ``Recurrence``: the law Rbar_1 of its embedded chain,
-which its constructor builds and whose I - mat it inverts into the
-resolvent slot the moments read.  The first-step recursion
+a lower order is a list read.  ``NegBinomial`` and ``AltNegBinomial`` are
+the negative-binomial mixture of :mod:`msnlib.markov`, whose five scalar
+chain forms compute it one order at a time.  A chain law's sum, raw and
+central alike, is a dot product of the swept row with integer weights
+extended one matrix-vector step per order, with no recursion over earlier
+moments.  A ``PhaseType`` is a ``Recurrence``: the law Rbar_1 of its
+embedded chain, which its constructor builds and whose I - mat it inverts
+into the resolvent slot the moments read.  The first-step recursion
 (:func:`msnlib.markov.moment_recursive`) is the oracle the chain laws' sums
 are checked against, as the binomial transform :func:`central_from_raw` is
 for every central closed form; :func:`factorial_moments_from_raw` inverts
@@ -45,8 +47,8 @@ from typing import Iterator, Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
-from .markov import _check_orders, _horner, _nb_mixture, nb_b_sum
-from .msn import msn_row_scaled, msn_row_sweep
+from .markov import _check_orders, _horner, _nb_mixture_sums
+from .msn import msn_row_sweep, msn_rows_scaled
 from .msn1 import stirling1_triangle
 
 
@@ -219,22 +221,19 @@ def _sums(law, shift: RationalLike) -> Iterator[Fraction]:
     Binomial: sum_{j<=J} B_j C(n, j) a^j c^(J-j) over Q^m c^J, J = min(m, n);
     Poisson: sum_j B_j (m!/j!) a^j c^(m-j) over Q^m c^m m!;
     DiscreteUniform: sum_j B_j C(n, j+1) over Q^m n;
-    the first two by Horner in a.  NegBinomial reads b(m, j, k + shift)
-    (X - k is the failure count), AltNegBinomial the k consecutive
-    b(m, j, k + r + shift), and a chain law b(m, j, 2 + shift)
+    the first two by Horner in a.  NegBinomial is the one-row mixture of
+    :func:`msnlib.markov._nb_mixture_sums` at b(m, j, k + shift) (X - k is
+    the failure count), AltNegBinomial the mixture of the k consecutive
+    b(m, j, k + r + shift), and a chain law reads b(m, j, 2 + shift)
     (:func:`_chain_sums`).
     """
     if isinstance(law, Recurrence):
         return _chain_sums(law.chain, shift)
     if isinstance(law, NegBinomial):
-        w, k = (1 - law.p) / law.p, law.k
-        return (nb_b_sum(row, scale, w, k) for row, scale in msn_row_sweep(k + shift))
+        return _nb_mixture_sums((1 - law.p) / law.p, 0, 0, law.k, law.k + shift)
     if isinstance(law, AltNegBinomial):
-        w, x, k = (1 - law.p) / law.p, 1 - law.q, law.k
-        return (
-            _nb_mixture([row for row, _ in rows], rows[0][1], w, x, 1)
-            for rows in zip(*[msn_row_sweep(k + r + shift) for r in range(k)])
-        )
+        w, k = (1 - law.p) / law.p, law.k
+        return _nb_mixture_sums(w, 1 - law.q, k - 1, 1, k + shift)
     if isinstance(law, DiscreteUniform):
         # lower index j+1, which reproduces M_1 = (n-1)/2 on {0..n-1}
         n = law.n
@@ -397,7 +396,8 @@ def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction
     if m >= len(factorial):
         raise ValueError(f"need factorial moments up to order {m}")
     mean = factorial[1] if len(factorial) > 1 else Fraction(0)
-    return _factorial_b_sums(factorial[: m + 1], [msn_row_scaled(m, -mean)])[0]
+    [row], scale = msn_rows_scaled(m, -mean, 1)
+    return _factorial_b_sums(factorial[: m + 1], [(row, scale)])[0]
 
 
 def central_closed(dist: DistributionSpec, m: int) -> Fraction:

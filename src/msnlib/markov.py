@@ -24,22 +24,24 @@ of :mod:`msnlib.distributions`.  Its first-step recursion
 (:func:`_n1_moment_list`) forms the orders 0..m with one matrix product
 per order.  Every closed-form b-sum runs on the scaled integer b rows of
 :func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
-shifts a form reads, and divides once: the scalar sums by an integer Horner
-over one denominator (one negative-binomial sum :func:`nb_b_sum`, or the
-binomial mixture :func:`_nb_mixture` of such sums over consecutive shifts),
-the matrix sums by :func:`b_power_sum`'s integer Horner, reduced once.
+shifts a form reads, and divides once: the matrix sums by
+:func:`b_power_sum`'s integer Horner, reduced once, and the five scalar
+forms as one negative-binomial mixture over consecutive shifts,
+:func:`_nb_mixture` (one row for a plain negative-binomial sum), which the
+laws ``NegBinomial`` and ``AltNegBinomial`` read order by order from
+:func:`_nb_mixture_sums`.  The weights C(j+r-1, j) b(m, j, k) of that
+mixture and of the commutable forms come from :func:`_nb_weights`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
-from .msn import msn_row_scaled, msn_rows_scaled
+from .msn import msn_row_sweep, msn_rows_scaled
 
 
 class CommutabilityError(ValueError):
@@ -165,35 +167,33 @@ def moment_k_convolved(
 
 
 def b_power_sum(
-    coeffs: Sequence[int | Fraction],
+    coeffs: Sequence[int],
     resolvent: RationalMatrix,
     shift: int,
     tail: RationalMatrix,
-    scale: int = 1,
+    scale: int,
 ) -> RationalMatrix:
     """sum_j (coeffs[j] / scale) A^j V^(j+shift) tail, for V = (I-A)^-1.
 
     A V = V - I, so the sum is the polynomial sum_j coeffs[j] (V-I)^j applied
     to x = V^shift tail, evaluated by Horner: one product per term, each only
-    as wide as ``tail``.  The Horner runs on integers.  With V = N/s,
-    x = X/e and the coefficients n_j/D over one denominator D, the step
-    acc <- (N - s I) acc + n_j s^(m-j) X keeps acc equal to s^(m-j) e D times
-    the partial sum, so the sum is acc / (s^m e D scale), reduced once.  The
-    closed forms pass a scaled integer row of :func:`msn_rows_scaled` with
-    its scale, and so form no Fraction at all.
+    as wide as ``tail``.  The Horner runs on integers.  With V = N/s and
+    x = X/e, the step acc <- (N - s I) acc + coeffs[j] s^(m-j) X keeps acc
+    equal to s^(m-j) e times the partial sum, so the sum is
+    acc / (s^m e scale), reduced once.  The closed forms pass a scaled
+    integer row of :func:`msn_rows_scaled`, weighted or not, with its
+    scale, and so form no Fraction at all.
     """
     x = tail
     for _ in range(shift):
         x = resolvent @ x
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
     s = resolvent.den
     step = [list(row) for row in resolvent.num]
     for i, row in enumerate(step):
         row[i] -= s
-    acc = [[nums[-1] * v for v in row] for row in x.num]
+    acc = [[coeffs[-1] * v for v in row] for row in x.num]
     s_pow = 1
-    for n in reversed(nums[:-1]):
+    for n in reversed(coeffs[:-1]):
         s_pow *= s
         f = n * s_pow
         cols = tuple(zip(*acc))
@@ -201,7 +201,7 @@ def b_power_sum(
             [sum(map(mul, left, col)) + f * v for col, v in zip(cols, row)]
             for left, row in zip(step, x.num)
         ]
-    return RationalMatrix._reduced(acc, s_pow * x.den * den * scale)
+    return RationalMatrix._reduced(acc, s_pow * x.den * scale)
 
 
 def _horner(terms: list[int], a: int, c: int) -> tuple[int, int]:
@@ -218,8 +218,8 @@ def _horner(terms: list[int], a: int, c: int) -> tuple[int, int]:
     return total, c_pow
 
 
-def _nb_horner(row: list[int], w: Fraction, r: int) -> tuple[int, int]:
-    """:func:`_horner` of sum_j C(j+r-1, j) row[j] w^j: the integer and c^m.
+def _nb_weights(row: list[int], r: int) -> list[int]:
+    """The negative-binomial weighting C(j+r-1, j) row[j], j = 0..len(row)-1.
 
     The coefficient runs as C(j+r, j+1) = C(j+r-1, j) (j+r) / (j+1), an
     exact integer step, which at r = 0 gives C(j-1, j) = [j = 0].
@@ -229,54 +229,55 @@ def _nb_horner(row: list[int], w: Fraction, r: int) -> tuple[int, int]:
     for j, b in enumerate(row):
         terms.append(coeff * b)
         coeff = coeff * (j + r) // (j + 1)
-    return _horner(terms, w.numerator, w.denominator)
-
-
-def nb_b_sum(row: list[int], scale: int, w: Fraction, r: int) -> Fraction:
-    """sum_j C(j+r-1, j) b(m, j, k) w^j, the negative-binomial b sum.
-
-    ``row`` and ``scale`` are the integers B_j = q^m b(m, j, k) and q^m of
-    a scaled b row (:func:`msnlib.msn.msn_row_scaled`).  With w = a/c in
-    lowest terms the sum is the integer sum_j C(j+r-1, j) B_j a^j c^(m-j),
-    run by Horner in a (:func:`_nb_horner`), over q^m c^m: one division for
-    the whole sum.  ``binom`` gives C(j-1, j) = [j = 0], so r = 0 leaves
-    b(m, 0, k).
-    """
-    total, c_pow = _nb_horner(row, w, r)
-    return Fraction(total, scale * c_pow)
+    return terms
 
 
 def _nb_mixture(
-    rows: list[list[int]], scale: int, w: Fraction, x: Fraction, r0: int
+    rows: list[list[int]], scale: int, w: Fraction, x: Fraction | int, r0: int
 ) -> Fraction:
     """sum_r C(n, r) x^r (1-x)^(n-r) sum_j C(j+r+r0-1, j) b(m, j, k_r) w^j.
 
     n = len(rows) - 1, and ``rows`` and ``scale`` are the scaled b rows
     q^m b(m, ., k_r) of the n+1 shifts k_r the mixture reads, over their
-    common q^m.  The powers of x are combined before evaluation, so x = 0
-    and x = 1 stay well-defined.  With x = a/d every term is an integer
-    over d^n q^m c^m, w = a'/c (:func:`_nb_horner`): one division in all.
+    common q^m (:func:`msnlib.msn.msn_rows_scaled`).  One row, with the
+    integer x = 0, is the plain negative-binomial sum of order r0.  The
+    powers of x are combined before evaluation, so x = 0 and x = 1 stay
+    well-defined.  With x = a/d and w = a'/c in lowest terms, every term is
+    an integer over d^n q^m c^m, the inner sum by Horner in a'
+    (:func:`_horner`): one division in all.
     """
     n = len(rows) - 1
     a, d = x.numerator, x.denominator
     total = 0
     for r, row in enumerate(rows):
-        inner, c_pow = _nb_horner(row, w, r + r0)
+        inner, c_pow = _horner(_nb_weights(row, r + r0), w.numerator, w.denominator)
         total += binom(n, r) * a**r * (d - a) ** (n - r) * inner
     return Fraction(total, d**n * scale * c_pow)
+
+
+def _nb_mixture_sums(
+    w: Fraction, x: Fraction | int, n: int, r0: int, base: RationalLike
+) -> Iterator[Fraction]:
+    """:func:`_nb_mixture` over the shifts base..base+n at m = 0, 1, ...
+
+    Each shift's rows come from its own :func:`msn_row_sweep`, and the
+    n+1 sweeps are read in step, so orders 0..m cost one sweep per shift.
+    """
+    for rows in zip(*[msn_row_sweep(base + r) for r in range(n + 1)]):
+        yield _nb_mixture([row for row, _ in rows], rows[0][1], w, x, r0)
 
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
     _check_orders(m)
-    row, scale = msn_row_scaled(m, 1)
+    [row], scale = msn_rows_scaled(m, 1, 1)
     return b_power_sum(row, chain.resolvent, 1, chain.p_mn, scale)
 
 
 def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
     _check_orders(m)
-    row, scale = msn_row_scaled(m, 2)
+    [row], scale = msn_rows_scaled(m, 2, 1)
     inner = b_power_sum(row, chain.complement_resolvent, 1, chain.p_nm, scale)
     return combine([(1, chain.p_m, None), (1, chain.p_mn, inner)])
 
@@ -311,8 +312,7 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     for r, row in enumerate(rows, 1):
         if r > 1:
             left = left @ q
-        coeffs = [binom(j + r - 1, j) * b for j, b in enumerate(row)]
-        inner = b_power_sum(coeffs, v, r, chain.p_nm, scale)
+        inner = b_power_sum(_nb_weights(row, r), v, r, chain.p_nm, scale)
         outer = left if r == k else chain.p_m ** (k - r) @ left
         terms.append((binom(k, r), outer, inner))
     return combine(terms)
@@ -340,7 +340,8 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
 def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
     """M_m(Rbar_k) for the renewal case: |N| = 1, P_N = (0), constant s_M.
 
-    sum_j C(j+k-1, j) b(m, j, 2k) (s_M / (1-s_M))^j.
+    sum_j C(j+k-1, j) b(m, j, 2k) (s_M / (1-s_M))^j, the one-row
+    mixture :func:`_nb_mixture` of order k.
     """
     _check_orders(m, k)
     if chain.p_n.rows != 1:
@@ -352,7 +353,7 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
     w = chain.s_m / (1 - chain.s_m)
-    return nb_b_sum(*msn_row_scaled(m, 2 * k), w, k)
+    return _nb_mixture(*msn_rows_scaled(m, 2 * k, 1), w, 0, k)
 
 
 def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -377,7 +378,7 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
             tail = tail @ chain.p_n ** (k - 1 - r)
         if r:
             tail = tail @ q**r
-        coeffs = [binom(j + r, j) * b for j, b in enumerate(row)]
+        coeffs = _nb_weights(row, r + 1)
         inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail, scale)
         terms.append((binom(k - 1, r), inner, None))
     return combine(terms)
@@ -427,10 +428,11 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     """m-th raw moment of the negative binomial (trial-counting: support
     starts at k, i.e. the number of Bernoulli(p) trials to the k-th success).
 
-    sum_j C(j+k-1, k-1) b(m, j, k) ((1-p)/p)^j.
+    sum_j C(j+k-1, k-1) b(m, j, k) ((1-p)/p)^j, the one-row mixture
+    :func:`_nb_mixture` of order k.
     """
     p = as_rational(p)
     if not 0 < p <= 1:
         raise ValueError(f"need 0 < p <= 1, got p = {p}")
     _check_orders(m, k)
-    return nb_b_sum(*msn_row_scaled(m, k), (1 - p) / p, k)
+    return _nb_mixture(*msn_rows_scaled(m, k, 1), (1 - p) / p, 0, k)

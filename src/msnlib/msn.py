@@ -12,8 +12,8 @@ moment formulas downstream stay free of factorials this way.
 The production route is one integer difference table.  For k = p/q in
 lowest terms, q**i b(i, j, k) is an integer, and :func:`msn_rows_scaled`
 gives the scaled rows (q**i b(i, 0, k + t), ..., q**i b(i, i, k + t)) of the
-consecutive shifts t = 0, 1, ..., together with q**i, from one table;
-:func:`msn_row_scaled` is its one-row case.  Every closed-form b-sum of
+consecutive shifts t = 0, 1, ..., together with q**i, from one table
+(count 1 for a single row).  Every closed-form b-sum of
 :mod:`msnlib.markov` and :mod:`msnlib.distributions` runs on those integers
 and divides once.  A caller that reads the orders i = 0, 1, ... of one k
 in turn draws them from the generator :func:`msn_row_sweep` instead, which
@@ -71,16 +71,6 @@ def msn_rows_scaled(i: int, k: RationalLike, count: int) -> tuple[list[list[int]
             for r in range(i + count - 1 - j):
                 diffs[r] = diffs[r + 1] - diffs[r]
     return rows, q**i
-
-
-def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
-    """The integer row (q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i.
-
-    The one-row case of :func:`msn_rows_scaled`: i+1 integer powers and
-    i(i+1)/2 integer subtractions.
-    """
-    rows, scale = msn_rows_scaled(i, k, 1)
-    return rows[0], scale
 
 
 def msn_row_sweep(k: RationalLike) -> Iterator[tuple[list[int], int]]:

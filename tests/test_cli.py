@@ -541,13 +541,18 @@ def test_zero_denominator_in_spec_exits_3(capsys):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
-    import sys
+    from pathlib import Path
 
+    # the child does not see pytest's pythonpath setting, so hand it src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "msnlib.cli", "msn", "5", "3", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "150"

@@ -34,7 +34,7 @@ from msnlib.distributions import (
 from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, partition
 from msnlib.exact import binom
 from msnlib.markov import moment_k_convolved, moment_r1_closed, moment_recursive
-from msnlib.msn import msn_direct, msn_row_scaled, msn_row_sweep, stirling2_triangle
+from msnlib.msn import msn_direct, msn_row_sweep, msn_rows_scaled, stirling2_triangle
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -532,8 +532,8 @@ def test_lower_orders_are_list_reads(monkeypatch, make):
         calls.append(args)
         return rows_scaled(*args)
 
-    # msn_row_scaled and the markov forms reach the difference table here
-    monkeypatch.setattr(msn, "msn_rows_scaled", counting)
+    # the markov forms and central_via_factorial reach the difference table here
+    monkeypatch.setattr(distributions, "msn_rows_scaled", counting)
     monkeypatch.setattr(markov, "msn_rows_scaled", counting)
     orders = [*range(11), *reversed(range(11))]
     for fn in (raw_moment, central_closed):
@@ -573,7 +573,8 @@ def test_factorial_b_sum_matches_fraction_terms(factorial, shift):
     want = [factorial_b_sum_reference(factorial, j, shift) for j in range(m + 1)]
     sweep = islice(msn_row_sweep(shift), m + 1)
     assert distributions._factorial_b_sums(factorial, sweep) == want
-    one_row = [msn_row_scaled(m, shift)]
+    [row], scale = msn_rows_scaled(m, shift, 1)
+    one_row = [(row, scale)]
     assert distributions._factorial_b_sums(factorial, one_row) == want[-1:]
 
 

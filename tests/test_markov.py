@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from msnlib.markov import (
     CommutabilityError,
     PreconditionError,
     _nb_mixture,
+    _nb_mixture_sums,
     b_power_sum,
     dist_n1,
     dist_r1,
@@ -33,9 +35,8 @@ from msnlib.markov import (
     moment_r1_closed,
     moment_rk_commutable,
     moment_rk_scalar,
-    nb_b_sum,
 )
-from msnlib.msn import msn_direct, msn_row_scaled, msn_rows_scaled
+from msnlib.msn import msn_direct, msn_rows_scaled
 
 
 fractions_st = st.one_of(
@@ -92,20 +93,21 @@ def b_power_sum_reference(coeffs, a, shift, tail):
         )
     ),
     st.integers(0, 3),
-    st.lists(fractions_st, min_size=1, max_size=8),
+    st.lists(st.integers(-60, 60), min_size=1, max_size=8),
+    st.integers(1, 12),
 )
-def test_b_power_sum_matches_reference_loop(a_and_tail, shift, coeffs):
+def test_b_power_sum_matches_reference_loop(a_and_tail, shift, coeffs, scale):
     a, tail_rows = a_and_tail
     try:
         v = (RationalMatrix.identity(a.rows) - a).inverse()
     except SingularMatrixError:
         assume(False)
     tail = RationalMatrix(tail_rows)
-    want = b_power_sum_reference(coeffs, a, shift, tail)
-    assert b_power_sum(coeffs, v, shift, tail) == want
+    want = Fraction(1, scale) * b_power_sum_reference(coeffs, a, shift, tail)
+    assert b_power_sum(coeffs, v, shift, tail, scale) == want
 
 
-def nb_b_sum_reference(w, r, k, m):
+def nb_sum_reference(w, r, k, m):
     """sum_j C(j+r-1, j) b(m, j, k) w^j by Fraction Horner over the defining sum."""
     total = Fraction(0)
     for j in reversed(range(m + 1)):
@@ -128,8 +130,10 @@ def nb_b_sum_reference(w, r, k, m):
     ),
     st.integers(0, 14),
 )
-def test_nb_b_sum_matches_fraction_horner(w, r, k, m):
-    assert nb_b_sum(*msn_row_scaled(m, k), w, r) == nb_b_sum_reference(w, r, k, m)
+def test_one_row_mixture_matches_fraction_horner(w, r, k, m):
+    # one row with the integer x = 0 is the plain negative-binomial sum
+    want = nb_sum_reference(w, r, k, m)
+    assert _nb_mixture(*msn_rows_scaled(m, k, 1), w, 0, r) == want
 
 
 probability_st = st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12)
@@ -158,10 +162,25 @@ def test_alternating_sum_matches_reference_terms(args):
     w, q, k, m, shift = args
     want = sum(
         binom(k - 1, r) * (1 - q) ** r * q ** (k - 1 - r)
-        * nb_b_sum_reference(w, r + 1, k + r + shift, m)
+        * nb_sum_reference(w, r + 1, k + r + shift, m)
         for r in range(k)
     )
     assert _nb_mixture(*msn_rows_scaled(m, k + shift, k), w, 1 - q, 1) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=12)),
+    st.one_of(st.just(0), st.just(Fraction(1)), probability_st),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.fractions(-12, 12, max_denominator=12),
+)
+def test_mixture_sweep_matches_one_order_mixtures(w, x, n, r0, base):
+    # orders 0..8 of the swept mixture against one difference table per order
+    sweep = _nb_mixture_sums(w, x, n, r0, base)
+    for m, got in zip(range(9), sweep):
+        assert got == _nb_mixture(*msn_rows_scaled(m, base, n + 1), w, x, r0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,7 +195,7 @@ def test_rk_scalar_matches_reference_terms(p, s_n, k, m):
     chain = anb_chain(p, s_n)
     w = s_n / (1 - s_n)
     want = sum(
-        binom(k, r) * p**r * (1 - p) ** (k - r) * nb_b_sum_reference(w, r, k + r, m)
+        binom(k, r) * p**r * (1 - p) ** (k - r) * nb_sum_reference(w, r, k + r, m)
         for r in range(k + 1)
     )
     assert moment_rk_scalar(chain, k, m) == want
@@ -579,6 +598,37 @@ class TestScalarForms:
         )
         with pytest.raises(PreconditionError, match="row sums"):
             moment_rk_scalar(uneven, 1, 1)
+
+
+def twelfths(rows, m_indices):
+    matrix = RationalMatrix([[Fraction(v, 12) for v in row] for row in rows])
+    return partition(matrix, m_indices)
+
+
+# |M| = |Mbar| = 2; P_M row sums 1/2 and 3/4; P_M stochastic (s_M = 1), and
+# |M| = 1 with P_N stochastic (s_N = 1); P_Mbar = (0) in the middle two
+WIDE = random_chain(random.Random(10), 2, 2)
+UNEVEN_M = twelfths([[3, 3, 6], [6, 3, 3], [6, 6, 0]], [1, 2])
+CLOSED_M = twelfths([[6, 6, 0], [4, 8, 0], [6, 6, 0]], [1, 2])
+CLOSED_N = twelfths([[6, 3, 3], [0, 6, 6], [0, 4, 8]], [1])
+
+
+@pytest.mark.parametrize(
+    "form, chain, message",
+    [
+        (moment_rk_scalar, CLOSED_N, "requires s_N != 1"),
+        (moment_renewal, WIDE, "requires |Mbar| = 1, got 2"),
+        (moment_renewal, UNEVEN_M, "requires constant row sums in P_M"),
+        (moment_renewal, CLOSED_M, "requires s_M != 1"),
+        (moment_nk_rowsum, WIDE, "requires |Mbar| = 1, got 2"),
+        (moment_nk_rowsum, UNEVEN_M, "requires constant row sums in P_M"),
+        (moment_nk_rowsum, CLOSED_M, "requires s_M != 1"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_precondition_messages(form, chain, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        form(chain, 2, 3)
 
 
 class TestRenewal:

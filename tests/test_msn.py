@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from msnlib.exact import qpow
 from msnlib.msn import (
     msn_direct,
-    msn_row_scaled,
     msn_row_sweep,
     msn_rows_scaled,
     msn_shift,
@@ -52,17 +51,17 @@ class TestDirect:
 class TestRow:
     def test_example(self):
         # b(3, j, 1) for j = 0..3: 1, 7, 12, 6, with scale 1^3
-        assert msn_row_scaled(3, 1) == ([1, 7, 12, 6], 1)
+        assert msn_rows_scaled(3, 1, 1) == ([[1, 7, 12, 6]], 1)
 
     def test_entries_are_integers_over_one_scale(self):
         # 2^4 b(4, j, 1/2): b(4, 0, 1/2) = 1/16 and b(4, 4, 1/2) = 4!
-        row, scale = msn_row_scaled(4, Fraction(1, 2))
+        [row], scale = msn_rows_scaled(4, Fraction(1, 2), 1)
         assert all(type(v) is int for v in row)
         assert scale == 16 and row[0] == 1 and row[4] == 24 * 16
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            msn_row_scaled(-1, 0)
+            msn_rows_scaled(-1, 0, 1)
 
 
 class TestTable:
@@ -213,7 +212,7 @@ def test_one_step_shift_recurrence(i, j, k):
 @given(st.integers(0, 14), st.integers(-60, 60), st.integers(1, 12))
 def test_row_matches_direct(i, p, q):
     k = Fraction(p, q)
-    row, scale = msn_row_scaled(i, k)
+    [row], scale = msn_rows_scaled(i, k, 1)
     assert [Fraction(v, scale) for v in row] == [
         msn_direct(i, j, k) for j in range(i + 1)
     ]
@@ -229,7 +228,7 @@ def test_shifted_table_rows_are_single_rows(i, k, count):
     rows, scale = msn_rows_scaled(i, k, count)
     assert len(rows) == count
     for t, row in enumerate(rows):
-        assert (row, scale) == msn_row_scaled(i, k + t)
+        assert ([row], scale) == msn_rows_scaled(i, k + t, 1)
 
 
 @settings(max_examples=60, deadline=None)
