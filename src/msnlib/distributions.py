@@ -7,15 +7,17 @@ m = 0, 1, ... in ``_sums``: shift 0 gives the raw moments and shift -M_1,
 with M_1 the law's closed mean, the central moments.  Every such sum runs
 on the scaled integer b rows that :func:`msnlib.msn.msn_row_sweep` steps
 one order at a time, as one integer over one denominator, and divides once.
-A law object keeps, for each shift it was asked at, that generator and the
-list of the moments it has produced, and its closed mean, from first use
-for its lifetime: asking for orders 0..m in any order costs one sweep, and
-a lower order is a list read.  ``NegBinomial`` and ``AltNegBinomial`` are
-the negative-binomial mixture of :mod:`msnlib.markov`, whose five scalar
-chain forms compute it one order at a time.  A chain law's sum, raw and
-central alike, is a dot product of the swept row with integer weights
-extended one matrix-vector step per order, with no recursion over earlier
-moments.  A ``PhaseType`` is a ``Recurrence``: the law Rbar_1 of its
+A law object keeps, for the raw and the central moments, that generator
+and the list of the moments it has produced, and its closed mean, from
+first use for its lifetime: asking for orders 0..m in any order costs one
+sweep, and a lower order is a list read.  The lists are
+:func:`msnlib.markov._listed`, the one list mechanism, which the scalar
+chain forms of :mod:`msnlib.markov` keep on their chain in the same way.
+``NegBinomial`` and ``AltNegBinomial`` are the negative-binomial mixture of
+:mod:`msnlib.markov`, whose five scalar forms compute it too.  A chain
+law's sum, raw and central alike, is a dot product of the swept row with
+integer weights extended one matrix-vector step per order, with no
+recursion over earlier moments.  A ``PhaseType`` is a ``Recurrence``: the law Rbar_1 of its
 embedded chain, which its constructor builds and whose I - mat it inverts
 into the resolvent slot the moments read.  The first-step recursion
 (:func:`msnlib.markov.moment_recursive`) is the oracle the chain laws' sums
@@ -47,16 +49,16 @@ from typing import Iterator, Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
-from .markov import _check_orders, _horner, _nb_mixture_sums
+from .markov import _check_orders, _horner, _listed, _nb_mixture_sums
 from .msn import msn_row_sweep, msn_rows_scaled
 from .msn1 import stirling1_triangle
 
 
 class _Law:
-    """What a law object keeps between calls: its closed mean, and for each
-    shift it was asked at (0 for the raw moments, -M_1 for the central ones)
-    the moments E[(X + shift)^m] produced so far and the generator that
-    produces the next (:func:`_moments`).  The slots fill on first use and
+    """What a law object keeps between calls: its closed mean, and under the
+    keys "raw" (shift 0) and "central" (shift -M_1) the moments
+    E[(X + shift)^m] produced so far and the generator that produces the
+    next (:func:`msnlib.markov._listed`).  The slots fill on first use and
     live as long as the object."""
 
     @cached_property
@@ -190,25 +192,10 @@ def _law(dist: DistributionSpec):
     return dist
 
 
-def _moments(law, m: int, shift: RationalLike) -> list[Fraction]:
-    """E[(X + shift)^m] for the orders 0..m (the list may run longer).
-
-    The law's list at this shift, extended from its generator
-    (:func:`_sums`) only past its current length, so a lower order is a
-    list read.  The list belongs to the law: read it, do not change it.
-    """
-    entry = law._lists.get(shift)
-    if entry is None:
-        entry = law._lists[shift] = ([], _sums(law, shift))
-    values, sums = entry
-    if len(values) <= m:
-        try:
-            values.extend(islice(sums, m + 1 - len(values)))
-        except BaseException:
-            # a generator that raised is finished: start afresh next time
-            del law._lists[shift]
-            raise
-    return values
+def _raw(law, m: int) -> list[Fraction]:
+    """E[X^m] for the orders 0..m (the list may run longer): the law's raw
+    list (:func:`msnlib.markov._listed` over :func:`_sums` at shift 0)."""
+    return _listed(law._lists, "raw", m, lambda: _sums(law, 0))
 
 
 def _sums(law, shift: RationalLike) -> Iterator[Fraction]:
@@ -309,7 +296,7 @@ def _mean(law) -> Fraction:
     if isinstance(law, AltNegBinomial):
         p, q, k = law.p, law.q, law.k
         mean = ((k - 1) * (p - q) + k) / p
-        computed = _moments(law, 1, 0)[1]
+        computed = _raw(law, 1)[1]
         if computed != mean:
             raise ArithmeticError(
                 f"closed mean {mean} disagrees with the moment formula {computed}"
@@ -326,13 +313,13 @@ def _mean(law) -> Fraction:
 def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
     """Exact m-th raw moment: the law's moments at shift 0 (:func:`_sums`)."""
     _check_orders(m)
-    return _moments(_law(dist), m, 0)[m]
+    return _raw(_law(dist), m)[m]
 
 
 def raw_moments(dist: DistributionSpec, m_max: int) -> list[Fraction]:
     """M_0..M_max, a copy of the law's list at shift 0."""
     _check_orders(m_max)
-    return _moments(_law(dist), m_max, 0)[: m_max + 1]
+    return _raw(_law(dist), m_max)[: m_max + 1]
 
 
 def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
@@ -408,7 +395,9 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
     """
     _check_orders(m)
     law = _law(dist)
-    return _moments(law, m, -law._closed_mean)[m]
+    # the shift -M_1 is formed only when the central list is made
+    central = _listed(law._lists, "central", m, lambda: _sums(law, -law._closed_mean))
+    return central[m]
 
 
 def spec_from_dict(obj: dict) -> DistributionSpec:

@@ -27,6 +27,13 @@ exist, and one lazy resolvent slot per side, ``resolvent`` (I - P_M)^-1 and
 Partitioning checks only that the matrix is stochastic and the index sets
 are sound, and forms no product; each resolvent is inverted by the first
 route that reads it, and a singular one is a ChainError naming its block.
+A chain also carries one lazily filled dict, ``_slots``, in which the
+closed forms of :mod:`msnlib.markov` keep, for as long as the chain lives,
+its commutability verdict (Q = P_NM P_MN, or the failure message) and, per
+scalar form and k, the list of the orders computed so far with the sweep
+that extends it.  The dict takes no part in ``==``, ``hash`` or ``repr``,
+and :meth:`PartitionedChain.swapped` and ``dataclasses.replace`` start an
+empty one.
 """
 
 from __future__ import annotations
@@ -318,6 +325,8 @@ class PartitionedChain:
     s_n: Fraction | None
     # cached (I - p_m)^-1 and (I - p_n)^-1, each inverted on its first read
     _resolvents: tuple = field(repr=False, compare=False)
+    # what msnlib.markov's closed forms keep between calls on this chain
+    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -338,7 +347,8 @@ class PartitionedChain:
 
         Inverts nothing: the two resolvent slots are exchanged, so the
         complement's is inverted only when a route reads it, and swapping
-        back and forth never inverts a block twice.
+        back and forth never inverts a block twice.  The swapped chain
+        starts with empty closed-form slots of its own.
         """
         return PartitionedChain(
             p=self.p,

@@ -31,13 +31,28 @@ forms as one negative-binomial mixture over consecutive shifts,
 laws ``NegBinomial`` and ``AltNegBinomial`` read order by order from
 :func:`_nb_mixture_sums`.  The weights C(j+r-1, j) b(m, j, k) of that
 mixture and of the commutable forms come from :func:`_nb_weights`.
+
+A chain keeps what these forms learn about it in its slot dict
+(:class:`msnlib.linalg.PartitionedChain`), for as long as it lives.  The
+commutable forms keep the verdict of the commutability test, Q = P_NM P_MN
+or the failure message, so the test runs once per chain.  The three scalar
+chain forms keep, per k, the list of the orders produced so far and the
+:func:`_nb_mixture_sums` sweep that extends it (:func:`_listed`, the one
+list mechanism, which the laws of :mod:`msnlib.distributions` use too):
+an order inside the list is a read, the next order is one sweep step, and
+an order past the list's end is one :func:`_nb_mixture` over a difference
+table, which leaves the list alone.  So orders 0..m asked one at a time
+cost one sweep, and a cold high order costs one table, not a sweep up to
+it.  ``moment_nb`` and ``moment_anb`` take no object that could keep a
+list, and build one table per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
@@ -267,6 +282,52 @@ def _nb_mixture_sums(
         yield _nb_mixture([row for row, _ in rows], rows[0][1], w, x, r0)
 
 
+def _listed(
+    slots: dict, key: Hashable, m: int, sums: Callable[[], Iterator[Fraction]]
+) -> list[Fraction]:
+    """The list ``slots[key]`` of the values of the generator ``sums()``,
+    extended to order m (the list may run longer).
+
+    ``slots[key]`` holds the list and the generator that extends it, and is
+    made, calling ``sums``, on first use.  A generator that raised is
+    finished, so its entry is dropped and the next call starts afresh.  The
+    list belongs to the slot's owner: read it, do not change it.
+    """
+    entry = slots.get(key)
+    if entry is None:
+        entry = slots[key] = ([], sums())
+    values, gen = entry
+    if len(values) <= m:
+        try:
+            values.extend(islice(gen, m + 1 - len(values)))
+        except BaseException:
+            del slots[key]
+            raise
+    return values
+
+
+def _chain_mixture(
+    chain: PartitionedChain,
+    key: Hashable,
+    m: int,
+    law: Callable[[], tuple[Fraction, Fraction | int, int, int, int]],
+) -> Fraction:
+    """Order m of the mixture ``law() = (w, x, n, r0, base)`` of a scalar form.
+
+    The chain keeps the form's orders at ``key`` (:func:`_listed` over
+    :func:`_nb_mixture_sums`), so an order inside the list is a read and
+    the next order is one sweep step.  An order past the list's end is one
+    :func:`_nb_mixture` over a difference table, which reaches a single
+    high order faster than sweeping up to it, and leaves the list alone.
+    ``law`` is called only when a sum is formed.
+    """
+    entry = chain._slots.get(key)
+    if m > (len(entry[0]) if entry else 0):
+        w, x, n, r0, base = law()
+        return _nb_mixture(*msn_rows_scaled(m, base, n + 1), w, x, r0)
+    return _listed(chain._slots, key, m, lambda: _nb_mixture_sums(*law()))[m]
+
+
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
     _check_orders(m)
@@ -282,11 +343,25 @@ def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     return combine([(1, chain.p_m, None), (1, chain.p_mn, inner)])
 
 
-def _require_commutable(chain: PartitionedChain):
-    if not is_commutable(chain, "M"):
-        raise CommutabilityError("chain is not M-commutable")
-    if not is_commutable(chain, "Mbar"):
-        raise CommutabilityError("chain is not Mbar-commutable")
+def _commutable_q(chain: PartitionedChain) -> RationalMatrix:
+    """Q = P_NM P_MN of an M- and Mbar-commutable chain, else a
+    CommutabilityError naming the side that fails.
+
+    The verdict, Q or the message, is kept in the chain's slot, so the
+    commutability test runs once per chain.
+    """
+    verdict = chain._slots.get("commutable")
+    if verdict is None:
+        if not is_commutable(chain, "M"):
+            verdict = "chain is not M-commutable"
+        elif not is_commutable(chain, "Mbar"):
+            verdict = "chain is not Mbar-commutable"
+        else:
+            verdict = chain.p_nm @ chain.p_mn
+        chain._slots["commutable"] = verdict
+    if isinstance(verdict, str):
+        raise CommutabilityError(verdict)
+    return verdict
 
 
 def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -302,8 +377,7 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     """
     _check_orders(m, k)
     if k >= 2:
-        _require_commutable(chain)
-        q = chain.p_nm @ chain.p_mn
+        q = _commutable_q(chain)
     v = chain.complement_resolvent
     rows, scale = msn_rows_scaled(m, k + 1, k)
 
@@ -324,7 +398,8 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
     sum_{r=0}^{k} C(k,r) p^r (1-p)^(k-r)
         * sum_j C(j+r-1, j) b(m, j, k+r) (s_N / (1-s_N))^j
     with p = 1 - P_M: the mixture :func:`_nb_mixture` over the rows of the
-    shifts k..2k, which come from one table.
+    shifts k..2k, read from the chain's list of this form at k
+    (:func:`_chain_mixture`).
     """
     _check_orders(m, k)
     if chain.p_m.rows != 1:
@@ -333,15 +408,20 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
         raise PreconditionError("requires constant row sums in P_N")
     if chain.s_n == 1:
         raise PreconditionError("requires s_N != 1")
-    w = chain.s_n / (1 - chain.s_n)
-    return _nb_mixture(*msn_rows_scaled(m, k, k + 1), w, 1 - chain.p_m[0, 0], 0)
+    return _chain_mixture(
+        chain,
+        ("rk_scalar", k),
+        m,
+        lambda: (chain.s_n / (1 - chain.s_n), 1 - chain.p_m[0, 0], k, 0, k),
+    )
 
 
 def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
     """M_m(Rbar_k) for the renewal case: |N| = 1, P_N = (0), constant s_M.
 
     sum_j C(j+k-1, j) b(m, j, 2k) (s_M / (1-s_M))^j, the one-row
-    mixture :func:`_nb_mixture` of order k.
+    mixture :func:`_nb_mixture` of order k, read from the chain's list of
+    this form at k (:func:`_chain_mixture`).
     """
     _check_orders(m, k)
     if chain.p_n.rows != 1:
@@ -352,8 +432,9 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
         raise PreconditionError("requires constant row sums in P_M")
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
-    w = chain.s_m / (1 - chain.s_m)
-    return _nb_mixture(*msn_rows_scaled(m, 2 * k, 1), w, 0, k)
+    return _chain_mixture(
+        chain, ("renewal", k), m, lambda: (chain.s_m / (1 - chain.s_m), 0, 0, k, 2 * k)
+    )
 
 
 def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -367,8 +448,7 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     """
     _check_orders(m, k)
     if k >= 2:
-        _require_commutable(chain)
-        q = chain.p_nm @ chain.p_mn
+        q = _commutable_q(chain)
     rows, scale = msn_rows_scaled(m, k, k)
     terms = []
     for r, row in enumerate(rows):
@@ -390,7 +470,8 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
     A scalar times the all-ones column over M:
     sum_{r=0}^{k-1} C(k-1, r) (1-q)^r q^(k-1-r)
         * sum_j b(m, j, k+r) C(j+r, j) (s_M / (1-s_M))^j,
-    the mixture :func:`_nb_mixture` with x = 1-q.  The factor
+    the mixture :func:`_nb_mixture` with x = 1-q, read from the chain's
+    list of this form at k (:func:`_chain_mixture`).  The factor
     ((1-q)/q)^r q^(k-1) is expanded so q = 0 stays well-defined (only the
     r = k-1 term survives there).
     """
@@ -401,9 +482,15 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
         raise PreconditionError("requires constant row sums in P_M")
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
-    w = chain.s_m / (1 - chain.s_m)
-    value = _nb_mixture(*msn_rows_scaled(m, k, k), w, 1 - chain.p_n[0, 0], 1)
-    return value * RationalMatrix.ones_column(chain.p_m.rows)
+    value = _chain_mixture(
+        chain,
+        ("nk_rowsum", k),
+        m,
+        lambda: (chain.s_m / (1 - chain.s_m), 1 - chain.p_n[0, 0], k - 1, 1, k),
+    )
+    # a reduced Fraction is a canonical numerator and denominator
+    column = ((value.numerator,),) * chain.p_m.rows
+    return RationalMatrix._raw(column, value.denominator)
 
 
 def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:

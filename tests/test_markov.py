@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -626,9 +627,141 @@ CLOSED_N = twelfths([[6, 3, 3], [0, 6, 6], [0, 4, 8]], [1])
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
-def test_precondition_messages(form, chain, message):
-    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
-        form(chain, 2, 3)
+def test_precondition_messages(monkeypatch, form, chain, message):
+    def no_sum(*args):
+        raise AssertionError("a moment was formed before the preconditions held")
+
+    # every call checks the hypotheses before it reads or extends a list
+    monkeypatch.setattr(markov, "_chain_mixture", no_sum)
+    for m in (3, 0, 1, 3):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            form(chain, 2, m)
+
+
+# each scalar chain form, a maker of one chain that meets its hypothesis,
+# and the variable of its convolved oracle
+SCALAR_FORMS = [
+    (moment_rk_scalar, lambda: rowsum_chain(random.Random(31), 2), "R"),
+    (moment_renewal, lambda: renewal_chain(random.Random(32), 2), "Rbar"),
+    (
+        moment_nk_rowsum,
+        lambda: renewal_chain(random.Random(33), 2, absorbing_loop=True),
+        "N",
+    ),
+]
+scalar_forms = pytest.mark.parametrize(
+    "form, make, variable", SCALAR_FORMS, ids=[f.__name__ for f, _, _ in SCALAR_FORMS]
+)
+
+
+def _scalar_oracle(chain, variable, k, m):
+    value = moment_k_convolved(chain, variable, k, m)
+    return value if variable == "N" else value[0, 0]
+
+
+def _counting(monkeypatch, name) -> list:
+    calls = []
+    original = getattr(markov, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(markov, name, counting)
+    return calls
+
+
+@scalar_forms
+def test_scalar_form_ascending_orders_build_no_table(monkeypatch, form, make, variable):
+    chain = make()
+    tables = _counting(monkeypatch, "msn_rows_scaled")
+    got = {k: [form(chain, k, j) for j in range(9)] for k in (1, 3)}
+    assert tables == []
+    monkeypatch.undo()
+    assert got == {
+        k: [_scalar_oracle(chain, variable, k, j) for j in range(9)] for k in (1, 3)
+    }
+
+
+@scalar_forms
+def test_scalar_form_cold_high_order_starts_no_sweep(monkeypatch, form, make, variable):
+    chain = make()
+    sweeps = _counting(monkeypatch, "msn_row_sweep")
+    high = form(chain, 2, 14)
+    assert sweeps == []
+    # the list was left alone: order 0 starts it, and 14 is still past its end
+    low = [form(chain, 2, j) for j in range(4)]
+    started = len(sweeps)
+    assert started >= 1
+    assert form(chain, 2, 14) == high
+    assert len(sweeps) == started
+    monkeypatch.undo()
+    # the table and the sweep agree: a fresh chain sweeps up to order 14
+    fresh = make()
+    swept = [form(fresh, 2, j) for j in range(15)]
+    assert (swept[:4], swept[14]) == (low, high)
+
+
+@scalar_forms
+@settings(max_examples=25, deadline=None)
+@given(
+    asks=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(0, 10)), min_size=1, max_size=12
+    )
+)
+def test_scalar_form_orders_in_any_order_match_the_oracle(form, make, variable, asks):
+    # ascending, descending, interleaved k and jumps past a list's end on one
+    # chain; each answer is the oracle's and a fresh chain's for that order
+    asks = asks + sorted(asks) + sorted(asks, reverse=True)
+    chain = make()
+    got = [form(chain, k, m) for k, m in asks]
+    want = {(k, m): _scalar_oracle(chain, variable, k, m) for k, m in set(asks)}
+    assert got == [want[ask] for ask in asks]
+    assert got == [form(dataclasses.replace(chain), k, m) for k, m in asks]
+
+
+def test_commutability_is_tested_once_per_chain(monkeypatch):
+    chain = scalar_block_chain(random.Random(34), 2, 3)
+    tests = _counting(monkeypatch, "is_commutable")
+    got = [
+        (form(chain, k, m), form(chain, k, m))
+        for k in (2, 3)
+        for m in range(4)
+        for form in (moment_nk_commutable, moment_rk_commutable)
+    ]
+    assert [side for _, side in tests] == ["M", "Mbar"]
+    monkeypatch.undo()
+    assert [a for a, _ in got] == [b for _, b in got]
+    assert got[-1][0] == moment_k_convolved(chain, "R", 3, 3)
+
+
+@pytest.mark.parametrize(
+    "m_size, n_size, message",
+    [(2, 2, "chain is not M-commutable"), (1, 2, "chain is not Mbar-commutable")],
+)
+def test_non_commutable_chain_fails_alike_on_every_call(
+    monkeypatch, m_size, n_size, message
+):
+    # with |M| = 1 the M side always commutes, so the Mbar side is the one named
+    chain = random_chain(random.Random(35), m_size, n_size)
+    tests = _counting(monkeypatch, "is_commutable")
+    for _ in range(3):
+        for form in (moment_nk_commutable, moment_rk_commutable):
+            with pytest.raises(CommutabilityError, match=f"^{message}$"):
+                form(chain, 2, 1)
+    assert len(tests) <= 2
+
+
+def test_swapped_and_replaced_chains_start_with_empty_slots():
+    # |Mbar| = 1 and P_M a multiple of I: both N_k forms hold
+    chain = scalar_block_chain(random.Random(36), 2, 1)
+    rowsum = [moment_nk_rowsum(chain, 2, j) for j in range(3)]
+    assert rowsum[-1] == moment_nk_commutable(chain, 2, 2)
+    assert set(chain._slots) == {"commutable", ("nk_rowsum", 2)}
+    others = (chain.swapped(), chain.swapped().swapped(), dataclasses.replace(chain))
+    assert [other._slots for other in others] == [{}, {}, {}]
+    copy = dataclasses.replace(chain)
+    assert (copy, hash(copy), repr(copy)) == (chain, hash(chain), repr(chain))
 
 
 class TestRenewal:
