@@ -36,6 +36,25 @@ def random_chain(
     return partition(RationalMatrix(rows), list(range(1, m_size + 1)))
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def dense_prime_chain(rng: random.Random, size: int) -> PartitionedChain:
+    """A fully positive stochastic matrix split by its first half of states.
+
+    Row r has the r-th prime above ``size`` (cycling through those up to
+    2 * size + 8) as its denominator, so rows share no factor and the
+    shared denominator of a block is the product of its rows' primes.
+    """
+    primes = [p for p in range(size + 1, 2 * size + 9) if _is_prime(p)]
+    rows = []
+    for r in range(size):
+        den = primes[r % len(primes)]
+        rows.append([Fraction(x, den) for x in positive_composition(rng, den, size)])
+    return partition(RationalMatrix(rows), list(range(1, size // 2 + 1)))
+
+
 def scalar_block_chain(
     rng: random.Random, m_size: int, n_size: int, denom: int = 12
 ) -> PartitionedChain:

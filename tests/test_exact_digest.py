@@ -4,7 +4,8 @@ Each section writes its values as canonical ``numerator/denominator`` text,
 one ``label=value`` line per value, and hashes the lines with sha256.  The
 sections cover the law moments (``raw_moments`` and ``central_closed`` of
 every law type), the five scalar negative-binomial forms of
-:mod:`msnlib.markov`, its four matrix closed forms, and the two
+:mod:`msnlib.markov`, its four matrix closed forms, its recursive and
+convolved routes with the resolvents they read, and the two
 factorial-moment transforms.  Inputs are seeded, and only public names are
 read, so a change to how a value is computed leaves the text alone and a
 change to the value itself shows up as a changed hash in its section.
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 from conftest import (
     anb_chain,
+    dense_prime_chain,
     random_chain,
     renewal_chain,
     rowsum_chain,
@@ -34,6 +36,8 @@ from msnlib import (
     Recurrence,
     central_closed,
     central_via_factorial,
+    moment_k_convolved,
+    moment_recursive,
     moment_anb,
     moment_n1_closed,
     moment_nb,
@@ -52,6 +56,7 @@ DIGESTS = {
     "scalar_forms": "8429b99249daafe42fd188d520f6a7e0534d5d703adb8ba03b35f7f98c219f7f",
     "matrix_forms": "3733dec7cd1c92d9c385cf841cc7f4324ea5a046af2985dea5c342404ab8caf6",
     "factorial": "d0e3a3ca7ea3da4a98eed7167146f82144d69395274488751a917bf3e1d83b93",
+    "recursive_routes": "03ab597f06a2ac6884abdbb9373d217baf0b0f7fb3df4fd549f7a38ac534b062",
 }
 
 SEEDS = range(10)
@@ -159,6 +164,37 @@ def matrix_lines() -> list[str]:
     return lines
 
 
+def route_chains() -> list:
+    """Seeded chains of every conftest shape, dense prime-row chains included."""
+    rng = random.Random(18)
+    chains = [anb_chain(Fraction(1, 2), Fraction(1, 3))]
+    for _ in range(3):
+        chains.append(random_chain(rng, rng.randint(1, 3), rng.randint(1, 3)))
+        chains.append(scalar_block_chain(rng, rng.randint(1, 3), rng.randint(1, 3)))
+    chains += [rowsum_chain(rng, 3), renewal_chain(rng, 3)]
+    chains.append(renewal_chain(rng, 2, absorbing_loop=True))
+    chains += [dense_prime_chain(rng, size) for size in (5, 8, 11, 16)]
+    return chains
+
+
+def recursive_lines() -> list[str]:
+    lines = []
+    for i, chain in enumerate(route_chains()):
+        for label, block in (("I-P_M", chain.p_m), ("I-P_N", chain.p_n)):
+            eye = RationalMatrix.identity(block.rows)
+            lines.append(f"{i} inverse {label}={text((eye - block).inverse())}")
+        for variable in ("N1", "R1", "Nbar1", "Rbar1"):
+            for m in range(7):
+                value = moment_recursive(chain, variable, m)
+                lines.append(f"{i} {variable} m={m}={text(value)}")
+        for variable in ("N", "R", "Nbar", "Rbar"):
+            for k in range(1, 4):
+                for m in range(6):
+                    value = moment_k_convolved(chain, variable, k, m)
+                    lines.append(f"{i} {variable} k={k} m={m}={text(value)}")
+    return lines
+
+
 def factorial_lines() -> list[str]:
     lines = []
     for seed in SEEDS:
@@ -180,5 +216,6 @@ def test_exact_values_match_the_committed_digest():
         "scalar_forms": digest(scalar_lines()),
         "matrix_forms": digest(matrix_lines()),
         "factorial": digest(factorial_lines()),
+        "recursive_routes": digest(recursive_lines()),
     }
     assert got == DIGESTS
