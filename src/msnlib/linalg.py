@@ -9,11 +9,12 @@ result, so equal matrices have equal ``(num, den)`` and compare and hash as
 tuples.  Entries are handed out as reduced :class:`~fractions.Fraction`
 values built on demand.
 
-Inversion is fraction-free (Bareiss) Gauss-Jordan elimination on ``num``:
-every intermediate is an exact integer minor, and the eliminated augmented
-matrix holds ``det(num)`` on the left and ``adj(num)`` (up to the common
-sign) on the right, so the inverse is ``den * adj(num) / det(num)`` with no
-rational arithmetic at all.
+Inversion is fraction-free (Bareiss) Gauss-Jordan elimination on the
+primitive rows ``G`` of ``num = diag(g) G``: every intermediate is an exact
+integer minor of ``G``, and the eliminated augmented matrix holds
+``det(G)`` on the left and ``adj(G)`` (up to the common sign) on the right,
+so the inverse is ``den * adj(G) diag(1/g) / det(G)`` with no rational
+arithmetic at all.
 
 :func:`combine` fuses sums of products, ``sum_t c_t A_t @ B_t``: each entry
 is one integer sum over the lcm of the term denominators, reduced once.
@@ -200,19 +201,23 @@ class RationalMatrix:
         return [Fraction(sum(row), self.den) for row in self.num]
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse via fraction-free Gauss-Jordan elimination on ``num``.
+        """Exact inverse via fraction-free Gauss-Jordan elimination on the
+        primitive rows ``G`` of ``num = diag(g) G``, g_i the gcd of row i.
 
-        ``[num | I]`` is reduced by Bareiss two-term updates applied to every
+        ``[G | I]`` is reduced by Bareiss two-term updates applied to every
         row but the pivot row (each an exact integer division by the previous
         pivot), until it reads ``[d I | E]`` with ``d`` the last pivot, the
-        determinant of the row-permuted ``num``, and ``E = d num^-1``.  The
-        inverse of ``num / den`` is then ``den E / d``.  Pivoting swaps in the
-        first row with a nonzero entry.
+        determinant of the row-permuted ``G``, and ``E = d G^-1``.  The
+        inverse of ``num / den`` is then ``den E diag(1/g) / d``, with
+        ``diag(1/g)`` folded into the columns over ``lcm(g)``.  Pivoting
+        swaps in the first row with a nonzero entry; positive row factors
+        keep every minor's zero pattern, so pivots are those of ``num``.
         """
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        aug = [list(row) + [0] * n for row in self.num]
+        gs = [gcd(*row) or 1 for row in self.num]  # a zero row keeps g = 1
+        aug = [[v // g for v in row] + [0] * n for row, g in zip(self.num, gs)]
         for i in range(n):
             aug[i][n + i] = 1
 
@@ -236,9 +241,10 @@ class RationalMatrix:
                     ]
             prev = p
 
-        scale = self.den if prev > 0 else -self.den
+        g_all = lcm(*gs)
+        fold = [(self.den if prev > 0 else -self.den) * (g_all // g) for g in gs]
         return RationalMatrix._reduced(
-            [[scale * v for v in row[n:]] for row in aug], abs(prev)
+            [list(map(mul, fold, row[n:])) for row in aug], abs(prev) * g_all
         )
 
     def __repr__(self):

@@ -20,10 +20,12 @@ Two independent computation routes exist for every moment:
 
 The recursive route is the oracle: the closed forms must reproduce it
 exactly, and the test suite enforces that, as it does for the chain laws
-of :mod:`msnlib.distributions`.  Its first-step recursion
-(:func:`_n1_moment_list`) forms the orders 0..m with one matrix product
-per order.  Every closed-form b-sum runs on the scaled integer b rows of
-:func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
+of :mod:`msnlib.distributions`.  It runs on integers: its first-step
+recursion (:func:`_first_step`) forms the orders 0..m with one integer
+product per order, order j over a denominator e delta^j known in advance,
+the convolution rounds keep that scheme, and a moment is reduced once, when
+it is returned.  Every closed-form b-sum runs on the scaled integer b rows
+of :func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
 shifts a form reads, and divides once: the matrix sums by
 :func:`b_power_sum`'s integer Horner, reduced once, and the five scalar
 forms as one negative-binomial mixture over consecutive shifts,
@@ -50,8 +52,9 @@ list, and build one table per call.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice
+from math import lcm
+from operator import add, mul
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
@@ -90,33 +93,57 @@ def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
     return chain.p_mn @ chain.p_n ** (n - 2) @ chain.p_nm
 
 
-def _n1_moment_list(
-    chain: PartitionedChain, m_max: int
-) -> tuple[list[RationalMatrix], list[RationalMatrix]]:
-    """(M_0..M_max) of N_1 by first-step recursion, and (S_0..S_max).
+def _product(rows, cols) -> list[list[int]]:
+    """The integer matrix of the dot products of ``rows`` with ``cols``."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
-    M_0 = u P_MN with u = (I-P_M)^-1 and, for m >= 1,
-    M_m = u (P_MN + P_M acc_m), acc_m = sum_{j<m} C(m,j) M_j.
-    Since u P_M = u - I, the binomial sum S_m = sum_{j<=m} C(m,j) M_j is
-    M_0 + u acc_m and M_m = S_m - acc_m: one matrix product per order.
-    S_0 = M_0, and the R_1 moments read the S_m (:func:`_r1_moment_list`).
+
+def _first_step(chain: PartitionedChain, m_max: int) -> tuple[list, list, int, int]:
+    """N_1's moments X_0..X_max, their binomial sums Sigma_0..Sigma_max, and
+    e, delta: order j of each is an integer matrix over e delta^j.
+
+    M_0 = u P_MN = X_0 / e with u = (I-P_M)^-1 = U / delta, and for m >= 1
+    M_m = u (P_MN + P_M acc_m), acc_m = sum_{j<m} C(m,j) M_j.  As u P_M =
+    u - I, S_m = sum_{j<=m} C(m,j) M_j = M_0 + u acc_m and M_m = S_m - acc_m,
+    so with Acc_m = sum_{j<m} C(m,j) delta^(m-1-j) X_j (acc_m over
+    e delta^(m-1)), X_m = delta^m X_0 + (U - delta I) Acc_m and
+    Sigma_m = X_m + delta Acc_m: one integer product per order.
     """
     u = chain.resolvent
-    moments = [u @ chain.p_mn]
-    sums = moments[:]
+    first = u @ chain.p_mn
+    delta = u.den
+    step = [
+        [v - delta * (i == j) for j, v in enumerate(row)] for i, row in enumerate(u.num)
+    ]
+    moments, sums = [first.num], [first.num]
     for m in range(1, m_max + 1):
-        acc = combine([(binom(m, j), moments[j], None) for j in range(m)])
-        sums.append(combine([(1, moments[0], None), (1, u, acc)]))
-        moments.append(combine([(1, sums[m], None), (-1, acc, None)]))
-    return moments, sums
+        weights = [binom(m, j) * delta ** (m - 1 - j) for j in range(m)]
+        acc = [
+            [sum(map(mul, weights, entries)) for entries in zip(*rows)]
+            for rows in zip(*moments)
+        ]
+        top = delta**m
+        prod = _product(step, tuple(zip(*acc)))
+        x = [[top * a + b for a, b in zip(*rows)] for rows in zip(first.num, prod)]
+        moments.append(x)
+        sums.append([[v + delta * a for v, a in zip(*rows)] for rows in zip(x, acc)])
+    return moments, sums, first.den, delta
 
 
-def _r1_moment_list(chain: PartitionedChain, sums: list) -> list[RationalMatrix]:
-    """M_m(R_1) = P_M + P_MN S_m, with S_m = sum_{j<=m} C(m,j) M_j(Nbar_1).
-
-    ``sums`` holds S_0, S_1, ... of :func:`_n1_moment_list` on the swapped chain.
+def _r1_moments(chain: PartitionedChain, sums, e: int, delta: int, orders) -> tuple:
+    """M_j(R_1) = P_M + P_MN S_j for j in ``orders`` as integers Y_j over
+    L delta^j, and L = lcm(den P_M, den P_MN e); ``sums``, ``e``, ``delta``
+    are :func:`_first_step` of the swapped chain, so S_j = Sigma_j / (e delta^j).
     """
-    return [combine([(1, chain.p_m, None), (1, chain.p_mn, total)]) for total in sums]
+    p_m, p_mn = chain.p_m, chain.p_mn
+    den = lcm(p_m.den, p_mn.den * e)
+    lift = [[den // (p_mn.den * e) * v for v in row] for row in p_mn.num]
+    out = []
+    for j in orders:
+        f = den // p_m.den * delta**j
+        prod = _product(lift, tuple(zip(*sums[j])))
+        out.append([[f * b + v for b, v in zip(*rows)] for rows in zip(p_m.num, prod)])
+    return out, den
 
 
 _VARIABLES = ("N1", "R1", "Nbar1", "Rbar1")
@@ -126,30 +153,36 @@ def moment_recursive(chain: PartitionedChain, variable: str, m: int) -> Rational
     """m-th moment of N_1 / R_1 / Nbar_1 / Rbar_1 by the recursive route.
 
     This is the designated oracle: it uses nothing but first-step analysis,
-    so it is independent of every closed form it validates.  Barred variants
-    delegate to the role-swapped chain.
+    so it is independent of every closed form it validates.  It is
+    :func:`moment_k_convolved` at k = 1, which convolves nothing.
     """
     _check_orders(m)
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    if variable == "N1":
-        return _n1_moment_list(chain, m)[0][m]
-    if variable == "R1":
-        return _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m)[1])[m]
-    return moment_recursive(chain.swapped(), variable.replace("bar", ""), m)
+    return moment_k_convolved(chain, variable[:-1], 1, m)
 
 
-def _convolve(first: list, second: list, m: int) -> RationalMatrix:
-    """sum_j C(m,j) first[m-j] @ second[j], the m-th moment of a sum."""
-    return combine([(binom(m, j), first[m - j], second[j]) for j in range(m + 1)])
+def _convolved(left: list, right: list, rounds: int, m: int) -> list[list[int]]:
+    """Order m of ``left`` convolved ``rounds`` times with ``right``.
 
-
-def _convolve_rounds(base: list, k: int, m: int) -> list[RationalMatrix]:
-    """M_0..M_m of the k-fold sum, by k-1 rounds of convolution with base."""
-    out = base
-    for _ in range(k - 1):
-        out = [_convolve(out, base, j) for j in range(m + 1)]
-    return out
+    Order j of a round, sum_i C(j,i) F_(j-i) G_i, is one fused product: the
+    rows of the C(j,i) F_(j-i) side by side against the columns of
+    G_0..G_j stacked, which are stacked once for all rounds.  Every round
+    but the last forms the orders 0..m, the last order m only.
+    """
+    columns = (tuple(zip(*g)) for g in right)
+    cols = list(accumulate(columns, lambda run, g: list(map(add, run, g))))
+    for r in range(rounds):
+        out = []
+        for j in range(m if r == rounds - 1 else 0, m + 1):
+            coeffs = [binom(j, i) for i in range(j + 1)]
+            rows = [
+                [c * v for c, f in zip(coeffs, reversed(slices)) for v in f]
+                for slices in zip(*left[: j + 1])
+            ]
+            out.append(_product(rows, cols[j]))
+        left = out
+    return left[-1]
 
 
 def moment_k_convolved(
@@ -157,12 +190,14 @@ def moment_k_convolved(
 ) -> RationalMatrix:
     """M_m(R_k) or M_m(N_k) by moment convolution over the recursive base.
 
-    R_k = R_(k-1) + R_1 and N_k = N_1 + Rbar_(k-1) give
-    M_m(R_k) = sum_j C(m,j) M_j(R_(k-1)) M_(m-j)(R_1)  and
-    M_m(N_k) = sum_j C(m,j) M_(m-j)(N_1) M_j(Rbar_(k-1)).
-    The bases are built for orders 0..m, Rbar_1's from N_1's binomial sums
-    (M_m(Rbar_1) = P_N + P_NM sum_j C(m,j) M_j(N_1)), and so is every
-    convolution round but the last, which builds order m only.
+    R_k = R_(k-1) + R_1 and N_k = N_(k-1) + Rbar_1 give
+    M_m(R_k) = sum_j C(m,j) M_(m-j)(R_(k-1)) M_j(R_1)  and
+    M_m(N_k) = sum_j C(m,j) M_(m-j)(N_(k-1)) M_j(Rbar_1),
+    so N_1's narrow moments stay on the left.  Order j of N_1 is an integer
+    over e delta^j (:func:`_first_step`), of R_1 or Rbar_1 over L delta^j
+    (:func:`_r1_moments`), and of their convolution over e L delta^j, so the
+    route runs on integers and reduces once.  At k = 1 only R_1's order m
+    is formed.
     Valid for every chain; serves as the oracle for the commutable forms.
     """
     _check_orders(m, k)
@@ -170,15 +205,19 @@ def moment_k_convolved(
         raise ValueError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
     chain = chain.swapped() if variable.endswith("bar") else chain
     if variable[0] == "R":
-        r1 = _r1_moment_list(chain, _n1_moment_list(chain.swapped(), m)[1])
-        if k == 1:
-            return r1[m]
-        return _convolve(_convolve_rounds(r1, k - 1, m), r1, m)
-    n1, sums = _n1_moment_list(chain, m)
+        _, sums, e, delta = _first_step(chain.swapped(), m)
+        orders = range(m if k == 1 else 0, m + 1)
+        left, e_left = right, e_right = _r1_moments(chain, sums, e, delta, orders)
+    else:
+        left, sums, e_left, delta = _first_step(chain, m)
+        if k > 1:
+            right, e_right = _r1_moments(
+                chain.swapped(), sums, e_left, delta, range(m + 1)
+            )
     if k == 1:
-        return n1[m]
-    rbar1 = _r1_moment_list(chain.swapped(), sums)
-    return _convolve(n1, _convolve_rounds(rbar1, k - 1, m), m)
+        return RationalMatrix._reduced(left[-1], e_left * delta**m)
+    num = _convolved(left, right, k - 1, m)
+    return RationalMatrix._reduced(num, e_left * e_right ** (k - 1) * delta**m)
 
 
 def b_power_sum(

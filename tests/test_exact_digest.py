@@ -36,14 +36,14 @@ from msnlib import (
     Recurrence,
     central_closed,
     central_via_factorial,
-    moment_k_convolved,
-    moment_recursive,
     moment_anb,
+    moment_k_convolved,
     moment_n1_closed,
     moment_nb,
     moment_nk_commutable,
     moment_nk_rowsum,
     moment_r1_closed,
+    moment_recursive,
     moment_renewal,
     moment_rk_commutable,
     moment_rk_scalar,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain, scalar_block_chain
+from conftest import dense_prime_chain, random_chain, scalar_block_chain
 from msnlib.exact import format_rational
 from msnlib.linalg import (
     ChainError,
@@ -53,6 +53,14 @@ class TestInverse:
             produced += 1
             assert m @ inv == RationalMatrix.identity(n)
             assert inv @ m == RationalMatrix.identity(n)
+
+    def test_dense_prime_block_round_trip(self):
+        # 32-state blocks whose rows share the shared denominator's factors
+        chain = dense_prime_chain(random.Random(32), 64)
+        for block in (chain.p_m, chain.p_n):
+            eye = RationalMatrix.identity(block.rows)
+            a = eye - block
+            assert a @ a.inverse() == eye
 
 
 class TestMatrixOps:
@@ -348,6 +356,28 @@ def square_st(draw):
     return rows
 
 
+@st.composite
+def row_scaled_st(draw):
+    """A square matrix, maybe with a zero row or a row of a common integer
+    factor, and a positive diagonal to scale its rows by."""
+    rows = draw(square_st())
+    n = len(rows)
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["plain", "zero", "factor"]))
+    if kind == "zero":
+        rows[i] = [Fraction(0)] * n
+    elif kind == "factor":
+        rows[i] = [draw(st.integers(2, 12)) * v for v in rows[i]]
+    diag = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return rows, diag
+
+
 def assert_matches(matrix, ref):
     """Exact equality with the reference, canonical storage, reduced accessors."""
     assert matrix.den > 0
@@ -406,6 +436,24 @@ class TestDifferential:
             assert err.value.pivot_col == ref
         else:
             assert_matches(RationalMatrix(a).inverse(), ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_scaled_st())
+    def test_inverse_commutes_with_positive_row_scaling(self, case):
+        a, d = case
+        ma = RationalMatrix(a)
+        scaled = RationalMatrix([[di * v for v in row] for di, row in zip(d, a)])
+        try:
+            inv = ma.inverse()
+        except SingularMatrixError as err:
+            with pytest.raises(SingularMatrixError) as scaled_err:
+                scaled.inverse()
+            assert scaled_err.value.pivot_col == err.pivot_col
+            return
+        d_inv = RationalMatrix(
+            [[1 / di if i == j else 0 for j in range(len(d))] for i, di in enumerate(d)]
+        )
+        assert scaled.inverse() == inv @ d_inv
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(dims_st, dims_st).flatmap(lambda d: lists_st(*d)), st.integers(2, 50))

@@ -228,28 +228,61 @@ def test_commutable_forms_at_k1_skip_zero_powers_and_q(monkeypatch):
     assert len(products) == 1
 
 
+def _count_integer_products(monkeypatch) -> list:
+    """Record every matrix product of the recursive route: each ``@`` and
+    each integer product of the route's own (one per formed order)."""
+    products = _count_products(monkeypatch)
+    product = markov._product
+
+    def counting(rows, cols):
+        products.append((rows, cols))
+        return product(rows, cols)
+
+    monkeypatch.setattr(markov, "_product", counting)
+    return products
+
+
 @pytest.mark.parametrize("m", [0, 1, 6])
 def test_first_step_forms_one_product_per_order(monkeypatch, m):
     chain = random_chain(random.Random(5), 2, 3)
     chain.resolvent
-    products = _count_products(monkeypatch)
-    combine = markov.combine
-
-    def counting(terms):
-        terms = list(terms)
-        products.extend(t for t in terms if t[2] is not None)
-        return combine(terms)
-
-    monkeypatch.setattr(markov, "combine", counting)
-    moments, sums = markov._n1_moment_list(chain, m)
-    # u @ P_MN for M_0, then S_m = M_0 + u acc_m, and M_m = S_m - acc_m
+    products = _count_integer_products(monkeypatch)
+    moments, sums, e, delta = markov._first_step(chain, m)
+    # u @ P_MN for M_0, then (U - delta I) Acc_m for each order m >= 1
     assert len(products) == 1 + m
     monkeypatch.undo()
+    moments = [RationalMatrix._reduced(x, e * delta**j) for j, x in enumerate(moments)]
+    sums = [RationalMatrix._reduced(x, e * delta**j) for j, x in enumerate(sums)]
     assert moments == [moment_n1_closed(chain, j) for j in range(m + 1)]
     assert sums == [
         sum((binom(j, i) * moments[i] for i in range(j)), moments[j])
         for j in range(m + 1)
     ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 4])
+@pytest.mark.parametrize("variable", ["N", "R", "Nbar", "Rbar"])
+def test_convolved_forms_one_product_per_order(monkeypatch, variable, k, m):
+    chain = scalar_block_chain(random.Random(8), 3, 2)
+    chain.resolvent
+    chain.complement_resolvent
+    closed = moment_nk_commutable if variable[0] == "N" else moment_rk_commutable
+    want = closed(chain.swapped() if variable.endswith("bar") else chain, k, m)
+    products = _count_integer_products(monkeypatch)
+    assert moment_k_convolved(chain, variable, k, m) == want
+    counts = [len(products)]
+    if k == 1:
+        # the first step (1 + m), and R_1's order m only
+        expected = 1 + m + (variable[0] == "R")
+        products.clear()
+        assert moment_recursive(chain, variable + "1", m) == want
+        counts.append(len(products))
+    else:
+        # the first step (1 + m), the right base (m + 1), k - 2 full rounds
+        # of m + 1 orders and the last round's order m
+        expected = k * (m + 1) + 1
+    assert counts == [expected] * len(counts)
 
 
 def geometric_chain(p: Fraction):
