@@ -55,7 +55,8 @@ class TestInverse:
             assert inv @ m == RationalMatrix.identity(n)
 
     def test_dense_prime_block_round_trip(self):
-        # 32-state blocks whose rows share the shared denominator's factors
+        # 32-state blocks; each row of I - P_M over its shared denominator
+        # carries the other rows' primes as a common factor
         chain = dense_prime_chain(random.Random(32), 64)
         for block in (chain.p_m, chain.p_n):
             eye = RationalMatrix.identity(block.rows)
