@@ -4,13 +4,13 @@ The b family keeps the j! of the factorial moments F_j inside b(i, j, k), so
 E[(X + s)^m] = sum_j b(m, j, s) F_j / j! for every shift s.  Each law's
 closed form is that one sum, written once as a generator of the orders
 m = 0, 1, ... in ``_sums``: shift 0 gives the raw moments and shift -M_1,
-with M_1 the law's closed mean, the central moments.  Every such sum runs
-on the scaled integer b rows that :func:`msnlib.msn.msn_row_sweep` steps
-one order at a time, as one integer over one denominator, and divides once.
-A law object keeps, for the raw and the central moments, that generator
-and the list of the moments it has produced, and its closed mean, from
-first use for its lifetime: asking for orders 0..m in any order costs one
-sweep, and a lower order is a list read.  The lists are
+with M_1 order 1 of that same raw list, the central moments.  Every such
+sum runs on the scaled integer b rows that :func:`msnlib.msn.msn_row_sweep`
+steps one order at a time, as one integer over one denominator, and
+divides once.  A law object keeps, for the raw and the central moments,
+that generator and the list of the moments it has produced, from first
+use for its lifetime: asking for orders 0..m in any order costs one sweep,
+and a lower order is a list read.  The lists are
 :func:`msnlib.markov._listed`, the one list mechanism, which the scalar
 chain forms of :mod:`msnlib.markov` keep on their chain in the same way.
 ``NegBinomial`` and ``AltNegBinomial`` are the negative-binomial mixture of
@@ -48,22 +48,19 @@ from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
-from .linalg import ChainError, PartitionedChain, RationalMatrix, partition
+from .linalg import ChainError, PartitionedChain, RationalMatrix, _minus_identity
+from .linalg import partition
 from .markov import _check_orders, _horner, _listed, _nb_mixture_sums
 from .msn import msn_row_sweep, msn_rows_scaled
 from .msn1 import stirling1_triangle
 
 
 class _Law:
-    """What a law object keeps between calls: its closed mean, and under the
-    keys "raw" (shift 0) and "central" (shift -M_1) the moments
+    """What a law object keeps between calls: under the keys "raw" (shift 0)
+    and "central" (shift -M_1, with M_1 order 1 of the raw list) the moments
     E[(X + shift)^m] produced so far and the generator that produces the
     next (:func:`msnlib.markov._listed`).  The slots fill on first use and
     live as long as the object."""
-
-    @cached_property
-    def _closed_mean(self) -> Fraction:
-        return _mean(self)
 
     @cached_property
     def _lists(self) -> dict:
@@ -268,10 +265,7 @@ def _chain_sums(chain: PartitionedChain, shift: Fraction) -> Iterator[Fraction]:
     v = chain.complement_resolvent
     s, e = v.den, chain.p_mn.den * chain.p_nm.den
     left = chain.p_mn.num[0]
-    step = [
-        [n - s if i == j else n for j, n in enumerate(row)]
-        for i, row in enumerate(v.num)
-    ]
+    step = _minus_identity(v.num, s)
     right = [row[0] for row in chain.p_nm.num]
     x = [sum(map(mul, row, right)) for row in v.num]
     p_m = chain.p_m[0, 0]
@@ -282,32 +276,6 @@ def _chain_sums(chain: PartitionedChain, shift: Fraction) -> Iterator[Fraction]:
         y.append(sum(map(mul, left, x)))
         total, s_pow = _horner(list(map(mul, row, y)), 1, s)
         yield p_m * qpow(1 + shift, m) + Fraction(total, scale * s_pow * s * e)
-
-
-def _mean(law) -> Fraction:
-    """M_1 by each law's closed form; read it through ``law._closed_mean``,
-    which computes it (and the AltNegBinomial cross-check) once per object."""
-    if isinstance(law, Binomial):
-        return law.n * law.p
-    if isinstance(law, Poisson):
-        return law.lam
-    if isinstance(law, NegBinomial):
-        return law.k / law.p
-    if isinstance(law, AltNegBinomial):
-        p, q, k = law.p, law.q, law.k
-        mean = ((k - 1) * (p - q) + k) / p
-        computed = _raw(law, 1)[1]
-        if computed != mean:
-            raise ArithmeticError(
-                f"closed mean {mean} disagrees with the moment formula {computed}"
-            )
-        return mean
-    if isinstance(law, DiscreteUniform):
-        return Fraction(law.n - 1, 2)
-    # Recurrence: 1 + P_MN (I-P_N)^-1 e
-    chain = law.chain
-    ones_n = RationalMatrix.ones_column(chain.p_n.rows)
-    return 1 + (chain.p_mn @ chain.complement_resolvent @ ones_n)[0, 0]
 
 
 def raw_moment(dist: DistributionSpec, m: int) -> Fraction:
@@ -390,13 +358,14 @@ def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction
 def central_closed(dist: DistributionSpec, m: int) -> Fraction:
     """Exact m-th central moment: the law's b-sum at shift -M_1.
 
-    M_1 is the law's closed mean; the contract (enforced in tests) is
-    equality with ``central_from_raw(raw_moments(dist, m))[m]``.
+    M_1 is order 1 of the law's own raw list, the same b-sum at shift 0; the
+    contract (enforced in tests) is equality with
+    ``central_from_raw(raw_moments(dist, m))[m]``.
     """
     _check_orders(m)
     law = _law(dist)
     # the shift -M_1 is formed only when the central list is made
-    central = _listed(law._lists, "central", m, lambda: _sums(law, -law._closed_mean))
+    central = _listed(law._lists, "central", m, lambda: _sums(law, -_raw(law, 1)[1]))
     return central[m]
 
 

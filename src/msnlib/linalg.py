@@ -18,7 +18,10 @@ arithmetic at all.
 
 :func:`combine` fuses sums of products, ``sum_t c_t A_t @ B_t``: each entry
 is one integer sum over the lcm of the term denominators, reduced once.
-``+``, ``-`` and scalar ``*`` are calls of it.
+``+``, ``-`` and scalar ``*`` are calls of it.  ``@``, :func:`combine` and
+the integer routes of :mod:`msnlib.markov` share one integer product,
+:func:`_product`; :func:`_minus_identity` builds the step rows ``num - s I``
+of a resolvent ``num / s``.
 
 :class:`PartitionedChain` is a stochastic matrix split by a state subset M
 into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
@@ -61,6 +64,16 @@ class SingularMatrixError(ValueError):
 
 class ChainError(ValueError):
     """Invalid stochastic matrix or partition."""
+
+
+def _product(rows, cols) -> list[list[int]]:
+    """The integer matrix of the dot products of ``rows`` with ``cols``."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _minus_identity(num, s: int) -> list[list[int]]:
+    """The integer rows of ``num - s I`` for a square ``num``."""
+    return [[v - s * (i == j) for j, v in enumerate(row)] for i, row in enumerate(num)]
 
 
 class RationalMatrix:
@@ -168,10 +181,8 @@ class RationalMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        cols = tuple(zip(*other.num))
         return RationalMatrix._reduced(
-            [[sum(map(mul, row, col)) for col in cols] for row in self.num],
-            self.den * other.den,
+            _product(self.num, tuple(zip(*other.num))), self.den * other.den
         )
 
     def __pow__(self, n: int) -> "RationalMatrix":
@@ -292,7 +303,7 @@ def combine(terms) -> RationalMatrix:
             left.extend(row if f == 1 else [f * v for v in row])
         for right, col in zip(rights, zip(*b.num)):
             right.extend(col)
-    acc = [[sum(map(mul, left, right)) for right in rights] for left in lefts]
+    acc = _product(lefts, rights)
     for f, a in plain:
         acc = [[x + f * v for x, v in zip(out, row)] for out, row in zip(acc, a.num)]
     return RationalMatrix._reduced(acc, den)

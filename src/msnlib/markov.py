@@ -14,9 +14,10 @@ Two independent computation routes exist for every moment:
 
 * the recursive route (:func:`moment_recursive`, :func:`moment_k_convolved`)
   which only uses first-step analysis and moment convolution, and
-* closed forms whose coefficients are the b family of :mod:`msnlib.msn`
-  (:func:`moment_n1_closed`, :func:`moment_r1_closed`, and the commutable /
-  constant-row-sum specializations for general k).
+* closed forms whose coefficients are the b family of :mod:`msnlib.msn`:
+  the commutable forms for general k, whose k = 1 case holds on every chain
+  (:func:`moment_n1_closed`, :func:`moment_r1_closed`), and the
+  constant-row-sum specializations.
 
 The recursive route is the oracle: the closed forms must reproduce it
 exactly, and the test suite enforces that, as it does for the chain laws
@@ -59,6 +60,7 @@ from typing import Callable, Hashable, Iterator, Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
+from .linalg import _minus_identity, _product
 from .msn import msn_row_sweep, msn_rows_scaled
 
 
@@ -93,11 +95,6 @@ def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
     return chain.p_mn @ chain.p_n ** (n - 2) @ chain.p_nm
 
 
-def _product(rows, cols) -> list[list[int]]:
-    """The integer matrix of the dot products of ``rows`` with ``cols``."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
 def _first_step(chain: PartitionedChain, m_max: int) -> tuple[list, list, int, int]:
     """N_1's moments X_0..X_max, their binomial sums Sigma_0..Sigma_max, and
     e, delta: order j of each is an integer matrix over e delta^j.
@@ -112,9 +109,7 @@ def _first_step(chain: PartitionedChain, m_max: int) -> tuple[list, list, int, i
     u = chain.resolvent
     first = u @ chain.p_mn
     delta = u.den
-    step = [
-        [v - delta * (i == j) for j, v in enumerate(row)] for i, row in enumerate(u.num)
-    ]
+    step = _minus_identity(u.num, delta)
     moments, sums = [first.num], [first.num]
     for m in range(1, m_max + 1):
         weights = [binom(m, j) * delta ** (m - 1 - j) for j in range(m)]
@@ -242,9 +237,7 @@ def b_power_sum(
     for _ in range(shift):
         x = resolvent @ x
     s = resolvent.den
-    step = [list(row) for row in resolvent.num]
-    for i, row in enumerate(step):
-        row[i] -= s
+    step = _minus_identity(resolvent.num, s)
     acc = [[coeffs[-1] * v for v in row] for row in x.num]
     s_pow = 1
     for n in reversed(coeffs[:-1]):
@@ -368,18 +361,13 @@ def _chain_mixture(
 
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
-    """M_m(N_1) = sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN."""
-    _check_orders(m)
-    [row], scale = msn_rows_scaled(m, 1, 1)
-    return b_power_sum(row, chain.resolvent, 1, chain.p_mn, scale)
+    """M_m(N_1): :func:`moment_nk_commutable` at k = 1, valid on every chain."""
+    return moment_nk_commutable(chain, 1, m)
 
 
 def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
-    """M_m(R_1) = P_M + P_MN sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM."""
-    _check_orders(m)
-    [row], scale = msn_rows_scaled(m, 2, 1)
-    inner = b_power_sum(row, chain.complement_resolvent, 1, chain.p_nm, scale)
-    return combine([(1, chain.p_m, None), (1, chain.p_mn, inner)])
+    """M_m(R_1): :func:`moment_rk_commutable` at k = 1, valid on every chain."""
+    return moment_rk_commutable(chain, 1, m)
 
 
 def _commutable_q(chain: PartitionedChain) -> RationalMatrix:
@@ -409,10 +397,10 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     k^m P_M^k + sum_{r=1}^{k} C(k,r) P_M^(k-r) P_MN Q^(r-1)
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
 
-    At k = 1 this is :func:`moment_r1_closed` term for term, which holds on every
-    chain, so commutability is required only for k >= 2.  The b rows of the
-    shifts k+1..2k come from one table, and Q = P_NM P_MN is formed only
-    for k >= 2.
+    At k = 1 this is :func:`moment_r1_closed`, P_M + P_MN sum_j b(m, j, 2)
+    P_N^j (I-P_N)^(-j-1) P_NM, which holds on every chain, so commutability
+    is required only for k >= 2.  The b rows of the shifts k+1..2k come from
+    one table, and Q = P_NM P_MN is formed only for k >= 2.
     """
     _check_orders(m, k)
     if k >= 2:
@@ -482,8 +470,9 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     sum_{r=0}^{k-1} C(k-1, r) sum_j b(m, j, k+r) C(j+r, j)
         * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r.
 
-    At k = 1 this is :func:`moment_n1_closed` term for term, which holds on every
-    chain, so commutability is required only for k >= 2.
+    At k = 1 this is :func:`moment_n1_closed`, sum_j b(m, j, 1) P_M^j
+    (I-P_M)^(-j-1) P_MN, which holds on every chain, so commutability is
+    required only for k >= 2.
     """
     _check_orders(m, k)
     if k >= 2:

@@ -136,6 +136,8 @@ def msn_table(i_max: int, k: RationalLike, j_max: int | None = None) -> MsnTable
     """
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
+    if j_max is not None and j_max < 0:
+        raise ValueError("j_max must be nonnegative")
     k = as_rational(k)
     if j_max is None:
         j_max = i_max
@@ -231,6 +233,8 @@ def surjection_count(i: int, j: int, k: int) -> int:
     """
     import numpy as np
 
+    if i < 0 or j < 0:
+        raise ValueError("indices must be nonnegative")
     if k < 0:
         raise ValueError("combinatorial count needs integer k >= 0")
     boxes = j + k

@@ -473,25 +473,6 @@ def test_orders_in_any_order_match_a_fresh_object(law, asks):
     assert got == [fn[kind](dataclasses.replace(law), j) for kind, j in asks]
 
 
-def test_anb_checks_its_closed_mean_once_per_object(monkeypatch):
-    yields = []
-    sums = distributions._sums
-
-    def counting(law, shift):
-        for value in sums(law, shift):
-            yields.append(shift)
-            yield value
-
-    monkeypatch.setattr(distributions, "_sums", counting)
-    law = AltNegBinomial(Fraction(3, 7), Fraction(2, 5), 3)
-    central = [central_closed(law, j) for j in range(17)]
-    # the closed mean's cross-check reads orders 0 and 1 of the raw list
-    # once, then each central order is one yield
-    assert yields.count(0) == 2
-    assert len(yields) == 19
-    assert central == central_from_raw(raw_moments(dataclasses.replace(law), 16))
-
-
 # one law of each type, made one at a time so each can be the only reference
 LAW_MAKERS = [
     lambda: Binomial(7, Fraction(2, 5)),
@@ -502,6 +483,52 @@ LAW_MAKERS = [
     lambda: random_phase_type(random.Random(41), 2),
     lambda: Recurrence(random_chain(random.Random(43), 1, 2)),
 ]
+
+
+def _closed_mean(law) -> Fraction:
+    """M_1 by each law type's own closed formula, the oracle for order 1 of
+    the raw list that the central moments shift by."""
+    if isinstance(law, Binomial):
+        return law.n * law.p
+    if isinstance(law, Poisson):
+        return law.lam
+    if isinstance(law, NegBinomial):
+        return law.k / law.p
+    if isinstance(law, AltNegBinomial):
+        p, q, k = law.p, law.q, law.k
+        return ((k - 1) * (p - q) + k) / p
+    if isinstance(law, DiscreteUniform):
+        return Fraction(law.n - 1, 2)
+    # a chain law: 1 + P_MN (I-P_N)^-1 e
+    chain = law.chain
+    ones_n = RationalMatrix.ones_column(chain.p_n.rows)
+    return 1 + (chain.p_mn @ chain.complement_resolvent @ ones_n)[0, 0]
+
+
+@pytest.mark.parametrize("make", LAW_MAKERS)
+def test_raw_order_one_is_the_closed_mean(make):
+    law = make()
+    assert raw_moment(law, 1) == _closed_mean(make())
+    assert central_closed(law, 1) == 0
+
+
+@pytest.mark.parametrize("make", LAW_MAKERS)
+def test_central_list_reads_raw_orders_0_and_1_once(monkeypatch, make):
+    shifts = []
+    sums = distributions._sums
+
+    def counting(law, shift):
+        for value in sums(law, shift):
+            shifts.append(shift)
+            yield value
+
+    monkeypatch.setattr(distributions, "_sums", counting)
+    law = make()
+    central = [central_closed(law, j) for j in range(17)]
+    # the shift -M_1 reads orders 0 and 1 of the raw list once, then each
+    # central order is one yield at that shift
+    assert shifts == [0, 0] + [-_closed_mean(make())] * 17
+    assert central == central_from_raw(raw_moments(dataclasses.replace(law), 16))
 
 
 def test_laws_keep_no_reference_cycle():

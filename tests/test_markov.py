@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     anb_chain,
+    dense_prime_chain,
     random_chain,
     renewal_chain,
     rowsum_chain,
@@ -596,6 +597,23 @@ def test_commutable_forms_at_k1_hold_on_any_chain(seed, m_size, n_size, m):
     chain = random_chain(random.Random(seed), m_size, n_size)
     assert moment_nk_commutable(chain, 1, m) == moment_n1_closed(chain, m)
     assert moment_rk_commutable(chain, 1, m) == moment_r1_closed(chain, m)
+
+
+def test_k1_closed_forms_skip_the_commutability_test(monkeypatch):
+    chain = dense_prime_chain(random.Random(19), 6)
+    tested = []
+    monkeypatch.setattr(
+        markov, "is_commutable", lambda *args: tested.append(args) or False
+    )
+    for m in range(5):
+        assert moment_n1_closed(chain, m) == moment_recursive(chain, "N1", m)
+        assert moment_r1_closed(chain, m) == moment_recursive(chain, "R1", m)
+    assert tested == []
+    assert "commutable" not in chain._slots
+    monkeypatch.undo()
+    # the chain is not commutable: k = 2 must be refused
+    with pytest.raises(CommutabilityError):
+        moment_nk_commutable(chain, 2, 0)
 
 
 class TestScalarForms:

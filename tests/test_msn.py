@@ -88,6 +88,10 @@ class TestTable:
         assert tab.value(4, 3) == 0
         assert tab.value(2, 4) == 0
 
+    def test_rejects_negative_jmax(self):
+        with pytest.raises(ValueError, match="^j_max must be nonnegative$"):
+            msn_table(3, 2, -1)
+
     def test_row_beyond_imax_raises(self):
         with pytest.raises(IndexError):
             msn_table(3, 1).value(4, 0)
@@ -173,6 +177,9 @@ class TestSurjectionOracle:
     def test_rejects_negative_k_and_too_many_boxes(self):
         with pytest.raises(ValueError):
             surjection_count(2, 1, -1)
+        for i, j in ((-1, 0), (2, -1), (-1, -1)):
+            with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+                surjection_count(i, j, 0)
         with pytest.raises(ValueError, match="16 boxes"):
             surjection_count(1, 10, 7)
 
