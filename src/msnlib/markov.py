@@ -489,7 +489,8 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
         coeffs = _nb_weights(row, r + 1)
         inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail, scale)
         terms.append((binom(k - 1, r), inner, None))
-    return combine(terms)
+    # at k = 1 the one term, with coefficient 1, is already reduced
+    return combine(terms) if k > 1 else inner
 
 
 def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
