@@ -599,23 +599,6 @@ def test_commutable_forms_at_k1_hold_on_any_chain(seed, m_size, n_size, m):
     assert moment_rk_commutable(chain, 1, m) == moment_r1_closed(chain, m)
 
 
-def test_k1_closed_forms_skip_the_commutability_test(monkeypatch):
-    chain = dense_prime_chain(random.Random(19), 6)
-    tested = []
-    monkeypatch.setattr(
-        markov, "is_commutable", lambda *args: tested.append(args) or False
-    )
-    for m in range(5):
-        assert moment_n1_closed(chain, m) == moment_recursive(chain, "N1", m)
-        assert moment_r1_closed(chain, m) == moment_recursive(chain, "R1", m)
-    assert tested == []
-    assert "commutable" not in chain._slots
-    monkeypatch.undo()
-    # the chain is not commutable: k = 2 must be refused
-    with pytest.raises(CommutabilityError):
-        moment_nk_commutable(chain, 2, 0)
-
-
 class TestScalarForms:
     def test_recurrence_scalar_example(self, two_state_chain):
         assert moment_rk_scalar(two_state_chain, 1, 1) == Fraction(7, 4)
@@ -784,6 +767,19 @@ def test_commutability_is_tested_once_per_chain(monkeypatch):
     monkeypatch.undo()
     assert [a for a, _ in got] == [b for _, b in got]
     assert got[-1][0] == moment_k_convolved(chain, "R", 3, 3)
+
+
+def test_k1_closed_forms_skip_the_commutability_test(monkeypatch):
+    chain = dense_prime_chain(random.Random(19), 6)
+    tests = _counting(monkeypatch, "is_commutable")
+    for m in range(5):
+        assert moment_n1_closed(chain, m) == moment_recursive(chain, "N1", m)
+        assert moment_r1_closed(chain, m) == moment_recursive(chain, "R1", m)
+    assert tests == []
+    assert "commutable" not in chain._slots
+    # the chain is not commutable, so k = 2 is refused
+    with pytest.raises(CommutabilityError):
+        moment_nk_commutable(chain, 2, 0)
 
 
 @pytest.mark.parametrize(
