@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from operator import mul
+from itertools import accumulate, islice
+from operator import floordiv, mul
 from typing import Iterator, Sequence, Union
 
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
@@ -203,7 +203,7 @@ def _sums(law, shift: RationalLike) -> Iterator[Fraction]:
     integer rows B_j = Q^m b(m, j, .) of :func:`msn_row_sweep` and divides
     once.  With p = a/c (or lambda = a/c) the scalar laws are the integers
     Binomial: sum_{j<=J} B_j C(n, j) a^j c^(J-j) over Q^m c^J, J = min(m, n);
-    Poisson: sum_j B_j (m!/j!) a^j c^(m-j) over Q^m c^m m!;
+    Poisson: sum_j (B_j / j!) a^j c^(m-j) over Q^m c^m, B_j / j! an integer;
     DiscreteUniform: sum_j B_j C(n, j+1) over Q^m n;
     the first two by Horner in a.  NegBinomial is the one-row mixture of
     :func:`msnlib.markov._nb_mixture_sums` at b(m, j, k + shift) (X - k is
@@ -239,16 +239,12 @@ def _binomial_sums(n: int, p: Fraction, shift: RationalLike) -> Iterator[Fractio
 
 
 def _poisson_sums(lam: Fraction, shift: RationalLike) -> Iterator[Fraction]:
-    # 1/j! is (m!/j!) / m!, with m!/j! a running product; the next row is
-    # stepped from this one, so the terms are a copy
-    for m, (row, scale) in enumerate(msn_row_sweep(shift)):
-        terms = row[:]
-        falling = 1
-        for j in reversed(range(m + 1)):
-            terms[j] *= falling
-            falling *= j or 1
+    # B_j / j! is an integer: B_j is the j-th difference at 0 of the integer
+    # polynomial r -> (q r + p)^m, for shift = p/q
+    for row, scale in msn_row_sweep(shift):
+        terms = list(map(floordiv, row, accumulate(range(1, len(row)), mul, initial=1)))
         total, c_pow = _horner(terms, lam.numerator, lam.denominator)
-        yield Fraction(total, scale * c_pow * falling)
+        yield Fraction(total, scale * c_pow)
 
 
 def _chain_sums(chain: PartitionedChain, shift: Fraction) -> Iterator[Fraction]:

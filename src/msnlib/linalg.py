@@ -16,12 +16,12 @@ integer minor of ``G``, and the eliminated augmented matrix holds
 so the inverse is ``den * adj(G) diag(1/g) / det(G)`` with no rational
 arithmetic at all.
 
-:func:`combine` fuses sums of products, ``sum_t c_t A_t @ B_t``: each entry
-is one integer sum over the lcm of the term denominators, reduced once.
-``+``, ``-`` and scalar ``*`` are calls of it.  ``@``, :func:`combine` and
-the integer routes of :mod:`msnlib.markov` share one integer product,
-:func:`_product`; :func:`_minus_identity` builds the step rows ``num - s I``
-of a resolvent ``num / s``.
+:func:`combine` is a linear combination ``sum_t c_t A_t``: each entry is
+one integer sum over the lcm of the term denominators, reduced once, and
+``+``, ``-`` and scalar ``*`` are calls of it.  ``@`` is the one matrix
+product, and it and the integer routes of :mod:`msnlib.markov` share one
+integer kernel, :func:`_product`; :func:`_minus_identity` builds the step
+rows ``num - s I`` of a resolvent ``num / s``.
 
 :class:`PartitionedChain` is a stochastic matrix split by a state subset M
 into the four blocks P_M, P_MN, P_NM, P_N (N denotes the complement of M
@@ -166,13 +166,13 @@ class RationalMatrix:
         return hash((self.den, self.num))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return combine([(1, self, None), (1, other, None)])
+        return combine([(1, self), (1, other)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return combine([(1, self, None), (-1, other, None)])
+        return combine([(1, self), (-1, other)])
 
     def __mul__(self, scalar) -> "RationalMatrix":
-        return combine([(scalar, self, None)])
+        return combine([(scalar, self)])
 
     __rmul__ = __mul__
 
@@ -266,45 +266,26 @@ class RationalMatrix:
 
 
 def combine(terms) -> RationalMatrix:
-    """``sum_t c_t A_t @ B_t`` for terms ``(c_t, A_t, B_t)``, rational ``c_t``.
+    """``sum_t c_t A_t`` for pairs ``(c_t, A_t)`` of one shape, rational ``c_t``.
 
-    A term ``(c, A, None)`` adds ``c A``.  Each term is scaled to the lcm of
-    the term denominators ``c.den A.den B.den``; the product terms share one
-    integer dot product per entry (the scaled rows of every ``A_t`` against
-    the matching columns of every ``B_t``), and the result is reduced once.
-    Zero coefficients are skipped after the shapes are checked.
+    Each term is scaled to the lcm of the term denominators ``c.den A.den``,
+    so every entry is one integer sum, and the result is reduced once.  Zero
+    coefficients are skipped after the shapes are checked.
     """
     shape, live = None, []
-    for c, a, b in terms:
-        if b is not None and a.cols != b.rows:
-            raise ValueError(
-                f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-            )
-        term_shape = (a.rows, a.cols if b is None else b.cols)
-        if shape not in (None, term_shape):
+    for c, a in terms:
+        if shape not in (None, (a.rows, a.cols)):
             raise ValueError("shape mismatch")
-        shape = term_shape
+        shape = (a.rows, a.cols)
         c = c if isinstance(c, (int, Fraction)) else as_rational(c)
         if c:
-            den = c.denominator * a.den * (1 if b is None else b.den)
-            live.append((c.numerator, den, a, b))
+            live.append((c.numerator, c.denominator * a.den, a))
     if shape is None:
         raise ValueError("combine needs at least one term")
-    den = lcm(*(d for _, d, _, _ in live))
-    lefts = [[] for _ in range(shape[0])]
-    rights = [[] for _ in range(shape[1])]
-    plain = []
-    for p, d, a, b in live:
+    den = lcm(*(d for _, d, _ in live))
+    acc = [[0] * shape[1] for _ in range(shape[0])]
+    for p, d, a in live:
         f = p * (den // d)
-        if b is None:
-            plain.append((f, a))
-            continue
-        for left, row in zip(lefts, a.num):
-            left.extend(row if f == 1 else [f * v for v in row])
-        for right, col in zip(rights, zip(*b.num)):
-            right.extend(col)
-    acc = _product(lefts, rights)
-    for f, a in plain:
         acc = [[x + f * v for x, v in zip(out, row)] for out, row in zip(acc, a.num)]
     return RationalMatrix._reduced(acc, den)
 

@@ -27,8 +27,8 @@ product per order, order j over a denominator e delta^j known in advance,
 the convolution rounds keep that scheme, and a moment is reduced once, when
 it is returned.  Every closed-form b-sum runs on the scaled integer b rows
 of :func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
-shifts a form reads, and divides once: the matrix sums by
-:func:`b_power_sum`'s integer Horner, reduced once, and the five scalar
+shifts a form reads, and divides once: a commutable form by one integer
+Horner over every r (:func:`b_power_sum`), whatever k is, and the five scalar
 forms as one negative-binomial mixture over consecutive shifts,
 :func:`_nb_mixture` (one row for a plain negative-binomial sum), which the
 laws ``NegBinomial`` and ``AltNegBinomial`` read order by order from
@@ -53,7 +53,7 @@ list, and build one table per call.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from math import lcm
 from operator import add, mul
 from typing import Callable, Hashable, Iterator, Sequence
@@ -216,39 +216,40 @@ def moment_k_convolved(
 
 
 def b_power_sum(
-    coeffs: Sequence[int],
+    terms: Sequence[tuple[Sequence[int], RationalMatrix]],
     resolvent: RationalMatrix,
-    shift: int,
-    tail: RationalMatrix,
     scale: int,
 ) -> RationalMatrix:
-    """sum_j (coeffs[j] / scale) A^j V^(j+shift) tail, for V = (I-A)^-1.
+    """sum_r sum_j (c_rj / scale) A^j V^j x_r for terms (c_r, x_r), V = (I-A)^-1.
 
-    A V = V - I, so the sum is the polynomial sum_j coeffs[j] (V-I)^j applied
-    to x = V^shift tail, evaluated by Horner: one product per term, each only
-    as wide as ``tail``.  The Horner runs on integers.  With V = N/s and
-    x = X/e, the step acc <- (N - s I) acc + coeffs[j] s^(m-j) X keeps acc
-    equal to s^(m-j) e times the partial sum, so the sum is
-    acc / (s^m e scale), reduced once.  The closed forms pass a scaled
-    integer row of :func:`msn_rows_scaled`, weighted or not, with its
-    scale, and so form no Fraction at all.
+    A V = V - I, so the sum is one polynomial sum_j (V-I)^j y_j with
+    y_j = sum_r c_rj x_r, evaluated by Horner: one product per power, each
+    only as wide as the x_r.  The Horner runs on integers: with x_r = X_r/e_r,
+    e = lcm(e_r) and V = N/s, the step acc <- (N - s I) acc + s^(J-j) Y_j,
+    Y_j = sum_r c_rj (e/e_r) X_r, keeps acc equal to s^(J-j) e times the
+    partial sum, so the sum is acc / (s^J e scale), reduced once.  The
+    closed forms pass weighted scaled integer rows of :func:`msn_rows_scaled`
+    with their scale, and so form no Fraction at all.
     """
-    x = tail
-    for _ in range(shift):
-        x = resolvent @ x
+    den = lcm(*(x.den for _, x in terms))
+    lifts = [den // x.den for _, x in terms]
+    columns = list(zip_longest(*(c for c, _ in terms), fillvalue=0))
+    # entry (i, l) of every X_r side by side, so Y_j is one dot product per entry
+    entries = [list(zip(*rows)) for rows in zip(*(x.num for _, x in terms))]
     s = resolvent.den
     step = _minus_identity(resolvent.num, s)
-    acc = [[coeffs[-1] * v for v in row] for row in x.num]
+    w = list(map(mul, columns[-1], lifts))
+    acc = [[sum(map(mul, w, e)) for e in es] for es in entries]
     s_pow = 1
-    for n in reversed(coeffs[:-1]):
+    for column in reversed(columns[:-1]):
         s_pow *= s
-        f = n * s_pow
+        w = [s_pow * c * lift for c, lift in zip(column, lifts)]
         cols = tuple(zip(*acc))
         acc = [
-            [sum(map(mul, left, col)) + f * v for col, v in zip(cols, row)]
-            for left, row in zip(step, x.num)
+            [sum(map(mul, left, col)) + sum(map(mul, w, e)) for col, e in zip(cols, es)]
+            for left, es in zip(step, entries)
         ]
-    return RationalMatrix._reduced(acc, s_pow * x.den * scale)
+    return RationalMatrix._reduced(acc, s_pow * den * scale)
 
 
 def _horner(terms: list[int], a: int, c: int) -> tuple[int, int]:
@@ -397,26 +398,29 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     k^m P_M^k + sum_{r=1}^{k} C(k,r) P_M^(k-r) P_MN Q^(r-1)
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
 
-    At k = 1 this is :func:`moment_r1_closed`, P_M + P_MN sum_j b(m, j, 2)
-    P_N^j (I-P_N)^(-j-1) P_NM, which holds on every chain, so commutability
-    is required only for k >= 2.  The b rows of the shifts k+1..2k come from
-    one table, and Q = P_NM P_MN is formed only for k >= 2.
+    The left factors h_r = P_M^(k-r) P_MN Q^(r-1) V^r, V = (I-P_N)^-1, vary
+    with r, so the sum over r is one :func:`b_power_sum` on the transposes,
+    transposed back and times P_NM.  At k = 1 this is
+    :func:`moment_r1_closed`, P_M + P_MN sum_j b(m, j, 2) P_N^j
+    (I-P_N)^(-j-1) P_NM, which holds on every chain, so commutability is
+    required only for k >= 2.  The b rows of the shifts k+1..2k come from one
+    table, and Q = P_NM P_MN is formed only for k >= 2.
     """
     _check_orders(m, k)
     if k >= 2:
         q = _commutable_q(chain)
     v = chain.complement_resolvent
     rows, scale = msn_rows_scaled(m, k + 1, k)
-
-    terms = [(qpow(k, m), chain.p_m**k, None)]
-    left = chain.p_mn  # P_MN Q^(r-1)
+    terms = []
+    left, power = chain.p_mn, v  # P_MN Q^(r-1) and V^r
     for r, row in enumerate(rows, 1):
         if r > 1:
-            left = left @ q
-        inner = b_power_sum(_nb_weights(row, r), v, r, chain.p_nm, scale)
+            left, power = left @ q, power @ v
         outer = left if r == k else chain.p_m ** (k - r) @ left
-        terms.append((binom(k, r), outer, inner))
-    return combine(terms)
+        coeffs = [binom(k, r) * c for c in _nb_weights(row, r)]
+        terms.append((coeffs, (outer @ power).transpose()))
+    inner = b_power_sum(terms, v.transpose(), scale).transpose() @ chain.p_nm
+    return combine([(qpow(k, m), chain.p_m**k), (1, inner)])
 
 
 def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
@@ -468,8 +472,9 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     """Closed form for M_m(N_k) on M- and Mbar-commutable chains.
 
     sum_{r=0}^{k-1} C(k-1, r) sum_j b(m, j, k+r) C(j+r, j)
-        * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r.
+        * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r,
 
+    one :func:`b_power_sum` over x_r = (I-P_M)^(-(r+1)) P_MN P_N^(k-1-r) Q^r.
     At k = 1 this is :func:`moment_n1_closed`, sum_j b(m, j, 1) P_M^j
     (I-P_M)^(-j-1) P_MN, which holds on every chain, so commutability is
     required only for k >= 2.
@@ -479,6 +484,7 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
         q = _commutable_q(chain)
     rows, scale = msn_rows_scaled(m, k, k)
     terms = []
+    power = v = chain.resolvent  # V^(r+1)
     for r, row in enumerate(rows):
         # zero powers are skipped, not multiplied in as the identity
         tail = chain.p_mn
@@ -486,11 +492,10 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
             tail = tail @ chain.p_n ** (k - 1 - r)
         if r:
             tail = tail @ q**r
-        coeffs = _nb_weights(row, r + 1)
-        inner = b_power_sum(coeffs, chain.resolvent, r + 1, tail, scale)
-        terms.append((binom(k - 1, r), inner, None))
-    # at k = 1 the one term, with coefficient 1, is already reduced
-    return combine(terms) if k > 1 else inner
+            power = power @ v
+        coeffs = [binom(k - 1, r) * c for c in _nb_weights(row, r + 1)]
+        terms.append((coeffs, power @ tail))
+    return b_power_sum(terms, v, scale)
 
 
 def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:

@@ -235,7 +235,7 @@ def surjection_count(i: int, j: int, k: int) -> int:
 
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    if k < 0:
+    if not isinstance(k, int) or k < 0:
         raise ValueError("combinatorial count needs integer k >= 0")
     boxes = j + k
     if boxes > 16:

@@ -71,11 +71,19 @@ class Msn1Table:
             [msn1(i, j, self.k) for j in range(i + 1)] for i in range(i_max + 1)
         ]
 
+    def _stored(self, i: int, j: int) -> bool:
+        """Whether (i, j) is stored (j <= i); bad indices raise as in MsnTable."""
+        if i < 0 or j < 0:
+            raise ValueError("indices must be nonnegative")
+        if i > self.i_max:
+            raise IndexError(f"row {i} beyond table size {self.i_max}")
+        return j <= i
+
     def s(self, i: int, j: int) -> int:
-        return self.s_values[i][j] if j <= i else 0
+        return self.s_values[i][j] if self._stored(i, j) else 0
 
     def c(self, i: int, j: int) -> Fraction:
-        return self.c_values[i][j] if j <= i else Fraction(0)
+        return self.c_values[i][j] if self._stored(i, j) else Fraction(0)
 
 
 def msn1_table(i_max: int, k: RationalLike) -> Msn1Table:

@@ -405,6 +405,20 @@ def _support_or_touchard_sum(law, m):
     return sum(s * law.lam**j for j, s in enumerate(stirling2_triangle(m)[m]))
 
 
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(999)])
+def test_poisson_sums_at_a_rational_shift_match_the_defining_sum(lam):
+    # E[(X + s)^m] = sum_j b(m, j, s) lambda^j / j!, orders 0..60 in one sweep
+    shift = Fraction(-5, 4)
+    got = list(islice(distributions._poisson_sums(lam, shift), 61))
+    assert got == [
+        sum(
+            msn_direct(m, j, shift) * lam**j / math.factorial(j)
+            for j in range(m + 1)
+        )
+        for m in range(61)
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(

@@ -71,12 +71,14 @@ def positive_chain_st(draw, max_m: int = 3, max_n: int = 3):
     return partition(RationalMatrix(rows), list(range(1, m_size + 1)))
 
 
-def b_power_sum_reference(coeffs, a, shift, tail):
-    """sum_j c_j A^j V^(j+shift) tail, term by term with explicit powers."""
+def b_power_sum_reference(terms, a):
+    """sum_r sum_j c_rj A^j V^j x_r, term by term with explicit powers."""
     v = (RationalMatrix.identity(a.rows) - a).inverse()
-    acc = RationalMatrix.zeros(tail.rows, tail.cols)
-    for j, c in enumerate(coeffs):
-        acc = acc + c * (a**j @ v ** (j + shift) @ tail)
+    x = terms[0][1]
+    acc = RationalMatrix.zeros(x.rows, x.cols)
+    for coeffs, x in terms:
+        for j, c in enumerate(coeffs):
+            acc = acc + c * (a**j @ v**j @ x)
     return acc
 
 
@@ -87,26 +89,33 @@ def b_power_sum_reference(coeffs, a, shift, tail):
             substochastic_st(n),
             st.integers(1, 3).flatmap(
                 lambda c: st.lists(
-                    st.lists(fractions_st, min_size=c, max_size=c),
-                    min_size=n,
-                    max_size=n,
+                    st.lists(
+                        st.lists(fractions_st, min_size=c, max_size=c),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    min_size=1,
+                    max_size=3,
                 )
             ),
         )
     ),
-    st.integers(0, 3),
-    st.lists(st.integers(-60, 60), min_size=1, max_size=8),
+    st.lists(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=8), min_size=3, max_size=3
+    ),
     st.integers(1, 12),
 )
-def test_b_power_sum_matches_reference_loop(a_and_tail, shift, coeffs, scale):
-    a, tail_rows = a_and_tail
+def test_b_power_sum_matches_reference_loop(a_and_xs, coeffs, scale):
+    # the x_r have denominators of their own, and the coefficient lists
+    # lengths of their own
+    a, xs = a_and_xs
     try:
         v = (RationalMatrix.identity(a.rows) - a).inverse()
     except SingularMatrixError:
         assume(False)
-    tail = RationalMatrix(tail_rows)
-    want = Fraction(1, scale) * b_power_sum_reference(coeffs, a, shift, tail)
-    assert b_power_sum(coeffs, v, shift, tail, scale) == want
+    terms = [(c, RationalMatrix(x)) for c, x in zip(coeffs, xs)]
+    want = Fraction(1, scale) * b_power_sum_reference(terms, a)
+    assert b_power_sum(terms, v, scale) == want
 
 
 def nb_sum_reference(w, r, k, m):
@@ -222,11 +231,31 @@ def test_commutable_forms_at_k1_skip_zero_powers_and_q(monkeypatch):
     chain.complement_resolvent
     products = _count_products(monkeypatch)
     moment_rk_commutable(chain, 1, 4)
-    # only V @ P_NM, the V^1 of the shift; no Q, no I @ P_M, no P_M^0 @ P_MN
-    assert len(products) == 1
+    # only P_MN @ V and the one @ P_NM; no Q, no I @ P_M, no P_M^0 @ P_MN
+    assert len(products) == 2
     products.clear()
     moment_nk_commutable(chain, 1, 4)
+    # only V @ P_MN
     assert len(products) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_commutable_forms_run_one_horner_pass(monkeypatch, k):
+    chain = scalar_block_chain(random.Random(40 + k), 2, 3)
+    for variable, form in (("N", moment_nk_commutable), ("R", moment_rk_commutable)):
+        steps = []
+        minus_identity = markov._minus_identity
+
+        def counting(num, s):
+            steps.append(s)
+            return minus_identity(num, s)
+
+        monkeypatch.setattr(markov, "_minus_identity", counting)
+        got = form(chain, k, 4)
+        monkeypatch.undo()
+        # one step matrix N - sI, so one Horner in it, whatever k is
+        assert len(steps) == 1
+        assert got == moment_k_convolved(chain, variable, k, 4)
 
 
 def _count_integer_products(monkeypatch) -> list:

@@ -183,6 +183,13 @@ class TestSurjectionOracle:
         with pytest.raises(ValueError, match="16 boxes"):
             surjection_count(1, 10, 7)
 
+    def test_rejects_non_integer_k(self):
+        for k in (Fraction(1, 2), 0.5):
+            with pytest.raises(
+                ValueError, match="^combinatorial count needs integer k >= 0$"
+            ):
+                surjection_count(2, 1, k)
+
     def test_matches_algebra(self):
         assert surjection_count(3, 2, 1) == msn_direct(3, 2, 1) == 12
 

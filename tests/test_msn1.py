@@ -71,6 +71,17 @@ class TestMsn1:
                 assert tab.c(i, j) == msn1(i, j, Fraction(1, 3))
                 assert tab.s(i, j) == stirling1(i, j)
 
+    def test_table_rejects_bad_indices(self):
+        # as MsnTable.value does: no wrap-around, no bare list IndexError
+        tab = msn1_table(3, 2)
+        assert tab.c(2, 3) == 0 and tab.s(2, 3) == 0
+        for read in (tab.c, tab.s):
+            for i, j in ((2, -1), (-1, 0), (-1, -1)):
+                with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+                    read(i, j)
+            with pytest.raises(IndexError, match="^row 5 beyond table size 3$"):
+                read(5, 0)
+
 
 class TestInversion:
     def test_diagonal(self):
