@@ -33,11 +33,11 @@ are sound, and forms no product; each resolvent is inverted by the first
 route that reads it, and a singular one is a ChainError naming its block.
 A chain also carries one lazily filled dict, ``_slots``, in which the
 closed forms of :mod:`msnlib.markov` keep, for as long as the chain lives,
-its commutability verdict (Q = P_NM P_MN, or the failure message) and, per
-scalar form and k, the list of the orders computed so far with the sweep
-that extends it.  The dict takes no part in ``==``, ``hash`` or ``repr``,
-and :meth:`PartitionedChain.swapped` and ``dataclasses.replace`` start an
-empty one.
+its commutability verdict (Q = P_NM P_MN and Qbar = P_MN P_NM, or the
+failure message) and, per scalar form and k, the list of the orders
+computed so far with the sweep that extends it.  The dict takes no part
+in ``==``, ``hash`` or ``repr``, and :meth:`PartitionedChain.swapped` and
+``dataclasses.replace`` start an empty one.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ class RationalMatrix:
         )
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls._raw(((0,) * cols,) * rows, 1)
-
-    @classmethod
     def ones_column(cls, n: int) -> "RationalMatrix":
         return cls._raw(((1,),) * n, 1)
 
@@ -204,9 +200,6 @@ class RationalMatrix:
             if n & 1:
                 result = result @ base
         return result
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._raw(tuple(zip(*self.num)), self.den)
 
     def row_sums(self) -> list[Fraction]:
         return [Fraction(sum(row), self.den) for row in self.num]

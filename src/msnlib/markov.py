@@ -28,20 +28,23 @@ the convolution rounds keep that scheme, and a moment is reduced once, when
 it is returned.  Every closed-form b-sum runs on the scaled integer b rows
 of :func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
 shifts a form reads, and divides once: a commutable form by one integer
-Horner over every r (:func:`b_power_sum`), whatever k is, and the five scalar
-forms as one negative-binomial mixture over consecutive shifts,
-:func:`_nb_mixture` (one row for a plain negative-binomial sum), which the
-laws ``NegBinomial`` and ``AltNegBinomial`` read order by order from
-:func:`_nb_mixture_sums`.  The weights C(j+r-1, j) b(m, j, k) of that
-mixture and of the commutable forms come from :func:`_nb_weights`.
+Horner over every r (:func:`b_power_sum`), whatever k is, in the one loop
+of both forms (:func:`_passage_sum`, which reads R_k as a first step out of
+M and a passage back), and the five scalar forms as one negative-binomial
+mixture over consecutive shifts, :func:`_nb_mixture` (one row for a plain
+negative-binomial sum), which the laws ``NegBinomial`` and
+``AltNegBinomial`` read order by order from :func:`_nb_mixture_sums`.  The
+weights C(j+r-1, j) b(m, j, k) of that mixture and of the commutable forms
+come from :func:`_nb_weights`.
 
 A chain keeps what these forms learn about it in its slot dict
 (:class:`msnlib.linalg.PartitionedChain`), for as long as it lives.  The
 commutable forms keep the verdict of the commutability test, Q = P_NM P_MN
-or the failure message, so the test runs once per chain.  The three scalar
-chain forms keep, per k, the list of the orders produced so far and the
-:func:`_nb_mixture_sums` sweep that extends it (:func:`_listed`, the one
-list mechanism, which the laws of :mod:`msnlib.distributions` use too):
+and Qbar = P_MN P_NM or the failure message, so the test runs once per
+chain.  The three scalar chain forms keep, per k, the list of the orders
+produced so far and the :func:`_nb_mixture_sums` sweep that extends it
+(:func:`_listed`, the one list mechanism, which the laws of
+:mod:`msnlib.distributions` use too):
 an order inside the list is a read, the next order is one sweep step, and
 an order past the list's end is one :func:`_nb_mixture` over a difference
 table, which leaves the list alone.  So orders 0..m asked one at a time
@@ -371,12 +374,12 @@ def moment_r1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
     return moment_rk_commutable(chain, 1, m)
 
 
-def _commutable_q(chain: PartitionedChain) -> RationalMatrix:
-    """Q = P_NM P_MN of an M- and Mbar-commutable chain, else a
-    CommutabilityError naming the side that fails.
+def _commutable_q(chain: PartitionedChain) -> tuple[RationalMatrix, RationalMatrix]:
+    """Q = P_NM P_MN and Qbar = P_MN P_NM of an M- and Mbar-commutable chain,
+    else a CommutabilityError naming the side that fails.
 
-    The verdict, Q or the message, is kept in the chain's slot, so the
-    commutability test runs once per chain.
+    The verdict, the pair or the message, is kept in the chain's slot, so the
+    commutability test runs once per chain and Q and Qbar are formed once.
     """
     verdict = chain._slots.get("commutable")
     if verdict is None:
@@ -385,11 +388,30 @@ def _commutable_q(chain: PartitionedChain) -> RationalMatrix:
         elif not is_commutable(chain, "Mbar"):
             verdict = "chain is not Mbar-commutable"
         else:
-            verdict = chain.p_nm @ chain.p_mn
+            verdict = chain.p_nm @ chain.p_mn, chain.p_mn @ chain.p_nm
         chain._slots["commutable"] = verdict
     if isinstance(verdict, str):
         raise CommutabilityError(verdict)
     return verdict
+
+
+def _passage_sum(v, h, g, b, m: int, shift: int, weights: list[int]) -> RationalMatrix:
+    """sum_{r<k} w_r sum_j C(j+r, j) b(m, j, shift+r) (V-I)^j x_r over
+    x_r = V^(r+1) H G^r B^(k-1-r), k = len(weights): one :func:`b_power_sum`.
+
+    Both commutable forms are this sum.  Zero powers are skipped, not
+    multiplied in as the identity, so at k = 1 V H is the one product.
+    """
+    k = len(weights)
+    rows, scale = msn_rows_scaled(m, shift, k)
+    terms = []
+    left = v @ h  # V^(r+1) H G^r
+    for r, (w, row) in enumerate(zip(weights, rows)):
+        if r:
+            left = v @ left @ g
+        x = left if r == k - 1 else left @ b ** (k - 1 - r)
+        terms.append(([w * c for c in _nb_weights(row, r + 1)], x))
+    return b_power_sum(terms, v, scale)
 
 
 def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -398,29 +420,25 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     k^m P_M^k + sum_{r=1}^{k} C(k,r) P_M^(k-r) P_MN Q^(r-1)
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
 
-    The left factors h_r = P_M^(k-r) P_MN Q^(r-1) V^r, V = (I-P_N)^-1, vary
-    with r, so the sum over r is one :func:`b_power_sum` on the transposes,
-    transposed back and times P_NM.  At k = 1 this is
-    :func:`moment_r1_closed`, P_M + P_MN sum_j b(m, j, 2) P_N^j
-    (I-P_N)^(-j-1) P_NM, which holds on every chain, so commutability is
-    required only for k >= 2.  The b rows of the shifts k+1..2k come from one
-    table, and Q = P_NM P_MN is formed only for k >= 2.
+    A return is a first step out of M and a passage back: the sum is P_MN S,
+
+        S = sum_{r<k} C(k, r+1) sum_j C(j+r, j) b(m, j, k+1+r)
+            * P_N^j (I-P_N)^(-(j+r+1)) P_NM Qbar^r P_M^(k-1-r),
+
+    Qbar = P_MN P_NM, because Q commutes with P_N (the Mbar side), so Q^r
+    passes the function of P_N and leaves as P_NM Qbar^r, and P_M commutes
+    with the round trips P_MN f(P_N) P_NM and Qbar (the M side).  S is
+    :func:`_passage_sum` with V = (I-P_N)^-1, H = P_NM, G = Qbar, B = P_M.
+    At k = 1 nothing moves: this is :func:`moment_r1_closed`, P_M + P_MN
+    sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM, which holds on every chain,
+    so commutability is required only for k >= 2.
     """
     _check_orders(m, k)
-    if k >= 2:
-        q = _commutable_q(chain)
+    qbar = _commutable_q(chain)[1] if k >= 2 else None
+    weights = [binom(k, r + 1) for r in range(k)]
     v = chain.complement_resolvent
-    rows, scale = msn_rows_scaled(m, k + 1, k)
-    terms = []
-    left, power = chain.p_mn, v  # P_MN Q^(r-1) and V^r
-    for r, row in enumerate(rows, 1):
-        if r > 1:
-            left, power = left @ q, power @ v
-        outer = left if r == k else chain.p_m ** (k - r) @ left
-        coeffs = [binom(k, r) * c for c in _nb_weights(row, r)]
-        terms.append((coeffs, (outer @ power).transpose()))
-    inner = b_power_sum(terms, v.transpose(), scale).transpose() @ chain.p_nm
-    return combine([(qpow(k, m), chain.p_m**k), (1, inner)])
+    s = _passage_sum(v, chain.p_nm, qbar, chain.p_m, m, k + 1, weights)
+    return combine([(qpow(k, m), chain.p_m**k), (1, chain.p_mn @ s)])
 
 
 def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
@@ -472,30 +490,17 @@ def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     """Closed form for M_m(N_k) on M- and Mbar-commutable chains.
 
     sum_{r=0}^{k-1} C(k-1, r) sum_j b(m, j, k+r) C(j+r, j)
-        * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r,
+        * P_M^j (I-P_M)^(-(j+r+1)) P_MN P_N^(k-1-r) Q^r.
 
-    one :func:`b_power_sum` over x_r = (I-P_M)^(-(r+1)) P_MN P_N^(k-1-r) Q^r.
-    At k = 1 this is :func:`moment_n1_closed`, sum_j b(m, j, 1) P_M^j
-    (I-P_M)^(-j-1) P_MN, which holds on every chain, so commutability is
-    required only for k >= 2.
+    Q commutes with P_N, so this is :func:`_passage_sum` with
+    V = (I-P_M)^-1, H = P_MN, G = Q and B = P_N.  At k = 1 this is
+    :func:`moment_n1_closed`, sum_j b(m, j, 1) P_M^j (I-P_M)^(-j-1) P_MN,
+    which holds on every chain, so commutability is required only for k >= 2.
     """
     _check_orders(m, k)
-    if k >= 2:
-        q = _commutable_q(chain)
-    rows, scale = msn_rows_scaled(m, k, k)
-    terms = []
-    power = v = chain.resolvent  # V^(r+1)
-    for r, row in enumerate(rows):
-        # zero powers are skipped, not multiplied in as the identity
-        tail = chain.p_mn
-        if r < k - 1:
-            tail = tail @ chain.p_n ** (k - 1 - r)
-        if r:
-            tail = tail @ q**r
-            power = power @ v
-        coeffs = [binom(k - 1, r) * c for c in _nb_weights(row, r + 1)]
-        terms.append((coeffs, power @ tail))
-    return b_power_sum(terms, v, scale)
+    q = _commutable_q(chain)[0] if k >= 2 else None
+    weights = [binom(k - 1, r) for r in range(k)]
+    return _passage_sum(chain.resolvent, chain.p_mn, q, chain.p_n, m, k, weights)
 
 
 def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:

@@ -139,8 +139,7 @@ def msn_table(i_max: int, k: RationalLike, j_max: int | None = None) -> MsnTable
     if j_max is not None and j_max < 0:
         raise ValueError("j_max must be nonnegative")
     k = as_rational(k)
-    if j_max is None:
-        j_max = i_max
+    j_max = i_max if j_max is None else min(j_max, i_max)
     zero = Fraction(0)
     rows = [[Fraction(1)]]
     for i in range(1, i_max + 1):

@@ -76,6 +76,31 @@ def scalar_block_chain(
     return partition(RationalMatrix(rows), list(range(1, m_size + 1)))
 
 
+def circulant_block_chain(
+    rng: random.Random, m_size: int, n_size: int, denom: int = 12
+) -> PartitionedChain:
+    """Circulant diagonal blocks with positive entries and constant
+    off-diagonal blocks.
+
+    A circulant block has equal row and column sums, so it commutes with
+    the all-ones square matrix, and every round trip P_MN f(P_N) P_NM is a
+    multiple of that matrix: the chain is commutable on both sides, while
+    neither diagonal block is a multiple of I.
+    """
+
+    def circulant(first: list[int]) -> list[list[Fraction]]:
+        n = len(first)
+        return [
+            [Fraction(first[(j - i) % n], denom) for j in range(n)] for i in range(n)
+        ]
+
+    p_m = circulant(positive_composition(rng, rng.randint(m_size, denom - 1), m_size))
+    p_n = circulant(positive_composition(rng, rng.randint(n_size, denom - 1), n_size))
+    rows = [row + [(1 - sum(row)) / n_size] * n_size for row in p_m]
+    rows += [[(1 - sum(row)) / m_size] * m_size + row for row in p_n]
+    return partition(RationalMatrix(rows), list(range(1, m_size + 1)))
+
+
 def rowsum_chain(
     rng: random.Random, n_size: int, denom: int = 12
 ) -> PartitionedChain:

@@ -97,6 +97,20 @@ class TestTable:
         assert doc["result"]["k"] == "1/3"
         assert doc["result"]["rows"][3][0] == "1/27"
 
+    def test_csv_header_stops_at_the_last_row(self, capsys):
+        code, out = invoke(capsys, "table", "3", "1", "--jmax", "10", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "i,j0,j1,j2,j3"
+        assert lines[-1] == "3,1,7,12,6"
+
+    def test_json_jmax_is_clamped_to_imax(self, capsys):
+        argv = ("table", "3", "1", "--jmax", "10", "--format", "json")
+        code, out = invoke(capsys, *argv)
+        doc = json.loads(out)
+        assert doc["result"]["j_max"] == 3
+        assert len(doc["result"]["rows"]) == 4
+
 
 class TestInvcheck:
     def test_pass_verdict(self, capsys):

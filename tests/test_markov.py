@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     anb_chain,
+    circulant_block_chain,
     dense_prime_chain,
     random_chain,
     renewal_chain,
@@ -75,7 +76,7 @@ def b_power_sum_reference(terms, a):
     """sum_r sum_j c_rj A^j V^j x_r, term by term with explicit powers."""
     v = (RationalMatrix.identity(a.rows) - a).inverse()
     x = terms[0][1]
-    acc = RationalMatrix.zeros(x.rows, x.cols)
+    acc = RationalMatrix([[0] * x.cols] * x.rows)
     for coeffs, x in terms:
         for j, c in enumerate(coeffs):
             acc = acc + c * (a**j @ v**j @ x)
@@ -231,7 +232,7 @@ def test_commutable_forms_at_k1_skip_zero_powers_and_q(monkeypatch):
     chain.complement_resolvent
     products = _count_products(monkeypatch)
     moment_rk_commutable(chain, 1, 4)
-    # only P_MN @ V and the one @ P_NM; no Q, no I @ P_M, no P_M^0 @ P_MN
+    # only V @ P_NM and P_MN @ the sum; no Qbar, no P_M^0 and no I @ P_M
     assert len(products) == 2
     products.clear()
     moment_nk_commutable(chain, 1, 4)
@@ -455,7 +456,7 @@ def convolved_reference(chain, variable, k, m):
     def n1_list(c, m_max):
         out = [c.resolvent @ c.p_mn]
         for mm in range(1, m_max + 1):
-            acc = RationalMatrix.zeros(c.p_mn.rows, c.p_mn.cols)
+            acc = RationalMatrix([[0] * c.p_mn.cols] * c.p_mn.rows)
             for j in range(mm):
                 acc = acc + binom(mm, j) * out[j]
             out.append(c.resolvent @ (c.p_mn + c.p_m @ acc))
@@ -465,7 +466,7 @@ def convolved_reference(chain, variable, k, m):
         nbar = n1_list(c.swapped(), m_max)
         out = []
         for mm in range(m_max + 1):
-            acc = RationalMatrix.zeros(c.p_nm.rows, c.p_nm.cols)
+            acc = RationalMatrix([[0] * c.p_nm.cols] * c.p_nm.rows)
             for j in range(mm + 1):
                 acc = acc + binom(mm, j) * nbar[j]
             out.append(c.p_m + c.p_mn @ acc)
@@ -532,7 +533,7 @@ def test_closed_complement_shifts_n1(chain, k, m):
         chain.swapped().resolvent
     assert moment_recursive(chain, "Rbar1", m) == chain.p_n
     n1 = [moment_recursive(chain, "N1", j) for j in range(m + 1)]
-    want = RationalMatrix.zeros(chain.p_mn.rows, chain.p_mn.cols)
+    want = RationalMatrix([[0] * chain.p_mn.cols] * chain.p_mn.rows)
     for j in range(m + 1):
         want = want + binom(m, j) * (k - 1) ** j * n1[m - j]
     assert moment_k_convolved(chain, "N", k, m) == want @ chain.p_n ** (k - 1)
@@ -590,15 +591,24 @@ class TestCommutableForms:
             scalar_block_chain(rng, 3, 2),
             scalar_block_chain(rng, 2, 1),
         ]
+        # P_M and P_N not multiples of I, so a form that moves P_M^j or P_N^j
+        # where the chain's commutations do not allow it fails
+        rng = random.Random(20261019)
+        sizes = [(2, 3), (3, 2), (3, 4)]
+        chains += [circulant_block_chain(rng, *size) for size in sizes]
         for c in chains:
+            swapped = c.swapped()
+            forms = [
+                ("R", moment_rk_commutable, c),
+                ("N", moment_nk_commutable, c),
+                ("Rbar", moment_rk_commutable, swapped),
+                ("Nbar", moment_nk_commutable, swapped),
+            ]
             for k in range(1, 5):
                 for m in range(6):
-                    assert moment_rk_commutable(c, k, m) == moment_k_convolved(
-                        c, "R", k, m
-                    )
-                    assert moment_nk_commutable(c, k, m) == moment_k_convolved(
-                        c, "N", k, m
-                    )
+                    for variable, form, target in forms:
+                        want = moment_k_convolved(c, variable, k, m)
+                        assert form(target, k, m) == want, (variable, k, m)
 
     def test_guard_on_noncommutable(self):
         p = RationalMatrix(
