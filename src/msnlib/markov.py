@@ -420,15 +420,16 @@ def moment_rk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMat
     k^m P_M^k + sum_{r=1}^{k} C(k,r) P_M^(k-r) P_MN Q^(r-1)
         * sum_j C(j+r-1, j) b(m, j, k+r) P_N^j (I-P_N)^(-j-r) P_NM.
 
-    A return is a first step out of M and a passage back: the sum is P_MN S,
+    A return is a first step out of M and a passage back, and the sum is
+    P_MN S with Qbar = P_MN P_NM and
 
         S = sum_{r<k} C(k, r+1) sum_j C(j+r, j) b(m, j, k+1+r)
-            * P_N^j (I-P_N)^(-(j+r+1)) P_NM Qbar^r P_M^(k-1-r),
+            * P_N^j (I-P_N)^(-(j+r+1)) P_NM Qbar^r P_M^(k-1-r).
 
-    Qbar = P_MN P_NM, because Q commutes with P_N (the Mbar side), so Q^r
-    passes the function of P_N and leaves as P_NM Qbar^r, and P_M commutes
-    with the round trips P_MN f(P_N) P_NM and Qbar (the M side).  S is
-    :func:`_passage_sum` with V = (I-P_N)^-1, H = P_NM, G = Qbar, B = P_M.
+    Two commutations move the factors: Q commutes with P_N (the Mbar side),
+    so Q^r passes the inner f(P_N) and leaves as P_NM Qbar^r, and P_M
+    commutes with the round trips P_MN f(P_N) P_NM and Qbar (the M side).
+    S is :func:`_passage_sum` with V = (I-P_N)^-1, H = P_NM, G = Qbar, B = P_M.
     At k = 1 nothing moves: this is :func:`moment_r1_closed`, P_M + P_MN
     sum_j b(m, j, 2) P_N^j (I-P_N)^(-j-1) P_NM, which holds on every chain,
     so commutability is required only for k >= 2.
