@@ -14,12 +14,13 @@ and a lower order is a list read.  The lists are
 :func:`msnlib.markov._listed`, the one list mechanism, which the scalar
 chain forms of :mod:`msnlib.markov` keep on their chain in the same way.
 ``NegBinomial`` and ``AltNegBinomial`` are the negative-binomial mixture of
-:mod:`msnlib.markov`, whose five scalar forms compute it too.  A chain
-law's sum, raw and central alike, is a dot product of the swept row with
-integer weights extended one matrix-vector step per order, with no
-recursion over earlier moments.  A ``PhaseType`` is a ``Recurrence``: the law Rbar_1 of its
-embedded chain, which its constructor builds and whose I - mat it inverts
-into the resolvent slot the moments read.  The first-step recursion
+:mod:`msnlib.markov`, whose five scalar forms compute it too, from one
+swept row per order.  A chain law's sum, raw and central alike, is a dot
+product of the swept row with integer weights extended one matrix-vector
+step per order, with no recursion over earlier moments.  A ``PhaseType``
+is a ``Recurrence``: the law Rbar_1 of its embedded chain, which its
+constructor builds and whose I - mat it inverts into the resolvent slot
+the moments read.  The first-step recursion
 (:func:`msnlib.markov.moment_recursive`) is the oracle the chain laws' sums
 are checked against, as the binomial transform :func:`central_from_raw` is
 for every central closed form; :func:`factorial_moments_from_raw` inverts
@@ -50,8 +51,8 @@ from typing import Iterator, Sequence, Union
 from .exact import RationalLike, as_rational, binom, exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, _minus_identity
 from .linalg import partition
-from .markov import _check_orders, _horner, _listed, _nb_mixture_sums
-from .msn import msn_row_sweep, msn_rows_scaled
+from .markov import _check_integer, _check_orders, _horner, _listed, _nb_mixture_sums
+from .msn import msn_row_scaled, msn_row_sweep
 from .msn1 import stirling1_triangle
 
 
@@ -74,8 +75,7 @@ class Binomial(_Law):
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_rational(self.p))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_integer("n", self.n)
         if not 0 <= self.p <= 1:
             raise ValueError(f"need 0 <= p <= 1, got {self.p}")
 
@@ -99,8 +99,7 @@ class NegBinomial(_Law):
         object.__setattr__(self, "p", as_rational(self.p))
         if not 0 < self.p <= 1:
             raise ValueError(f"need 0 < p <= 1, got {self.p}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_integer("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ class AltNegBinomial(_Law):
             raise ValueError(f"need 0 < p <= 1, got {self.p}")
         if not 0 <= self.q < 1:
             raise ValueError(f"need 0 <= q < 1, got {self.q}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_integer("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,7 @@ class DiscreteUniform(_Law):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_integer("n", self.n)
 
 
 @dataclass(frozen=True)
@@ -340,15 +337,14 @@ def central_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
 
 
 def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction:
-    """C_m = sum_j b(m, j, -M_1) F_j / j!  with M_1 = F_1."""
+    """C_m = sum_j b(m, j, -M_1) F_j / j!  with M_1 = F_1, on one b row."""
     factorial = [as_rational(v) for v in factorial]
     if not factorial or factorial[0] != 1:
         raise ValueError("factorial moment list must start with F_0 = 1")
     if m >= len(factorial):
         raise ValueError(f"need factorial moments up to order {m}")
     mean = factorial[1] if len(factorial) > 1 else Fraction(0)
-    [row], scale = msn_rows_scaled(m, -mean, 1)
-    return _factorial_b_sums(factorial[: m + 1], [(row, scale)])[0]
+    return _factorial_b_sums(factorial[: m + 1], [msn_row_scaled(m, -mean)])[0]
 
 
 def central_closed(dist: DistributionSpec, m: int) -> Fraction:

@@ -25,14 +25,14 @@ of :mod:`msnlib.distributions`.  It runs on integers: its first-step
 recursion (:func:`_first_step`) forms the orders 0..m with one integer
 product per order, order j over a denominator e delta^j known in advance,
 the convolution rounds keep that scheme, and a moment is reduced once, when
-it is returned.  Every closed-form b-sum runs on the scaled integer b rows
-of :func:`msnlib.msn.msn_rows_scaled`, one table for all the consecutive
-shifts a form reads, and divides once: a commutable form by one integer
-Horner over every r (:func:`b_power_sum`), whatever k is, in the one loop
-of both forms (:func:`_passage_sum`, which reads R_k as a first step out of
-M and a passage back), and the five scalar forms as one negative-binomial
-mixture over consecutive shifts, :func:`_nb_mixture` (one row for a plain
-negative-binomial sum), which the laws ``NegBinomial`` and
+it is returned.  Every closed-form b-sum takes the scaled integer b row of
+its base shift, steps the further shifts from it (:func:`msnlib.msn.msn_shifts`)
+and divides once: a commutable form by one integer Horner over every r
+(:func:`b_power_sum`), whatever k is, in the one loop of both forms
+(:func:`_passage_sum`, which reads R_k as a first step out of M and a
+passage back), and the five scalar forms as one negative-binomial mixture
+over consecutive shifts, :func:`_nb_mixture` (the base shift alone for a
+plain negative-binomial sum), which the laws ``NegBinomial`` and
 ``AltNegBinomial`` read order by order from :func:`_nb_mixture_sums`.  The
 weights C(j+r-1, j) b(m, j, k) of that mixture and of the commutable forms
 come from :func:`_nb_weights`.
@@ -44,13 +44,10 @@ and Qbar = P_MN P_NM or the failure message, so the test runs once per
 chain.  The three scalar chain forms keep, per k, the list of the orders
 produced so far and the :func:`_nb_mixture_sums` sweep that extends it
 (:func:`_listed`, the one list mechanism, which the laws of
-:mod:`msnlib.distributions` use too):
-an order inside the list is a read, the next order is one sweep step, and
-an order past the list's end is one :func:`_nb_mixture` over a difference
-table, which leaves the list alone.  So orders 0..m asked one at a time
-cost one sweep, and a cold high order costs one table, not a sweep up to
-it.  ``moment_nb`` and ``moment_anb`` take no object that could keep a
-list, and build one table per call.
+:mod:`msnlib.distributions` use too): an order inside the list is a read,
+and an order past its end extends it by sweep steps, so orders 0..m in
+any order cost one sweep.  ``moment_nb`` and ``moment_anb`` take no
+object that could keep a list, and build one row per call.
 """
 
 from __future__ import annotations
@@ -58,13 +55,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice, zip_longest
 from math import lcm
+from numbers import Integral
 from operator import add, mul
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .exact import RationalLike, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
 from .linalg import _minus_identity, _product
-from .msn import msn_row_sweep, msn_rows_scaled
+from .msn import msn_row_scaled, msn_row_sweep, msn_shifts
 
 
 class CommutabilityError(ValueError):
@@ -75,11 +73,17 @@ class PreconditionError(ValueError):
     """A named hypothesis of a closed form does not hold for this chain."""
 
 
+def _check_integer(name: str, value, least: int = 1):
+    """A ValueError naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be " + (f">= {least}" if least else "nonnegative"))
+
+
 def _check_orders(m: int, k: int = 1):
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_integer("k", k)
+    _check_integer("moment order", m, 0)
 
 
 def dist_n1(chain: PartitionedChain, n: int) -> RationalMatrix:
@@ -231,7 +235,7 @@ def b_power_sum(
     e = lcm(e_r) and V = N/s, the step acc <- (N - s I) acc + s^(J-j) Y_j,
     Y_j = sum_r c_rj (e/e_r) X_r, keeps acc equal to s^(J-j) e times the
     partial sum, so the sum is acc / (s^J e scale), reduced once.  The
-    closed forms pass weighted scaled integer rows of :func:`msn_rows_scaled`
+    closed forms pass weighted scaled integer rows (:func:`_passage_sum`)
     with their scale, and so form no Fraction at all.
     """
     den = lcm(*(x.den for _, x in terms))
@@ -284,23 +288,23 @@ def _nb_weights(row: list[int], r: int) -> list[int]:
 
 
 def _nb_mixture(
-    rows: list[list[int]], scale: int, w: Fraction, x: Fraction | int, r0: int
+    row: list[int], scale: int, w: Fraction, x: Fraction | int, n: int, r0: int
 ) -> Fraction:
-    """sum_r C(n, r) x^r (1-x)^(n-r) sum_j C(j+r+r0-1, j) b(m, j, k_r) w^j.
+    """sum_{r<=n} C(n, r) x^r (1-x)^(n-r) sum_j C(j+r+r0-1, j) b(m, j, k+r) w^j.
 
-    n = len(rows) - 1, and ``rows`` and ``scale`` are the scaled b rows
-    q^m b(m, ., k_r) of the n+1 shifts k_r the mixture reads, over their
-    common q^m (:func:`msnlib.msn.msn_rows_scaled`).  One row, with the
-    integer x = 0, is the plain negative-binomial sum of order r0.  The
-    powers of x are combined before evaluation, so x = 0 and x = 1 stay
-    well-defined.  With x = a/d and w = a'/c in lowest terms, every term is
-    an integer over d^n q^m c^m, the inner sum by Horner in a'
-    (:func:`_horner`): one division in all.
+    ``row`` and ``scale`` are the scaled b row q^m b(m, ., k) of the base
+    shift k and its q^m (:func:`msnlib.msn.msn_row_scaled` or a step of
+    :func:`msnlib.msn.msn_row_sweep`); the rows of k+1..k+n are stepped
+    from it (:func:`msnlib.msn.msn_shifts`).  n = 0, with the integer
+    x = 0, is the plain negative-binomial sum of order r0.  The powers of x
+    are combined before evaluation, so x = 0 and x = 1 stay well-defined.
+    With x = a/d and w = a'/c in lowest terms, every term is an integer
+    over d^n q^m c^m, the inner sum by Horner in a' (:func:`_horner`): one
+    division in all.
     """
-    n = len(rows) - 1
     a, d = x.numerator, x.denominator
     total = 0
-    for r, row in enumerate(rows):
+    for r, row in enumerate(msn_shifts(row, n + 1)):
         inner, c_pow = _horner(_nb_weights(row, r + r0), w.numerator, w.denominator)
         total += binom(n, r) * a**r * (d - a) ** (n - r) * inner
     return Fraction(total, d**n * scale * c_pow)
@@ -309,13 +313,13 @@ def _nb_mixture(
 def _nb_mixture_sums(
     w: Fraction, x: Fraction | int, n: int, r0: int, base: RationalLike
 ) -> Iterator[Fraction]:
-    """:func:`_nb_mixture` over the shifts base..base+n at m = 0, 1, ...
+    """:func:`_nb_mixture` at the base shift ``base`` for m = 0, 1, ...
 
-    Each shift's rows come from its own :func:`msn_row_sweep`, and the
-    n+1 sweeps are read in step, so orders 0..m cost one sweep per shift.
+    The base rows come from one :func:`msn_row_sweep`, so orders 0..m cost
+    one sweep, and each order steps its n further shifts from its row.
     """
-    for rows in zip(*[msn_row_sweep(base + r) for r in range(n + 1)]):
-        yield _nb_mixture([row for row, _ in rows], rows[0][1], w, x, r0)
+    for row, scale in msn_row_sweep(base):
+        yield _nb_mixture(row, scale, w, x, n, r0)
 
 
 def _listed(
@@ -340,28 +344,6 @@ def _listed(
             del slots[key]
             raise
     return values
-
-
-def _chain_mixture(
-    chain: PartitionedChain,
-    key: Hashable,
-    m: int,
-    law: Callable[[], tuple[Fraction, Fraction | int, int, int, int]],
-) -> Fraction:
-    """Order m of the mixture ``law() = (w, x, n, r0, base)`` of a scalar form.
-
-    The chain keeps the form's orders at ``key`` (:func:`_listed` over
-    :func:`_nb_mixture_sums`), so an order inside the list is a read and
-    the next order is one sweep step.  An order past the list's end is one
-    :func:`_nb_mixture` over a difference table, which reaches a single
-    high order faster than sweeping up to it, and leaves the list alone.
-    ``law`` is called only when a sum is formed.
-    """
-    entry = chain._slots.get(key)
-    if m > (len(entry[0]) if entry else 0):
-        w, x, n, r0, base = law()
-        return _nb_mixture(*msn_rows_scaled(m, base, n + 1), w, x, r0)
-    return _listed(chain._slots, key, m, lambda: _nb_mixture_sums(*law()))[m]
 
 
 def moment_n1_closed(chain: PartitionedChain, m: int) -> RationalMatrix:
@@ -399,14 +381,16 @@ def _passage_sum(v, h, g, b, m: int, shift: int, weights: list[int]) -> Rational
     """sum_{r<k} w_r sum_j C(j+r, j) b(m, j, shift+r) (V-I)^j x_r over
     x_r = V^(r+1) H G^r B^(k-1-r), k = len(weights): one :func:`b_power_sum`.
 
-    Both commutable forms are this sum.  Zero powers are skipped, not
-    multiplied in as the identity, so at k = 1 V H is the one product.
+    Both commutable forms are this sum.  The b rows of shift+1..shift+k-1
+    are stepped from the one row of ``shift`` (:func:`msn_shifts`), over
+    its one scale.  Zero powers are skipped, not multiplied in as the
+    identity, so at k = 1 V H is the one product.
     """
     k = len(weights)
-    rows, scale = msn_rows_scaled(m, shift, k)
+    row, scale = msn_row_scaled(m, shift)
     terms = []
     left = v @ h  # V^(r+1) H G^r
-    for r, (w, row) in enumerate(zip(weights, rows)):
+    for r, (w, row) in enumerate(zip(weights, msn_shifts(row, k))):
         if r:
             left = v @ left @ g
         x = left if r == k - 1 else left @ b ** (k - 1 - r)
@@ -449,7 +433,7 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
         * sum_j C(j+r-1, j) b(m, j, k+r) (s_N / (1-s_N))^j
     with p = 1 - P_M: the mixture :func:`_nb_mixture` over the rows of the
     shifts k..2k, read from the chain's list of this form at k
-    (:func:`_chain_mixture`).
+    (:func:`_listed` over :func:`_nb_mixture_sums`).
     """
     _check_orders(m, k)
     if chain.p_m.rows != 1:
@@ -458,12 +442,14 @@ def moment_rk_scalar(chain: PartitionedChain, k: int, m: int) -> Fraction:
         raise PreconditionError("requires constant row sums in P_N")
     if chain.s_n == 1:
         raise PreconditionError("requires s_N != 1")
-    return _chain_mixture(
-        chain,
+    return _listed(
+        chain._slots,
         ("rk_scalar", k),
         m,
-        lambda: (chain.s_n / (1 - chain.s_n), 1 - chain.p_m[0, 0], k, 0, k),
-    )
+        lambda: _nb_mixture_sums(
+            chain.s_n / (1 - chain.s_n), 1 - chain.p_m[0, 0], k, 0, k
+        ),
+    )[m]
 
 
 def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
@@ -471,7 +457,7 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
 
     sum_j C(j+k-1, j) b(m, j, 2k) (s_M / (1-s_M))^j, the one-row
     mixture :func:`_nb_mixture` of order k, read from the chain's list of
-    this form at k (:func:`_chain_mixture`).
+    this form at k (:func:`_listed` over :func:`_nb_mixture_sums`).
     """
     _check_orders(m, k)
     if chain.p_n.rows != 1:
@@ -482,9 +468,12 @@ def moment_renewal(chain: PartitionedChain, k: int, m: int) -> Fraction:
         raise PreconditionError("requires constant row sums in P_M")
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
-    return _chain_mixture(
-        chain, ("renewal", k), m, lambda: (chain.s_m / (1 - chain.s_m), 0, 0, k, 2 * k)
-    )
+    return _listed(
+        chain._slots,
+        ("renewal", k),
+        m,
+        lambda: _nb_mixture_sums(chain.s_m / (1 - chain.s_m), 0, 0, k, 2 * k),
+    )[m]
 
 
 def moment_nk_commutable(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
@@ -511,9 +500,9 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
     sum_{r=0}^{k-1} C(k-1, r) (1-q)^r q^(k-1-r)
         * sum_j b(m, j, k+r) C(j+r, j) (s_M / (1-s_M))^j,
     the mixture :func:`_nb_mixture` with x = 1-q, read from the chain's
-    list of this form at k (:func:`_chain_mixture`).  The factor
-    ((1-q)/q)^r q^(k-1) is expanded so q = 0 stays well-defined (only the
-    r = k-1 term survives there).
+    list of this form at k (:func:`_listed` over :func:`_nb_mixture_sums`).
+    The factor ((1-q)/q)^r q^(k-1) is expanded so q = 0 stays well-defined
+    (only the r = k-1 term survives there).
     """
     _check_orders(m, k)
     if chain.p_n.rows != 1:
@@ -522,12 +511,14 @@ def moment_nk_rowsum(chain: PartitionedChain, k: int, m: int) -> RationalMatrix:
         raise PreconditionError("requires constant row sums in P_M")
     if chain.s_m == 1:
         raise PreconditionError("requires s_M != 1")
-    value = _chain_mixture(
-        chain,
+    value = _listed(
+        chain._slots,
         ("nk_rowsum", k),
         m,
-        lambda: (chain.s_m / (1 - chain.s_m), 1 - chain.p_n[0, 0], k - 1, 1, k),
-    )
+        lambda: _nb_mixture_sums(
+            chain.s_m / (1 - chain.s_m), 1 - chain.p_n[0, 0], k - 1, 1, k
+        ),
+    )[m]
     # a reduced Fraction is a canonical numerator and denominator
     column = ((value.numerator,),) * chain.p_m.rows
     return RationalMatrix._raw(column, value.denominator)
@@ -548,7 +539,7 @@ def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:
     if not 0 <= q < 1:
         raise ValueError(f"need 0 <= q < 1, got q = {q}")
     _check_orders(m, k)
-    return _nb_mixture(*msn_rows_scaled(m, k, k), (1 - p) / p, 1 - q, 1)
+    return _nb_mixture(*msn_row_scaled(m, k), (1 - p) / p, 1 - q, k - 1, 1)
 
 
 def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
@@ -562,4 +553,4 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     if not 0 < p <= 1:
         raise ValueError(f"need 0 < p <= 1, got p = {p}")
     _check_orders(m, k)
-    return _nb_mixture(*msn_rows_scaled(m, k, 1), (1 - p) / p, 0, k)
+    return _nb_mixture(*msn_row_scaled(m, k), (1 - p) / p, 0, 0, k)

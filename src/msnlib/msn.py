@@ -10,18 +10,17 @@ the second kind, which is why no division by j! is built into the family: the
 moment formulas downstream stay free of factorials this way.
 
 The production route is one integer difference table.  For k = p/q in
-lowest terms, q**i b(i, j, k) is an integer, and :func:`msn_rows_scaled`
-gives the scaled rows (q**i b(i, 0, k + t), ..., q**i b(i, i, k + t)) of the
-consecutive shifts t = 0, 1, ..., together with q**i, from one table
-(count 1 for a single row).  Every closed-form b-sum of
-:mod:`msnlib.markov` and :mod:`msnlib.distributions` runs on those integers
-and divides once.  A caller that reads the orders i = 0, 1, ... of one k
-in turn draws them from the generator :func:`msn_row_sweep` instead, which
-steps each row to the next by the triangle recurrence in integers: orders
-0..m cost O(m^2) integer steps, not the O(m^3) of m+1 difference tables.
-A caller that asks for one order once takes the difference table, which
-reaches a single row faster than stepping from row 0.  Three further,
-independent routes remain as cross-checks: the defining sum
+lowest terms, q**i b(i, j, k) is an integer, and :func:`msn_row_scaled`
+gives the scaled row (q**i b(i, 0, k), ..., q**i b(i, i, k)) and q**i.  A
+caller that reads the orders i = 0, 1, ... of one k in turn draws them from
+the generator :func:`msn_row_sweep` instead, which steps each row to the
+next by the triangle recurrence in integers: orders 0..m cost O(m^2)
+integer steps, not the O(m^3) of m+1 difference tables.  A sum over the
+consecutive shifts k, k+1, ..., k+n takes the one row of k and steps the
+others from it by the shift identity (:func:`msn_shifts`, the only code
+that forms such rows).  Every closed-form b-sum of :mod:`msnlib.markov`
+and :mod:`msnlib.distributions` runs on those integers and divides once.
+Three further, independent routes remain as cross-checks: the defining sum
 (:func:`msn_direct`), a recurrence-filled triangle (:func:`msn_table`), and
 the shift formula over the k == 0 slice (:func:`msn_shift`).
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterator
 
 from .exact import RationalLike, as_rational, binom, qpow
@@ -47,30 +47,35 @@ def msn_direct(i: int, j: int, k: RationalLike) -> Fraction:
     return total
 
 
-def msn_rows_scaled(i: int, k: RationalLike, count: int) -> tuple[list[list[int]], int]:
-    """The integer rows q**i b(i, ., k + t) for t = 0..count-1, and q**i.
+def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
+    """The integer row q**i b(i, ., k) and q**i, for k = p/q in lowest terms.
 
-    b(i, j, k + t) is the j-th forward difference of r -> (r + k)**i at
-    r = t.  With k = p/q in lowest terms, q**i * b(i, j, k + t) is then the
-    j-th forward difference of the integers (q*r + p)**i at r = t, so one
-    difference table over r = 0..i+count-1 holds every row: row t is the
-    column of differences that starts at r = t.  The consecutive shifts are
-    the step b(i, j, k+1) = b(i, j, k) + b(i, j+1, k) read off the table,
-    and all of them share the scale q**i.
+    b(i, j, k) is the j-th forward difference of r -> (r + k)**i at r = 0,
+    so q**i b(i, j, k) is the j-th forward difference of the integers
+    (q*r + p)**i at r = 0: one difference table over r = 0..i.
     """
     if i < 0:
         raise ValueError("indices must be nonnegative")
     k = as_rational(k)
     p, q = k.numerator, k.denominator
-    diffs = [(q * r + p) ** i for r in range(i + count)]
-    rows = [[] for _ in range(count)]
-    for j in range(i + 1):
-        for row, value in zip(rows, diffs):
-            row.append(value)
-        if j < i:
-            for r in range(i + count - 1 - j):
-                diffs[r] = diffs[r + 1] - diffs[r]
-    return rows, q**i
+    diffs = [(q * r + p) ** i for r in range(i + 1)]
+    row = []
+    while diffs:
+        row.append(diffs[0])
+        diffs = list(map(sub, diffs[1:], diffs))
+    return row, q**i
+
+
+def msn_shifts(row: list[int], count: int) -> list[list[int]]:
+    """The scaled rows of the shifts k, k+1, ..., k+count-1 from ``row``, that of k.
+
+    Each is stepped from the one before by b(i, j, k+1) = b(i, j, k) +
+    b(i, j+1, k), with b(i, i+1, k) = 0, over the one scale of ``row``.
+    """
+    rows = [row]
+    for _ in range(count - 1):
+        rows.append(list(map(add, rows[-1], rows[-1][1:] + [0])))
+    return rows
 
 
 def msn_row_sweep(k: RationalLike) -> Iterator[tuple[list[int], int]]:
@@ -228,7 +233,7 @@ def surjection_count(i: int, j: int, k: int) -> int:
     b(i, j, k); the enumeration is the independent combinatorial oracle for
     that fact.  The image histogram is cached per (j+k, i), so the battery
     and the tests enumerate each function space once; at most 16 boxes fit
-    the 16-bit masks.
+    the 16-bit masks, and at most 2**24 functions are enumerated.
     """
     import numpy as np
 
@@ -239,6 +244,9 @@ def surjection_count(i: int, j: int, k: int) -> int:
     boxes = j + k
     if boxes > 16:
         raise ValueError(f"brute force covers at most 16 boxes, got j + k = {boxes}")
+    # boxes**25 > 2**24 once boxes >= 2: capping i at 25 forms no huge power
+    if boxes ** min(i, 25) > 1 << 24:
+        raise ValueError(f"brute force covers at most 2**24 functions, got {boxes}**{i}")
     hist = _image_histogram(boxes, i)
     need = (1 << j) - 1
     covering = (np.arange(hist.size) & need) == need

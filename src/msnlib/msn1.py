@@ -50,10 +50,13 @@ def msn1(i: int, j: int, k: RationalLike) -> Fraction:
     """c(i, j, k) from its defining sum over the Stirling-1 triangle."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    k = as_rational(k)
-    srow = stirling1_triangle(i)[i]
+    return _c_value(stirling1_triangle(i)[i], j, as_rational(k))
+
+
+def _c_value(srow: list[int], j: int, k: Fraction) -> Fraction:
+    """sum_{r>=j} C(r, j) (-k)**(r-j) s(i, r) over the Stirling-1 row ``srow`` of i."""
     total = Fraction(0)
-    for r in range(j, i + 1):
+    for r in range(j, len(srow)):
         total += binom(r, j) * qpow(-k, r - j) * srow[r]
     return total
 
@@ -68,7 +71,8 @@ class Msn1Table:
         self.i_max = i_max
         self.s_values = stirling1_triangle(i_max)
         self.c_values = [
-            [msn1(i, j, self.k) for j in range(i + 1)] for i in range(i_max + 1)
+            [_c_value(srow, j, self.k) for j in range(len(srow))]
+            for srow in self.s_values
         ]
 
     def _stored(self, i: int, j: int) -> bool:

@@ -34,7 +34,7 @@ from msnlib.distributions import (
 from msnlib.linalg import ChainError, RationalMatrix, SingularMatrixError, partition
 from msnlib.exact import binom
 from msnlib.markov import moment_k_convolved, moment_r1_closed, moment_recursive
-from msnlib.msn import msn_direct, msn_row_sweep, msn_rows_scaled, stirling2_triangle
+from msnlib.msn import msn_direct, msn_row_scaled, msn_row_sweep, stirling2_triangle
 
 P_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 LAM_GRID = (Fraction(1, 2), Fraction(1), Fraction(3))
@@ -337,6 +337,24 @@ class TestSpecParsing:
             )
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: NegBinomial(Fraction(1, 2), Fraction(3, 2)), "k"),
+        (lambda: AltNegBinomial(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)), "k"),
+        (lambda: Binomial(n=Fraction(5, 2), p=Fraction(1, 2)), "n"),
+        (lambda: DiscreteUniform(Fraction(5, 2)), "n"),
+        (lambda: raw_moment(Poisson(Fraction(2)), Fraction(1, 2)), "moment order"),
+        (lambda: central_closed(Poisson(Fraction(2)), 1.0), "moment order"),
+    ],
+    ids=["negbinomial_k", "altnegbinomial_k", "binomial_n", "uniform_n", "raw_m", "central_m"],
+)
+def test_non_integer_size_or_order_is_a_named_error(make, name):
+    # NegBinomial(1/2, 3/2) used to give the raw moment 5/2, the others a late TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make()
+
+
 def test_anb_closed_mean_matches_formula():
     # the closed mean ((k-1)(p-q)+k)/p must agree with the moment formula
     for p in P_GRID:
@@ -567,15 +585,15 @@ def test_laws_keep_no_reference_cycle():
 def test_lower_orders_are_list_reads(monkeypatch, make):
     law = make()
     calls = []
-    rows_scaled = msn.msn_rows_scaled
+    row_scaled = msn.msn_row_scaled
 
     def counting(*args):
         calls.append(args)
-        return rows_scaled(*args)
+        return row_scaled(*args)
 
     # the markov forms and central_via_factorial reach the difference table here
-    monkeypatch.setattr(distributions, "msn_rows_scaled", counting)
-    monkeypatch.setattr(markov, "msn_rows_scaled", counting)
+    monkeypatch.setattr(distributions, "msn_row_scaled", counting)
+    monkeypatch.setattr(markov, "msn_row_scaled", counting)
     orders = [*range(11), *reversed(range(11))]
     for fn in (raw_moment, central_closed):
         got = [fn(law, j) for j in orders]
@@ -614,8 +632,7 @@ def test_factorial_b_sum_matches_fraction_terms(factorial, shift):
     want = [factorial_b_sum_reference(factorial, j, shift) for j in range(m + 1)]
     sweep = islice(msn_row_sweep(shift), m + 1)
     assert distributions._factorial_b_sums(factorial, sweep) == want
-    [row], scale = msn_rows_scaled(m, shift, 1)
-    one_row = [(row, scale)]
+    one_row = [msn_row_scaled(m, shift)]
     assert distributions._factorial_b_sums(factorial, one_row) == want[-1:]
 
 

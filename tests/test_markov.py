@@ -39,7 +39,7 @@ from msnlib.markov import (
     moment_rk_commutable,
     moment_rk_scalar,
 )
-from msnlib.msn import msn_direct, msn_rows_scaled
+from msnlib.msn import msn_direct, msn_row_scaled
 
 
 fractions_st = st.one_of(
@@ -145,7 +145,7 @@ def nb_sum_reference(w, r, k, m):
 def test_one_row_mixture_matches_fraction_horner(w, r, k, m):
     # one row with the integer x = 0 is the plain negative-binomial sum
     want = nb_sum_reference(w, r, k, m)
-    assert _nb_mixture(*msn_rows_scaled(m, k, 1), w, 0, r) == want
+    assert _nb_mixture(*msn_row_scaled(m, k), w, 0, 0, r) == want
 
 
 probability_st = st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12)
@@ -177,7 +177,7 @@ def test_alternating_sum_matches_reference_terms(args):
         * nb_sum_reference(w, r + 1, k + r + shift, m)
         for r in range(k)
     )
-    assert _nb_mixture(*msn_rows_scaled(m, k + shift, k), w, 1 - q, 1) == want
+    assert _nb_mixture(*msn_row_scaled(m, k + shift), w, 1 - q, k - 1, 1) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,7 +192,7 @@ def test_mixture_sweep_matches_one_order_mixtures(w, x, n, r0, base):
     # orders 0..8 of the swept mixture against one difference table per order
     sweep = _nb_mixture_sums(w, x, n, r0, base)
     for m, got in zip(range(9), sweep):
-        assert got == _nb_mixture(*msn_rows_scaled(m, base, n + 1), w, x, r0)
+        assert got == _nb_mixture(*msn_row_scaled(m, base), w, x, n, r0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -705,7 +705,7 @@ def test_precondition_messages(monkeypatch, form, chain, message):
         raise AssertionError("a moment was formed before the preconditions held")
 
     # every call checks the hypotheses before it reads or extends a list
-    monkeypatch.setattr(markov, "_chain_mixture", no_sum)
+    monkeypatch.setattr(markov, "_listed", no_sum)
     for m in (3, 0, 1, 3):
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             form(chain, 2, m)
@@ -747,32 +747,13 @@ def _counting(monkeypatch, name) -> list:
 @scalar_forms
 def test_scalar_form_ascending_orders_build_no_table(monkeypatch, form, make, variable):
     chain = make()
-    tables = _counting(monkeypatch, "msn_rows_scaled")
+    tables = _counting(monkeypatch, "msn_row_scaled")
     got = {k: [form(chain, k, j) for j in range(9)] for k in (1, 3)}
     assert tables == []
     monkeypatch.undo()
     assert got == {
         k: [_scalar_oracle(chain, variable, k, j) for j in range(9)] for k in (1, 3)
     }
-
-
-@scalar_forms
-def test_scalar_form_cold_high_order_starts_no_sweep(monkeypatch, form, make, variable):
-    chain = make()
-    sweeps = _counting(monkeypatch, "msn_row_sweep")
-    high = form(chain, 2, 14)
-    assert sweeps == []
-    # the list was left alone: order 0 starts it, and 14 is still past its end
-    low = [form(chain, 2, j) for j in range(4)]
-    started = len(sweeps)
-    assert started >= 1
-    assert form(chain, 2, 14) == high
-    assert len(sweeps) == started
-    monkeypatch.undo()
-    # the table and the sweep agree: a fresh chain sweeps up to order 14
-    fresh = make()
-    swept = [form(fresh, 2, j) for j in range(15)]
-    assert (swept[:4], swept[14]) == (low, high)
 
 
 @scalar_forms
@@ -946,3 +927,24 @@ class TestAlternatingAndPlain:
             moment_nb(Fraction(0), 1, 1)
         with pytest.raises(ValueError):
             moment_anb(Fraction(1, 2), Fraction(1), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: moment_nb("1/2", Fraction(3, 2), 1), "k"),
+        (lambda: moment_nb("1/2", 2, Fraction(1, 2)), "moment order"),
+        (lambda: moment_anb("1/2", "1/3", Fraction(3, 2), 1), "k"),
+        (lambda: moment_renewal(renewal_chain(random.Random(32), 2), 1.5, 1), "k"),
+        (lambda: moment_rk_scalar(rowsum_chain(random.Random(31), 2), 2.5, 1), "k"),
+        (
+            lambda: moment_k_convolved(random_chain(random.Random(3), 2, 2), "N", 2, 1.5),
+            "moment order",
+        ),
+    ],
+    ids=["nb_k", "nb_m", "anb_k", "renewal_k", "rk_scalar_k", "convolved_m"],
+)
+def test_non_integer_k_or_order_is_a_named_error(call, name):
+    # a non-integer k used to reach the b-sum: moment_nb(1/2, 3/2, 1) read 5/2
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msnlib.msn as msn
 from msnlib.exact import qpow
 from msnlib.msn import (
     msn_direct,
+    msn_row_scaled,
     msn_row_sweep,
-    msn_rows_scaled,
     msn_shift,
+    msn_shifts,
     msn_table,
     stirling2,
     stirling2_triangle,
@@ -51,17 +53,17 @@ class TestDirect:
 class TestRow:
     def test_example(self):
         # b(3, j, 1) for j = 0..3: 1, 7, 12, 6, with scale 1^3
-        assert msn_rows_scaled(3, 1, 1) == ([[1, 7, 12, 6]], 1)
+        assert msn_row_scaled(3, 1) == ([1, 7, 12, 6], 1)
 
     def test_entries_are_integers_over_one_scale(self):
         # 2^4 b(4, j, 1/2): b(4, 0, 1/2) = 1/16 and b(4, 4, 1/2) = 4!
-        [row], scale = msn_rows_scaled(4, Fraction(1, 2), 1)
+        row, scale = msn_row_scaled(4, Fraction(1, 2))
         assert all(type(v) is int for v in row)
         assert scale == 16 and row[0] == 1 and row[4] == 24 * 16
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            msn_rows_scaled(-1, 0, 1)
+            msn_row_scaled(-1, 0)
 
 
 class TestTable:
@@ -190,6 +192,23 @@ class TestSurjectionOracle:
             ):
                 surjection_count(2, 1, k)
 
+    def test_rejects_more_than_2_24_functions_before_enumerating(self, monkeypatch):
+        def no_enumeration(boxes, i):
+            raise AssertionError(f"enumerated {boxes}**{i} functions")
+
+        monkeypatch.setattr(msn, "_image_histogram", no_enumeration)
+        for i, j, k in ((12, 16, 0), (7, 10, 6), (25, 2, 0), (10**9, 1, 1)):
+            with pytest.raises(ValueError, match=r"^brute force covers at most 2\*\*24 functions"):
+                surjection_count(i, j, k)
+
+    def test_enumerates_up_to_2_24_functions(self, monkeypatch):
+        import numpy as np
+
+        # 16**6, 2**24 and 8**8 functions sit at the bound: each is enumerated
+        monkeypatch.setattr(msn, "_image_histogram", lambda boxes, i: np.zeros(1 << boxes))
+        for i, j, k in ((6, 16, 0), (24, 1, 1), (8, 7, 1)):
+            assert surjection_count(i, j, k) == 0
+
     def test_matches_algebra(self):
         assert surjection_count(3, 2, 1) == msn_direct(3, 2, 1) == 12
 
@@ -226,7 +245,7 @@ def test_one_step_shift_recurrence(i, j, k):
 @given(st.integers(0, 14), st.integers(-60, 60), st.integers(1, 12))
 def test_row_matches_direct(i, p, q):
     k = Fraction(p, q)
-    [row], scale = msn_rows_scaled(i, k, 1)
+    row, scale = msn_row_scaled(i, k)
     assert [Fraction(v, scale) for v in row] == [
         msn_direct(i, j, k) for j in range(i + 1)
     ]
@@ -239,10 +258,15 @@ def test_row_matches_direct(i, p, q):
     st.integers(1, 6),
 )
 def test_shifted_table_rows_are_single_rows(i, k, count):
-    rows, scale = msn_rows_scaled(i, k, count)
+    # msn_shifts steps the row of k to k+1, ..., k+count-1 over one scale
+    row, scale = msn_row_scaled(i, k)
+    rows = msn_shifts(row, count)
     assert len(rows) == count
     for t, row in enumerate(rows):
-        assert ([row], scale) == msn_rows_scaled(i, k + t, 1)
+        assert [Fraction(v, scale) for v in row] == [
+            msn_direct(i, j, k + t) for j in range(i + 1)
+        ]
+        assert (row, scale) == msn_row_scaled(i, k + t)
 
 
 @settings(max_examples=60, deadline=None)
