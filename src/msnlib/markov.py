@@ -55,7 +55,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice, zip_longest
 from math import lcm
-from numbers import Integral
 from operator import add, mul
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -75,7 +74,7 @@ class PreconditionError(ValueError):
 
 def _check_integer(name: str, value, least: int = 1):
     """A ValueError naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, Integral):
+    if not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ValueError(f"{name} must be " + (f">= {least}" if least else "nonnegative"))

@@ -748,8 +748,10 @@ def _counting(monkeypatch, name) -> list:
 def test_scalar_form_ascending_orders_build_no_table(monkeypatch, form, make, variable):
     chain = make()
     tables = _counting(monkeypatch, "msn_row_scaled")
+    sweeps = _counting(monkeypatch, "msn_row_sweep")
     got = {k: [form(chain, k, j) for j in range(9)] for k in (1, 3)}
-    assert tables == []
+    # one sweep per k, at the base shift, whatever the mixture's n
+    assert tables == [] and len(sweeps) == 2
     monkeypatch.undo()
     assert got == {
         k: [_scalar_oracle(chain, variable, k, j) for j in range(9)] for k in (1, 3)
