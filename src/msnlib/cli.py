@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 
 from .distributions import central_closed, raw_moments, spec_from_dict
-from .exact import as_rational, binom, format_rational
+from .exact import PreconditionError, as_rational, binom, format_rational
 from .identities import (
     Context,
     K_SET,
@@ -40,10 +40,8 @@ from .identities import (
     check_ogf,
     run_identity_suite,
 )
-from .linalg import ChainError, RationalMatrix, SingularMatrixError, chain_from_json
+from .linalg import RationalMatrix, chain_from_json
 from .markov import (
-    CommutabilityError,
-    PreconditionError,
     moment_k_convolved,
     moment_n1_closed,
     moment_r1_closed,
@@ -53,16 +51,7 @@ from .markov import (
 )
 from .msn import msn_direct, msn_table
 from .msn1 import inversion_matrix, msn1, msn1_table
-from .simulate import SimConfig, TruncationError, simulate
-
-_PRECONDITION_ERRORS = (
-    PreconditionError,
-    CommutabilityError,
-    ChainError,
-    SingularMatrixError,
-    TruncationError,
-    ValueError,
-)
+from .simulate import SimConfig, simulate
 
 
 class _CheckFailed(Exception):
@@ -315,7 +304,11 @@ def _cmd_markov(args):
 
 
 def _cmd_dist(args):
-    spec = spec_from_dict(json.loads(args.spec))
+    try:
+        obj = json.loads(args.spec)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(str(exc)) from None
+    spec = spec_from_dict(obj)
     if args.central:
         values = [central_closed(spec, m) for m in range(args.m + 1)]
     else:
@@ -412,7 +405,7 @@ def run(argv=None) -> int:
     except _CheckFailed as exc:
         _emit(args, exc.payload, exc.text, "error", "verification failed")
         return 1
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         _emit(args, {}, f"precondition failed: {exc}", "precondition-failed", str(exc))
         return 3
     except Exception as exc:  # noqa: BLE001 - report, then nonzero exit

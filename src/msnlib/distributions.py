@@ -48,10 +48,11 @@ from itertools import accumulate, islice
 from operator import floordiv, mul
 from typing import Iterator, Sequence, Union
 
-from .exact import RationalLike, as_rational, binom, exact_field, qpow
+from .exact import PreconditionError, RationalLike, _check_integer, as_rational, binom
+from .exact import exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, _minus_identity
 from .linalg import partition
-from .markov import _check_integer, _check_orders, _horner, _listed, _nb_mixture_sums
+from .markov import _check_orders, _horner, _listed, _nb_mixture_sums
 from .msn import msn_row_scaled, msn_row_sweep
 from .msn1 import stirling1_triangle
 
@@ -77,7 +78,7 @@ class Binomial(_Law):
         object.__setattr__(self, "p", as_rational(self.p))
         _check_integer("n", self.n)
         if not 0 <= self.p <= 1:
-            raise ValueError(f"need 0 <= p <= 1, got {self.p}")
+            raise PreconditionError(f"need 0 <= p <= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Poisson(_Law):
     def __post_init__(self):
         object.__setattr__(self, "lam", as_rational(self.lam))
         if self.lam <= 0:
-            raise ValueError(f"need lambda > 0, got {self.lam}")
+            raise PreconditionError(f"need lambda > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class NegBinomial(_Law):
     def __post_init__(self):
         object.__setattr__(self, "p", as_rational(self.p))
         if not 0 < self.p <= 1:
-            raise ValueError(f"need 0 < p <= 1, got {self.p}")
+            raise PreconditionError(f"need 0 < p <= 1, got {self.p}")
         _check_integer("k", self.k)
 
 
@@ -112,9 +113,9 @@ class AltNegBinomial(_Law):
         object.__setattr__(self, "p", as_rational(self.p))
         object.__setattr__(self, "q", as_rational(self.q))
         if not 0 < self.p <= 1:
-            raise ValueError(f"need 0 < p <= 1, got {self.p}")
+            raise PreconditionError(f"need 0 < p <= 1, got {self.p}")
         if not 0 <= self.q < 1:
-            raise ValueError(f"need 0 <= q < 1, got {self.q}")
+            raise PreconditionError(f"need 0 <= q < 1, got {self.q}")
         _check_integer("k", self.k)
 
 
@@ -132,7 +133,7 @@ class Recurrence(_Law):
 
     def __post_init__(self):
         if len(self.chain.m_indices) != 1:
-            raise ValueError("recurrence law needs |M| = 1")
+            raise PreconditionError("recurrence law needs |M| = 1")
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,17 @@ class PhaseType(Recurrence):
 
     def __post_init__(self):
         if self.a.rows != 1:
-            raise ValueError("initial vector must be a single row")
+            raise PreconditionError("initial vector must be a single row")
         if not self.mat.is_square or self.mat.rows != self.a.cols:
-            raise ValueError("matrix must be square with the same dimension as a")
+            raise PreconditionError("matrix must be square with the same dimension as a")
         if any(v < 0 for row in self.a.entries for v in row):
-            raise ValueError("initial vector must be nonnegative")
+            raise PreconditionError("initial vector must be nonnegative")
         if any(v < 0 for row in self.mat.entries for v in row):
-            raise ValueError("matrix entries must be nonnegative")
+            raise PreconditionError("matrix entries must be nonnegative")
         if sum(self.a.entries[0]) > 1:
-            raise ValueError("initial vector mass must not exceed 1")
+            raise PreconditionError("initial vector mass must not exceed 1")
         if any(s > 1 for s in self.mat.row_sums()):
-            raise ValueError("matrix row sums must not exceed 1")
+            raise PreconditionError("matrix row sums must not exceed 1")
         object.__setattr__(self, "chain", self.embedded_chain().swapped())
         # I - mat must be invertible: inverting it here fills the resolvent
         # slot the moments read, and a singular one is a SingularMatrixError
@@ -364,20 +365,20 @@ def central_closed(dist: DistributionSpec, m: int) -> Fraction:
 def spec_from_dict(obj: dict) -> DistributionSpec:
     """Parse the CLI JSON schema, e.g. {"type": "negbinomial", "p": "1/2", "k": 3}.
 
-    A missing field raises ``ValueError("<type> spec needs field '<name>'")``,
-    a float, boolean or (for ``n``, ``k``, ``N`` and ``M``) non-integral
-    value, or a value of the wrong shape (``a`` and ``M`` are lists, ``A``
-    and ``P`` matrices), a ValueError naming the field, and anything but a
-    JSON object
-    ``ValueError("distribution spec must be a JSON object")``.
+    Every rejection is a :class:`msnlib.exact.PreconditionError`: a missing
+    field is "<type> spec needs field '<name>'"; a float, boolean or (for
+    ``n``, ``k``, ``N`` and ``M``) non-integral value, or a value of the
+    wrong shape (``a`` and ``M`` are lists, ``A`` and ``P`` matrices), names
+    the field; anything but a JSON object is "distribution spec must be a
+    JSON object", and a law's own domain checks raise in its constructor.
     """
     if not isinstance(obj, dict):
-        raise ValueError("distribution spec must be a JSON object")
+        raise PreconditionError("distribution spec must be a JSON object")
     kind = str(obj.get("type", "")).lower()
 
     def field(name: str, integer: bool = False, depth: int = 0):
         if name not in obj:
-            raise ValueError(f"{kind} spec needs field {name!r}")
+            raise PreconditionError(f"{kind} spec needs field {name!r}")
         return exact_field(obj[name], name, integer, depth)
 
     if kind == "binomial":
@@ -398,4 +399,4 @@ def spec_from_dict(obj: dict) -> DistributionSpec:
     if kind == "recurrence":
         matrix = RationalMatrix(field("P", depth=2))
         return Recurrence(chain=partition(matrix, field("M", True, depth=1)))
-    raise ValueError(f"unknown distribution type: {obj.get('type')!r}")
+    raise PreconditionError(f"unknown distribution type: {obj.get('type')!r}")

@@ -25,6 +25,19 @@ RationalLike = Union[int, Fraction, str]
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+class PreconditionError(ValueError):
+    """An input breaks a stated requirement; the CLI exits 3 on it."""
+
+
+def _check_integer(name: str, value, least: int = 1):
+    """A PreconditionError naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an integer, got {value}")
+    if value < least:
+        bound = f">= {least}" if least else "nonnegative"
+        raise PreconditionError(f"{name} must be {bound}")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string like ``"-3/7"`` to an exact Fraction.
 
@@ -38,11 +51,11 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not an exact rational literal: {value!r}")
+            raise PreconditionError(f"not an exact rational literal: {value!r}")
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in rational literal: {value!r}") from None
+            raise PreconditionError(f"zero denominator in rational literal: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -52,20 +65,20 @@ def exact_field(value, name: str, integer: bool = False, depth: int = 0):
     ``depth`` is the field's shape: 0 a scalar, 1 a list of scalars, 2 a
     matrix (a list of such lists).  Only JSON integers and literal strings
     are read: a float was rounded when it was written and a boolean is no
-    number, so either is a ValueError naming the field, as is a
+    number, so either is a PreconditionError naming the field, as is a
     non-integral value where an integer is needed and a value of the wrong
     shape.
     """
     if depth:
         if type(value) is not list:
             shape = "a list" if depth == 1 else "a list of rows"
-            raise ValueError(f"field {name!r} must be {shape}, got {value!r}")
+            raise PreconditionError(f"field {name!r} must be {shape}, got {value!r}")
         return [exact_field(v, name, integer, depth - 1) for v in value]
     number = as_rational(value) if type(value) in (int, str) else None
     if number is not None and (not integer or number.denominator == 1):
         return number.numerator if integer else number
     kind = "an integer" if integer else "an exact rational"
-    raise ValueError(f"field {name!r} must be {kind}, got {value!r}")
+    raise PreconditionError(f"field {name!r} must be {kind}, got {value!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -51,10 +51,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import RationalLike, as_rational, exact_field, format_rational
+from .exact import PreconditionError, RationalLike, as_rational, exact_field, format_rational
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(PreconditionError):
     """Raised when elimination finds no nonzero pivot in some column."""
 
     def __init__(self, pivot_col: int):
@@ -62,7 +62,7 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular (no pivot in column {pivot_col})")
 
 
-class ChainError(ValueError):
+class ChainError(PreconditionError):
     """Invalid stochastic matrix or partition."""
 
 
@@ -84,10 +84,10 @@ class RationalMatrix:
     def __init__(self, rows_data: Sequence[Sequence[RationalLike]]):
         data = [[as_rational(v) for v in row] for row in rows_data]
         if not data or not data[0]:
-            raise ValueError("matrix must have positive dimensions")
+            raise PreconditionError("matrix must have positive dimensions")
         width = len(data[0])
         if any(len(row) != width for row in data):
-            raise ValueError("rows have inconsistent lengths")
+            raise PreconditionError("rows have inconsistent lengths")
         # the lcm of reduced denominators leaves gcd(den, *num) == 1
         den = lcm(*(v.denominator for row in data for v in row))
         self.rows = len(data)

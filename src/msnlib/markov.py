@@ -58,26 +58,14 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, Hashable, Iterator, Sequence
 
-from .exact import RationalLike, as_rational, binom, qpow
+from .exact import PreconditionError, RationalLike, _check_integer, as_rational, binom, qpow
 from .linalg import PartitionedChain, RationalMatrix, combine, is_commutable
 from .linalg import _minus_identity, _product
 from .msn import msn_row_scaled, msn_row_sweep, msn_shifts
 
 
-class CommutabilityError(ValueError):
+class CommutabilityError(PreconditionError):
     """A commutable-only closed form was applied to a non-commutable chain."""
-
-
-class PreconditionError(ValueError):
-    """A named hypothesis of a closed form does not hold for this chain."""
-
-
-def _check_integer(name: str, value, least: int = 1):
-    """A ValueError naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    if value < least:
-        raise ValueError(f"{name} must be " + (f">= {least}" if least else "nonnegative"))
 
 
 def _check_orders(m: int, k: int = 1):

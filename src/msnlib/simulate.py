@@ -17,13 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._sim_kernels import KERNELS, build_cumulative
-from .exact import as_rational
+from .exact import PreconditionError, as_rational
 from .linalg import PartitionedChain
 
 _VARIABLES = ("N", "R", "Nbar", "Rbar")
 
 
-class TruncationError(RuntimeError):
+class TruncationError(PreconditionError, RuntimeError):
     """Too many walks hit max_steps for the estimates to be trusted."""
 
 
@@ -56,11 +56,11 @@ class SimConfig:
         if self.start is not None:
             start = tuple(as_rational(v) for v in self.start)
             if len(start) != side:
-                raise ValueError(
+                raise PreconditionError(
                     f"start vector length {len(start)} != side size {side}"
                 )
             if any(v < 0 for v in start) or sum(start) != 1:
-                raise ValueError("start must be a probability vector")
+                raise PreconditionError("start must be a probability vector")
             object.__setattr__(self, "start", start)
 
     def start_side_indices(self) -> tuple[int, ...]:

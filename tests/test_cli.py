@@ -570,3 +570,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "150"
+
+
+def test_exit_3_errors_share_one_base():
+    """Exit 3 is one class: every error a caller can mend derives from it."""
+    import msnlib
+    from msnlib import ChainError, SingularMatrixError, exact, markov
+    from msnlib.simulate import TruncationError
+
+    assert msnlib.PreconditionError is markov.PreconditionError is exact.PreconditionError
+    for cls in (ChainError, SingularMatrixError, markov.CommutabilityError, TruncationError):
+        assert issubclass(cls, exact.PreconditionError)
+    assert issubclass(TruncationError, RuntimeError)
+
+
+def test_internal_value_error_exits_1(capsys, chain_file, monkeypatch):
+    """A ValueError that is no PreconditionError is a fault of the library,
+    not of the input, so it exits 1."""
+    from msnlib import markov
+
+    def broken(*args):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(markov, "_passage_sum", broken)
+    code, out = invoke(
+        capsys, "markov", "--chain", chain_file, "--var", "N", "--k", "1", "--m", "2",
+        "--method", "closed",
+    )
+    assert (code, out) == (1, "error: shape mismatch")
+
+
+def test_invalid_json_spec_exits_3(capsys):
+    code, out = invoke(capsys, "dist", "--spec", '{"type":', "--m", "1")
+    assert (code, out) == (3, "precondition failed: Expecting value: line 1 column 9 (char 8)")
