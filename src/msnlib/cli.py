@@ -13,10 +13,14 @@ One executable, nine subcommands::
     msnlib simulate --chain chain.json --var N --k 2 --reps 100000 --seed 42
 
 Every subcommand accepts ``--format json`` and then emits a stable envelope
-{"command", "inputs", "result", "status"}.  Exit codes: 0 ok, 1 internal
-error, 2 usage error, 3 precondition failed.  Rational arguments accept only
-exact literals ("a/b" or an integer); decimals would need a rounding policy,
-which this tool refuses to have.
+{"command", "inputs", "result", "status"}.  Exit codes: 0 ok; 1 a failed
+verification (``invcheck``, ``identity-suite``) or an internal error, any
+exception but the one below; 2 a usage error, from argparse; 3 a failed
+precondition, exactly :class:`msnlib.exact.PreconditionError` and its
+subclasses (a malformed chain file or spec, a chain or law outside a
+method's hypotheses, too many truncated walks).  Rational arguments accept
+only exact literals ("a/b" or an integer); decimals would need a rounding
+policy, which this tool refuses to have.
 """
 
 from __future__ import annotations

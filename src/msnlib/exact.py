@@ -7,7 +7,9 @@ representation after every operation.  This module adds the combinatorial
 building blocks the rest of the package is written in terms of: integer
 powers with the ``0**0 == 1`` convention, binomial coefficients extended to
 negative upper arguments, the generalized (rational upper argument) binomial,
-and multinomial coefficients.
+and multinomial coefficients.  It also holds :class:`PreconditionError`, the
+base of every error an input can cause, and the integer check the other
+modules share.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 class PreconditionError(ValueError):
-    """An input breaks a stated requirement; the CLI exits 3 on it."""
+    """An input breaks a stated requirement: a malformed literal, JSON field
+    or matrix, a law or chain outside its domain, a hypothesis a closed form
+    needs, too many truncated walks.  Every error a caller can mend by
+    changing the input derives from it (``ChainError``,
+    ``SingularMatrixError``, ``CommutabilityError``, ``TruncationError``),
+    and the CLI exits 3 on exactly this class and its subclasses; any other
+    exception, a bare ValueError included, is an internal fault."""
 
 
 def _check_integer(name: str, value, least: int = 1):

@@ -75,15 +75,13 @@ def _check_orders(m: int, k: int = 1):
 
 def dist_n1(chain: PartitionedChain, n: int) -> RationalMatrix:
     """P(N_1 = n) = P_M^(n-1) @ P_MN."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integer("n", n)
     return chain.p_m ** (n - 1) @ chain.p_mn
 
 
 def dist_r1(chain: PartitionedChain, n: int) -> RationalMatrix:
     """P(R_1 = 1) = P_M;  P(R_1 = n) = P_MN @ P_N^(n-2) @ P_NM for n >= 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integer("n", n)
     if n == 1:
         return chain.p_m
     return chain.p_mn @ chain.p_n ** (n - 2) @ chain.p_nm

@@ -32,13 +32,13 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterator
 
-from .exact import RationalLike, as_rational, binom, qpow
+from .exact import RationalLike, _check_integer, as_rational, binom, qpow
 
 
 def msn_direct(i: int, j: int, k: RationalLike) -> Fraction:
     """b(i, j, k) straight from the defining alternating sum."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
     k = as_rational(k)
     total = Fraction(0)
     for r in range(j + 1):
@@ -139,10 +139,9 @@ def msn_table(i_max: int, k: RationalLike, j_max: int | None = None) -> MsnTable
     This is quadratically cheaper than evaluating the defining sum per entry
     and exercises a different code path than :func:`msn_direct`.
     """
-    if i_max < 0:
-        raise ValueError("i_max must be nonnegative")
-    if j_max is not None and j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    _check_integer("i_max", i_max, 0)
+    if j_max is not None:
+        _check_integer("j_max", j_max, 0)
     k = as_rational(k)
     j_max = i_max if j_max is None else min(j_max, i_max)
     zero = Fraction(0)

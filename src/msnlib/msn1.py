@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RationalLike, as_rational, binom, qpow
+from .exact import RationalLike, _check_integer, as_rational, binom
 from .linalg import RationalMatrix
 from .msn import MsnTable, msn_table
 
@@ -48,16 +48,22 @@ def stirling1(i: int, j: int) -> int:
 
 def msn1(i: int, j: int, k: RationalLike) -> Fraction:
     """c(i, j, k) from its defining sum over the Stirling-1 triangle."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    return _c_value(stirling1_triangle(i)[i], j, as_rational(k))
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
+    return _c_value(stirling1_triangle(i)[i], j, _powers(-as_rational(k), i))
 
 
-def _c_value(srow: list[int], j: int, k: Fraction) -> Fraction:
-    """sum_{r>=j} C(r, j) (-k)**(r-j) s(i, r) over the Stirling-1 row ``srow`` of i."""
+def _powers(x: Fraction, n: int) -> list[Fraction]:
+    """x**0, x**1, ..., x**n."""
+    return [x**t for t in range(n + 1)]
+
+
+def _c_value(srow: list[int], j: int, powers: list[Fraction]) -> Fraction:
+    """sum_{r>=j} C(r, j) (-k)**(r-j) s(i, r) over the Stirling-1 row ``srow`` of
+    i, with ``powers[t] == (-k)**t``."""
     total = Fraction(0)
     for r in range(j, len(srow)):
-        total += binom(r, j) * qpow(-k, r - j) * srow[r]
+        total += binom(r, j) * powers[r - j] * srow[r]
     return total
 
 
@@ -70,8 +76,9 @@ class Msn1Table:
         self.k = as_rational(k)
         self.i_max = i_max
         self.s_values = stirling1_triangle(i_max)
+        powers = _powers(-self.k, i_max)
         self.c_values = [
-            [_c_value(srow, j, self.k) for j in range(len(srow))]
+            [_c_value(srow, j, powers) for j in range(len(srow))]
             for srow in self.s_values
         ]
 
@@ -91,8 +98,7 @@ class Msn1Table:
 
 
 def msn1_table(i_max: int, k: RationalLike) -> Msn1Table:
-    if i_max < 0:
-        raise ValueError("i_max must be nonnegative")
+    _check_integer("i_max", i_max, 0)
     return Msn1Table(k, i_max)
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msnlib.cli import run
 
@@ -322,6 +326,19 @@ class TestMarkov:
         path.write_text(json.dumps(chain))
         assert self._markov_on(capsys, path) == (3, f"precondition failed: field {message}")
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([], "matrix must have positive dimensions"),
+            ([[]], "matrix must have positive dimensions"),
+            ([["1/2", "1/2"], ["1"]], "rows have inconsistent lengths"),
+        ],
+    )
+    def test_misshapen_matrix_exits_3(self, capsys, tmp_path, matrix, message):
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps({"P": matrix, "M": [1]}))
+        assert self._markov_on(capsys, path) == (3, f"precondition failed: {message}")
+
     def _markov_on(self, capsys, path):
         return invoke(
             capsys, "markov", "--chain", str(path), "--var", "N", "--k", "1", "--m", "1"
@@ -419,6 +436,26 @@ class TestDist:
         code, out = invoke(capsys, "dist", "--spec", spec, "--m", "1")
         assert (code, out) == (3, f"precondition failed: field {message}")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"type":"phasetype","a":[],"A":[]}', "matrix must have positive dimensions"),
+            (
+                '{"type":"phasetype","a":["1/2","1/2"],"A":[["1/2"]]}',
+                "matrix must be square with the same dimension as a",
+            ),
+            (
+                '{"type":"recurrence","P":[["1/2","1/2"],["2/3","1/3"]],"M":[1,2]}',
+                "complement of M must be nonempty",
+            ),
+            ('{"type":"negbinomial","p":"1/3","k":0}', "k must be >= 1"),
+            ('{"type":"nope"}', "unknown distribution type: 'nope'"),
+        ],
+    )
+    def test_law_outside_its_domain_exits_3(self, capsys, spec, message):
+        code, out = invoke(capsys, "dist", "--spec", spec, "--m", "1")
+        assert (code, out) == (3, f"precondition failed: {message}")
+
     def test_integer_string_field_accepted(self, capsys):
         spec = '{"type":"binomial","n":"3","p":"1/2"}'
         assert invoke(capsys, "dist", "--spec", spec, "--m", "1") == (0, "m=0: 1\nm=1: 3/2")
@@ -471,6 +508,21 @@ class TestSimulate:
         estimates = json.loads(out)["result"]["estimates"]
         for est, want in zip(estimates, exact):
             assert abs(est["mean"] - want) <= 5 * est["std_error"]
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ("1/2,1/2", "start vector length 2 != side size 1"),
+        ("1/2", "start must be a probability vector"),
+    ],
+)
+def test_bad_start_vector_exits_3(capsys, chain_file, start, message):
+    code, out = invoke(
+        capsys, "simulate", "--chain", chain_file, "--var", "N", "--k", "1",
+        "--reps", "10", "--seed", "1", "--start", start,
+    )
+    assert (code, out) == (3, f"precondition failed: {message}")
 
 
 def test_usage_error_exit_code():
@@ -603,3 +655,172 @@ def test_internal_value_error_exits_1(capsys, chain_file, monkeypatch):
 def test_invalid_json_spec_exits_3(capsys):
     code, out = invoke(capsys, "dist", "--spec", '{"type":', "--m", "1")
     assert (code, out) == (3, "precondition failed: Expecting value: line 1 column 9 (char 8)")
+
+
+# Chain files for the exit-code property: well-formed chains, and one of
+# each way a file can be malformed or degenerate.
+_PROPERTY_CHAINS = {
+    "two-state": {"P": [["1/2", "1/2"], ["2/3", "1/3"]], "M": [1]},
+    "three-state": {
+        "P": [["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"]],
+        "M": [1, 2],
+    },
+    "periodic": {"P": [["0", "1"], ["1", "0"]], "M": [1]},
+    "empty-object": {},
+    "empty-matrix": {"P": [], "M": [1]},
+    "empty-row": {"P": [[]], "M": [1]},
+    "ragged": {"P": [["1/2", "1/2"], ["1"]], "M": [1]},
+    "non-square": {"P": [["1/2", "1/2"]], "M": [1]},
+    "negative-entry": {"P": [["3/2", "-1/2"], ["1/2", "1/2"]], "M": [1]},
+    "row-sum": {"P": [["1/2", "1/3"], ["2/3", "1/3"]], "M": [1]},
+    "duplicate-M": {"P": [["1/3"] * 3] * 3, "M": [1, 1]},
+    "out-of-range-M": {"P": [["1/2", "1/2"], ["2/3", "1/3"]], "M": [3]},
+    "all-M": {"P": [["1/2", "1/2"], ["2/3", "1/3"]], "M": [1, 2]},
+    "absorbing-N": {"P": [["1/2", "1/2"], ["0", "1"]], "M": [1]},
+    "absorbing-M": {"P": [["1", "0"], ["1/2", "1/2"]], "M": [1]},
+    "float-entry": {"P": [[0.5, 0.5], [0.5, 0.5]], "M": [1]},
+    "zero-denominator": {"P": [["1/0", "1/2"], ["2/3", "1/3"]], "M": [1]},
+}
+_PROPERTY_TEXTS = {"empty-file": "", "invalid-json": "{"}
+_SPECS = [
+    '{"type":"binomial","n":3,"p":"1/2"}',
+    '{"type":"binomial","p":"1/2"}',
+    '{"type":"binomial","n":-1,"p":"1/2"}',
+    '{"type":"binomial","n":3,"p":"3/2"}',
+    '{"type":"poisson","lambda":"0"}',
+    '{"type":"poisson","lambda":"5/2"}',
+    '{"type":"negbinomial","p":"1/3","k":0}',
+    '{"type":"altnegbinomial","p":"1/2","q":"1","k":2}',
+    '{"type":"uniform","N":0}',
+    '{"type":"uniform","N":1.5}',
+    '{"type":"phasetype","a":[],"A":[]}',
+    '{"type":"phasetype","a":["1"],"A":[["1"]]}',
+    '{"type":"phasetype","a":["1/2","1/2"],"A":[["1/2"]]}',
+    '{"type":"phasetype","a":["1"],"A":[["1/2"],["1/2"]]}',
+    '{"type":"recurrence","P":[["1/2","1/2"],["2/3","1/3"]],"M":[1]}',
+    '{"type":"recurrence","P":[["1/2","1/2"],["2/3","1/3"]],"M":[1,2]}',
+    '{"type":"recurrence","P":[["1","0"],["1/2","1/2"]],"M":[1]}',
+    '{"type":"recurrence","P":[["1/3","1/3","1/3"],["1/2","1/2","0"],["0","0","1"]],"M":[1,2]}',
+    '{"type":"nope"}',
+    "[]",
+    "null",
+    "{",
+    "",
+]
+_RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/3", "7", "1/0", "0.5"])
+_VARIABLES = st.sampled_from(["N", "R", "Nbar", "Rbar"])
+
+
+def _small(high):
+    return st.integers(0, high).map(str)
+
+
+def _option(name, values):
+    return st.one_of(values.map(lambda v: [name, v]), st.just([]))
+
+
+@st.composite
+def _cli_argv(draw, command):
+    """Arguments for ``command``, with the chain file given by its name or
+    as the JSON object to write."""
+    kset = st.lists(_RATIONALS, min_size=1, max_size=3).map(",".join)
+    if command in ("msn", "msn1"):
+        args = [draw(_small(6)), draw(_small(6)), draw(_RATIONALS)]
+    elif command == "table":
+        args = [draw(_small(6)), draw(_RATIONALS), *draw(_option("--jmax", _small(8)))]
+    elif command == "invcheck":
+        args = [draw(_small(4)), draw(_RATIONALS), draw(_RATIONALS)]
+    elif command == "gf-check":
+        which = st.sampled_from(["ogf", "egf", "bgf", "all"])
+        args = ["--which", draw(which), "--jmax", draw(_small(3)),
+                "--order", draw(_small(4)), *draw(_option("--kset", kset))]
+    elif command == "identity-suite":
+        args = ["--imax", draw(_small(4)), "--order", draw(_small(4)),
+                "--kset", draw(_RATIONALS)]
+    elif command == "dist":
+        args = ["--spec", draw(st.sampled_from(_SPECS)), "--m", draw(_small(4))]
+        args += draw(st.sampled_from([[], ["--central"]]))
+    else:
+        # a third of the draws read a well-formed chain, so the runs succeed
+        # too; the generated files are mostly ragged, non-square or not
+        # stochastic, with M anywhere in -1..4
+        good = ["two-state", "three-state", "periodic"]
+        bad = sorted({*_PROPERTY_CHAINS, *_PROPERTY_TEXTS, "missing-file"} - {*good})
+        entries = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "-1/2", "3/2", 0.5])
+        generated = st.fixed_dictionaries(
+            {
+                "P": st.lists(st.lists(entries, max_size=3), max_size=3),
+                "M": st.lists(st.integers(-1, 4), max_size=3),
+            }
+        )
+        chain = draw(st.one_of(st.sampled_from(good), st.sampled_from(bad), generated))
+        args = ["--chain", chain, "--var", draw(_VARIABLES)]
+        if command == "markov":
+            methods = st.sampled_from(["recursive", "closed", "commutable", "convolved"])
+            args += ["--k", str(draw(st.integers(1, 3))), "--m", draw(_small(3)),
+                     "--method", draw(methods)]
+        else:
+            # --start must match the side of the chain the walks start on,
+            # so a list of one to three entries is often of the wrong length
+            start = st.lists(_RATIONALS, min_size=1, max_size=3).map(",".join)
+            args += ["--k", str(draw(st.integers(1, 2))),
+                     "--reps", str(draw(st.integers(1, 200))), "--seed", draw(_small(9)),
+                     "--max-steps", str(draw(st.integers(1, 500))),
+                     *draw(_option("--start", start))]
+    formats = ["text", "json", "csv"] if command == "table" else ["text", "json"]
+    return [command, *args, "--format", draw(st.sampled_from(formats))]
+
+
+@pytest.fixture(scope="module")
+def property_chains(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("chains")
+    for name, obj in _PROPERTY_CHAINS.items():
+        (folder / f"{name}.json").write_text(json.dumps(obj))
+    for name, text in _PROPERTY_TEXTS.items():
+        (folder / f"{name}.json").write_text(text)
+    return folder
+
+
+def _verdict(out: str) -> bool:
+    """Whether ``out`` reports a verification that ran and failed."""
+    if out.startswith("{"):
+        return json.loads(out)["status"]["message"] == "verification failed"
+    return out.endswith(("\nFAIL", "FAILURES PRESENT"))
+
+
+# The commands that read a file or a spec have the most ways to fail, so
+# they get the most examples.  The identity battery's fixed-size checks cost
+# about 0.3 s a run whatever --imax is, so it gets few, each with one k.
+_EXAMPLES = {
+    "msn": 20, "msn1": 20, "table": 20, "invcheck": 20, "gf-check": 20,
+    "identity-suite": 4, "markov": 80, "dist": 50, "simulate": 80,
+}
+
+
+@pytest.mark.parametrize("command", list(_EXAMPLES))
+def test_exit_code_contract(property_chains, command):
+    """Exit 0 ok, 2 usage, 3 precondition, 1 only a failed verification, and
+    never a traceback, over every subcommand and malformed input."""
+
+    @settings(max_examples=_EXAMPLES[command], deadline=None, derandomize=True)
+    @given(argv=_cli_argv(command))
+    def check(argv):
+        if "--chain" in argv:
+            at = argv.index("--chain") + 1
+            if isinstance(argv[at], dict):
+                (property_chains / "generated.json").write_text(json.dumps(argv[at]))
+                argv[at] = "generated"
+            argv[at] = str(property_chains / f"{argv[at]}.json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue().rstrip("\n"), err.getvalue()
+        assert "Traceback" not in out + err
+        assert code in (0, 2, 3) or (code == 1 and _verdict(out)), (code, out, err)
+        if code == 3 and argv[-1] == "text":
+            assert out.startswith("precondition failed: ")
+
+    check()

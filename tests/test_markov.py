@@ -340,6 +340,15 @@ class TestDistributions:
             ones = RationalMatrix.ones_column(len(c.n_indices))
             assert mass @ ones == RationalMatrix.ones_column(len(c.m_indices))
 
+    @pytest.mark.parametrize("law", [dist_n1, dist_r1])
+    @pytest.mark.parametrize("n", [2.5, Fraction(5, 2)])
+    def test_non_integer_n_is_a_named_error(self, two_state_chain, law, n):
+        # it once failed late, in RationalMatrix.__pow__, with a bare TypeError
+        with pytest.raises(PreconditionError, match=f"^n must be an integer, got {n}$"):
+            law(two_state_chain, n)
+        with pytest.raises(PreconditionError, match="^n must be >= 1$"):
+            law(two_state_chain, 0)
+
     def test_recurrence_at_one(self, two_state_chain):
         assert dist_r1(two_state_chain, 1) == two_state_chain.p_m
 

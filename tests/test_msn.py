@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msnlib.msn as msn
-from msnlib.exact import qpow
+from msnlib.exact import PreconditionError, qpow
 from msnlib.msn import (
     msn_direct,
     msn_row_scaled,
@@ -48,6 +48,20 @@ class TestDirect:
                 assert msn_direct(0, j, k) == 0
             for i in range(6):
                 assert msn_direct(i, 0, k) == qpow(k, i)
+
+
+    @pytest.mark.parametrize(
+        "i, j", [(2.5, 1), (Fraction(1, 2), 1), (3, 1.5), (3, Fraction(3, 2))]
+    )
+    def test_rejects_non_integer_index(self, i, j):
+        # a float i once gave a float value, a Fraction i a float too
+        with pytest.raises(PreconditionError, match="^indices must be an integer, got "):
+            msn_direct(i, j, 1)
+
+    def test_rejects_negative_index(self):
+        for i, j in ((-1, 0), (2, -1)):
+            with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+                msn_direct(i, j, 1)
 
 
 class TestRow:
@@ -93,6 +107,14 @@ class TestTable:
     def test_rejects_negative_jmax(self):
         with pytest.raises(ValueError, match="^j_max must be nonnegative$"):
             msn_table(3, 2, -1)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((2.5, 1), "i_max"), ((Fraction(5, 2), 1), "i_max"), ((3, 1, 1.5), "j_max")],
+    )
+    def test_rejects_non_integer_size(self, args, name):
+        with pytest.raises(PreconditionError, match=f"^{name} must be an integer, got "):
+            msn_table(*args)
 
     def test_row_beyond_imax_raises(self):
         with pytest.raises(IndexError):

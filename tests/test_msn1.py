@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnlib.exact import binom, qpow
+from msnlib.exact import PreconditionError, binom, qpow
 from msnlib.linalg import RationalMatrix
 from msnlib.msn import msn_direct, msn_table
 from msnlib.msn1 import (
@@ -81,6 +81,18 @@ class TestMsn1:
                     read(i, j)
             with pytest.raises(IndexError, match="^row 5 beyond table size 3$"):
                 read(5, 0)
+
+
+    @pytest.mark.parametrize("i, j", [(2.5, 1), (Fraction(5, 2), 1), (3, 1.5)])
+    def test_rejects_non_integer_index(self, i, j):
+        with pytest.raises(PreconditionError, match="^indices must be an integer, got "):
+            msn1(i, j, 1)
+        with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+            msn1(-1, 0, 1)
+
+    def test_table_rejects_non_integer_size(self):
+        with pytest.raises(PreconditionError, match="^i_max must be an integer, got 5/2$"):
+            msn1_table(Fraction(5, 2), 1)
 
 
 class TestInversion:
