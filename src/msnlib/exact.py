@@ -8,8 +8,8 @@ building blocks the rest of the package is written in terms of: integer
 powers with the ``0**0 == 1`` convention, binomial coefficients extended to
 negative upper arguments, the generalized (rational upper argument) binomial,
 and multinomial coefficients.  It also holds :class:`PreconditionError`, the
-base of every error an input can cause, and the integer check the other
-modules share.
+base of every error that input given to the CLI can cause, and the integer
+check the other modules share.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 class PreconditionError(ValueError):
     """An input breaks a stated requirement: a malformed literal, JSON field
     or matrix, a law or chain outside its domain, a hypothesis a closed form
-    needs, too many truncated walks.  Every error a caller can mend by
-    changing the input derives from it (``ChainError``,
-    ``SingularMatrixError``, ``CommutabilityError``, ``TruncationError``),
-    and the CLI exits 3 on exactly this class and its subclasses; any other
-    exception, a bare ValueError included, is an internal fault."""
+    needs, too many truncated walks.  Every error that input given to the
+    CLI can cause derives from it (``ChainError``, ``SingularMatrixError``,
+    ``CommutabilityError``, ``TruncationError``), and the CLI exits 3 on
+    exactly this class and its subclasses; any other exception, a bare
+    ValueError included, is an internal fault."""
 
 
 def _check_integer(name: str, value, least: int = 1):

@@ -50,12 +50,8 @@ def msn1(i: int, j: int, k: RationalLike) -> Fraction:
     """c(i, j, k) from its defining sum over the Stirling-1 triangle."""
     _check_integer("indices", i, 0)
     _check_integer("indices", j, 0)
-    return _c_value(stirling1_triangle(i)[i], j, _powers(-as_rational(k), i))
-
-
-def _powers(x: Fraction, n: int) -> list[Fraction]:
-    """x**0, x**1, ..., x**n."""
-    return [x**t for t in range(n + 1)]
+    minus_k = -as_rational(k)
+    return _c_value(stirling1_triangle(i)[i], j, [minus_k**t for t in range(i + 1)])
 
 
 def _c_value(srow: list[int], j: int, powers: list[Fraction]) -> Fraction:
@@ -76,7 +72,7 @@ class Msn1Table:
         self.k = as_rational(k)
         self.i_max = i_max
         self.s_values = stirling1_triangle(i_max)
-        powers = _powers(-self.k, i_max)
+        powers = [(-self.k) ** t for t in range(i_max + 1)]
         self.c_values = [
             [_c_value(srow, j, powers) for j in range(len(srow))]
             for srow in self.s_values

@@ -723,7 +723,6 @@ def _option(name, values):
 def _cli_argv(draw, command):
     """Arguments for ``command``, with the chain file given by its name or
     as the JSON object to write."""
-    kset = st.lists(_RATIONALS, min_size=1, max_size=3).map(",".join)
     if command in ("msn", "msn1"):
         args = [draw(_small(6)), draw(_small(6)), draw(_RATIONALS)]
     elif command == "table":
@@ -732,6 +731,7 @@ def _cli_argv(draw, command):
         args = [draw(_small(4)), draw(_RATIONALS), draw(_RATIONALS)]
     elif command == "gf-check":
         which = st.sampled_from(["ogf", "egf", "bgf", "all"])
+        kset = st.lists(_RATIONALS, min_size=1, max_size=3).map(",".join)
         args = ["--which", draw(which), "--jmax", draw(_small(3)),
                 "--order", draw(_small(4)), *draw(_option("--kset", kset))]
     elif command == "identity-suite":
@@ -805,6 +805,7 @@ def test_exit_code_contract(property_chains, command):
     @settings(max_examples=_EXAMPLES[command], deadline=None, derandomize=True)
     @given(argv=_cli_argv(command))
     def check(argv):
+        argv = list(argv)
         if "--chain" in argv:
             at = argv.index("--chain") + 1
             if isinstance(argv[at], dict):
