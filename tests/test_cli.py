@@ -625,7 +625,7 @@ def test_console_entry_point():
 
 
 def test_exit_3_errors_share_one_base():
-    """Exit 3 is one class: every error a caller can mend derives from it."""
+    """Exit 3 is one class: every error CLI input can cause derives from it."""
     import msnlib
     from msnlib import ChainError, SingularMatrixError, exact, markov
     from msnlib.simulate import TruncationError

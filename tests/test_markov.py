@@ -343,7 +343,6 @@ class TestDistributions:
     @pytest.mark.parametrize("law", [dist_n1, dist_r1])
     @pytest.mark.parametrize("n", [2.5, Fraction(5, 2)])
     def test_non_integer_n_is_a_named_error(self, two_state_chain, law, n):
-        # it once failed late, in RationalMatrix.__pow__, with a bare TypeError
         with pytest.raises(PreconditionError, match=f"^n must be an integer, got {n}$"):
             law(two_state_chain, n)
         with pytest.raises(PreconditionError, match="^n must be >= 1$"):

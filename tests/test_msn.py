@@ -49,12 +49,10 @@ class TestDirect:
             for i in range(6):
                 assert msn_direct(i, 0, k) == qpow(k, i)
 
-
     @pytest.mark.parametrize(
         "i, j", [(2.5, 1), (Fraction(1, 2), 1), (3, 1.5), (3, Fraction(3, 2))]
     )
     def test_rejects_non_integer_index(self, i, j):
-        # a float i once gave a float value, a Fraction i a float too
         with pytest.raises(PreconditionError, match="^indices must be an integer, got "):
             msn_direct(i, j, 1)
 

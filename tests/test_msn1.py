@@ -82,7 +82,6 @@ class TestMsn1:
             with pytest.raises(IndexError, match="^row 5 beyond table size 3$"):
                 read(5, 0)
 
-
     @pytest.mark.parametrize("i, j", [(2.5, 1), (Fraction(5, 2), 1), (3, 1.5)])
     def test_rejects_non_integer_index(self, i, j):
         with pytest.raises(PreconditionError, match="^indices must be an integer, got "):
