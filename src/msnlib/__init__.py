@@ -7,7 +7,14 @@ Markov passage and recurrence times, discrete phase type, (alternating)
 negative binomial, and the central-moment transforms of the textbook
 distributions.  Everything outside :mod:`msnlib.simulate` is computed in
 exact rational arithmetic.
+
+:mod:`msnlib.distributions` loads on first use: ``msnlib.distributions``,
+or any law or function it exports, imports it through the module
+``__getattr__`` (PEP 562) below, so a CLI call that reads no law does not
+pay for building its dataclasses.
 """
+
+import importlib
 
 from .exact import Rational, as_rational, binom, binom_gen, format_rational, multinom, qpow
 from .linalg import (
@@ -47,26 +54,42 @@ from .msn import (
 )
 from .msn1 import Msn1Table, inversion_product, msn1, msn1_table, stirling1
 from .series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
-from .distributions import (
-    AltNegBinomial,
-    Binomial,
-    DiscreteUniform,
-    NegBinomial,
-    PhaseType,
-    Poisson,
-    Recurrence,
-    central_closed,
-    central_from_raw,
-    central_via_factorial,
-    factorial_moments_from_raw,
-    raw_from_factorial,
-    raw_moment,
-    raw_moments,
-)
 from .simulate import MomentEstimate, SimConfig, SimResult, TruncationError, simulate
 from .identities import K_SET, IdentityResult, run_identity_suite
 
 __version__ = "0.1.0"
+
+_DISTRIBUTION_NAMES = (
+    "AltNegBinomial",
+    "Binomial",
+    "DiscreteUniform",
+    "NegBinomial",
+    "PhaseType",
+    "Poisson",
+    "Recurrence",
+    "central_closed",
+    "central_from_raw",
+    "central_via_factorial",
+    "factorial_moments_from_raw",
+    "raw_from_factorial",
+    "raw_moment",
+    "raw_moments",
+)
+
+
+def __getattr__(name):
+    """Import :mod:`msnlib.distributions` and bind its names here, once."""
+    if name != "distributions" and name not in _DISTRIBUTION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not "from . import distributions": its hasattr check would recurse here
+    module = importlib.import_module(".distributions", __name__)
+    globals().update((attr, getattr(module, attr)) for attr in _DISTRIBUTION_NAMES)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), "distributions", *_DISTRIBUTION_NAMES})
+
 
 __all__ = [
     "AltNegBinomial",

@@ -26,7 +26,6 @@ policy, which this tool refuses to have.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -34,7 +33,6 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from .distributions import central_closed, raw_moments, spec_from_dict
 from .exact import PreconditionError, as_rational, binom, format_rational
 from .identities import (
     Context,
@@ -202,6 +200,8 @@ def _cmd_table(args):
         "rows": rows,
     }
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["i"] + [f"j{j}" for j in range(tab.j_max + 1)])
@@ -308,6 +308,11 @@ def _cmd_markov(args):
 
 
 def _cmd_dist(args):
+    # imported here, not at the top: building the laws' dataclasses costs
+    # every process that imports the module, and only this subcommand reads
+    # a law
+    from .distributions import central_closed, raw_moments, spec_from_dict
+
     try:
         obj = json.loads(args.spec)
     except json.JSONDecodeError as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -85,7 +84,11 @@ class Context:
         return tab
 
     def b(self, i: int, j: int, k) -> Fraction:
-        return self.table(k).value(i, j)
+        # an int k finds its equal Fraction key: equal numbers hash alike
+        tab = self._tables.get(k)
+        if tab is None:
+            tab = self.table(k)
+        return tab.value(i, j)
 
     def scaled(self, k, scale: int) -> list[list[int]]:
         """Integer columns ``cols[j][i] == scale**i * b(i, j, k)`` off :meth:`table`.
@@ -484,14 +487,19 @@ def check_a36(ctx):
 
 @_identity
 def check_a37(ctx):
+    # at k = 0 every b is the integer j! S(i, j), so the sums run on ints
+    cols = ctx.scaled(0, 1)
+    factorials = [math.factorial(n) for n in range(FIXED_I + 1)]
     for js in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]:
         l = len(js)
         for k, i in product(range(4), range(FIXED_I + 1)):
-            total = Fraction(0)
+            total = 0
             for parts in compositions(i, l + k):
-                prod = Fraction(multinom(i, parts))
+                prod = factorials[i]
+                for part in parts:
+                    prod //= factorials[part]
                 for part, j_r in zip(parts[:l], js):
-                    prod *= ctx.b(part, j_r, 0)
+                    prod *= cols[j_r][part]
                     if prod == 0:
                         break
                 total += prod
@@ -727,6 +735,8 @@ def run_identity_suite(
                 IdentityResult(label=label, ok=False, cases=0, detail=str(exc))
             )
         except Exception as exc:  # noqa: BLE001 - one broken check must not stop the rest
+            import traceback
+
             where = traceback.extract_tb(exc.__traceback__)[-1]
             detail = (
                 f"{label}: {type(exc).__name__}: {exc}"

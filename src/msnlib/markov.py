@@ -520,9 +520,9 @@ def moment_anb(p: RationalLike, q: RationalLike, k: int, m: int) -> Fraction:
     p = as_rational(p)
     q = as_rational(q)
     if not 0 < p <= 1:
-        raise ValueError(f"need 0 < p <= 1, got p = {p}")
+        raise PreconditionError(f"need 0 < p <= 1, got p = {p}")
     if not 0 <= q < 1:
-        raise ValueError(f"need 0 <= q < 1, got q = {q}")
+        raise PreconditionError(f"need 0 <= q < 1, got q = {q}")
     _check_orders(m, k)
     return _nb_mixture(*msn_row_scaled(m, k), (1 - p) / p, 1 - q, k - 1, 1)
 
@@ -536,6 +536,6 @@ def moment_nb(p: RationalLike, k: int, m: int) -> Fraction:
     """
     p = as_rational(p)
     if not 0 < p <= 1:
-        raise ValueError(f"need 0 < p <= 1, got p = {p}")
+        raise PreconditionError(f"need 0 < p <= 1, got p = {p}")
     _check_orders(m, k)
     return _nb_mixture(*msn_row_scaled(m, k), (1 - p) / p, 0, 0, k)

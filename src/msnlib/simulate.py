@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._sim_kernels import KERNELS, build_cumulative
-from .exact import PreconditionError, as_rational
+from .exact import PreconditionError, _check_integer, as_rational
 from .linalg import PartitionedChain
 
 _VARIABLES = ("N", "R", "Nbar", "Rbar")
@@ -46,12 +46,9 @@ class SimConfig:
     def __post_init__(self):
         if self.variable not in _VARIABLES:
             raise ValueError(f"variable must be one of {_VARIABLES}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        _check_integer("k", self.k)
+        _check_integer("replications", self.replications)
+        _check_integer("max_steps", self.max_steps)
         side = len(self.start_side_indices())
         if self.start is not None:
             start = tuple(as_rational(v) for v in self.start)

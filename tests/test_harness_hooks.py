@@ -12,6 +12,7 @@ from pathlib import Path
 
 import msnlib
 import msnlib.cli  # noqa: F401  (the tracer hooks msnlib.cli.run when it is loaded)
+import msnlib.distributions  # noqa: F401  (loaded on first use; the tracer hooks only loaded modules)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -78,16 +78,17 @@ def test_context_table_cache_reused():
     assert ctx.b(4, 4, 5) == 24
 
 
-def _perturbed_msn_table(delta):
-    """msn_table with b(5, 2, 1/3) moved by delta."""
+def _perturbed_msn_table(delta, i=5, j=2, k=Fraction(1, 3)):
+    """msn_table with b(i, j, k), by default b(5, 2, 1/3), moved by delta."""
     real = identities.msn_table
+    at = k
 
     def build(i_max, k, j_max=None):
         tab = real(i_max, k, j_max)
-        if k != Fraction(1, 3):
+        if k != at:
             return tab
         rows = [list(row) for row in tab._rows]
-        rows[5][2] += delta
+        rows[i][j] += delta
         return MsnTable(tab.k, tab.i_max, tab.j_max, tuple(map(tuple, rows)))
 
     return build
@@ -112,6 +113,16 @@ def test_perturbed_table_entry_fails_the_inversion_checks(monkeypatch):
     results = run_identity_suite(i_max=8, order=8, labels={"a46", "a46_matrix"})
     assert [(r.label, r.ok) for r in results] == [("a46", False), ("a46_matrix", False)]
     assert all("1/3" in r.detail for r in results), results
+
+
+def test_perturbed_k0_entry_fails_a37(monkeypatch):
+    """a37's integer sums read the Context's k = 0 table: with b(4, 2, 0)
+    moved, its js = (2,) cases at k = 0 still agree (both sides read the
+    moved entry), and the first to fail is k = 1, whose right side reads it."""
+    monkeypatch.setattr(identities, "msn_table", _perturbed_msn_table(Fraction(1), 4, 2, 0))
+    (result,) = run_identity_suite(i_max=8, order=8, labels={"a37"})
+    assert not result.ok
+    assert result.detail == "a37: i=4, js=(2,), k=1"
 
 
 def test_non_integer_scaled_value_names_the_entry(monkeypatch):

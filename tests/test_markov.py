@@ -938,6 +938,21 @@ class TestAlternatingAndPlain:
         with pytest.raises(ValueError):
             moment_anb(Fraction(1, 2), Fraction(1), 1, 1)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: moment_nb("3/2", 2, 1), "need 0 < p <= 1, got p = 3/2"),
+            (lambda: moment_nb(0, 2, 1), "need 0 < p <= 1, got p = 0"),
+            (lambda: moment_anb("-1/2", "1/3", 2, 1), "need 0 < p <= 1, got p = -1/2"),
+            (lambda: moment_anb("1/2", 1, 2, 1), "need 0 <= q < 1, got q = 1"),
+        ],
+        ids=["nb_p_above", "nb_p_zero", "anb_p", "anb_q"],
+    )
+    def test_probability_outside_its_range_is_a_precondition(self, call, message):
+        # as for NegBinomial and AltNegBinomial, which raise it for the same p or q
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            call()
+
 
 @pytest.mark.parametrize(
     "call, name",

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import anb_chain, renewal_chain
+from msnlib.exact import PreconditionError
 from msnlib.linalg import RationalMatrix, partition
 from msnlib.markov import moment_k_convolved
 from msnlib.simulate import SimConfig, TruncationError, simulate
@@ -114,3 +116,22 @@ def test_config_validation(two_state_chain):
             start=(Fraction(1, 2),),
         )
 
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("k", Fraction(3, 2), "k must be an integer, got 3/2"),
+        ("k", 2.0, "k must be an integer, got 2.0"),
+        ("replications", Fraction(100, 3), "replications must be an integer, got 100/3"),
+        ("max_steps", 10.5, "max_steps must be an integer, got 10.5"),
+        ("k", 0, "k must be >= 1"),
+        ("replications", 0, "replications must be >= 1"),
+        ("max_steps", -1, "max_steps must be >= 1"),
+    ],
+)
+def test_counts_must_be_positive_integers(two_state_chain, field, value, message):
+    # k = 3/2 used to run and return estimates
+    args = dict(chain=two_state_chain, variable="N", k=1, replications=10, seed=0)
+    args[field] = value
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        SimConfig(**args)
