@@ -14,10 +14,11 @@ in :data:`IDENTITY_CHECKS` (in definition order) and turns it into
 ``"<code>: <detail>"`` on the first ``lhs != rhs``, and returns the count.
 
 The binomial-convolution family ``sum_r C(i, r) x_r y_(i-r)`` (a17-a21,
-a23) and the k-shift sums (a30, a31) compare integers.  With k = p/q, the
-defining sum makes ``Q^i b(i, j, k)`` an integer for every multiple Q of q,
-so :meth:`Context.scaled` reads those integer columns off the
-recurrence-filled table once, and a power ``k^s`` becomes ``(Q k)^s``.
+a23), the k-shift sums (a30, a31) and the multinomial sums of a37 compare
+integers.  With k = p/q, the defining sum makes ``Q^i b(i, j, k)`` an
+integer for every multiple Q of q, so :meth:`Context.scaled` reads those
+integer columns off the recurrence-filled table once, and a power ``k^s``
+becomes ``(Q k)^s``.
 
 The default k test set deliberately mixes negative integers, negative and
 positive non-integers, zero, and positive integers, because sign and
