@@ -59,7 +59,9 @@ def test_first_access_binds_every_law_name_once():
 
 
 def test_from_import_of_a_law_in_a_fresh_process():
-    out = _fresh("from msnlib import raw_moment, Binomial; print(raw_moment(Binomial(4, '1/2'), 2))")
+    out = _fresh(
+        "from msnlib import raw_moment, Binomial; print(raw_moment(Binomial(4, '1/2'), 2))"
+    )
     assert out == "5\n"
 
 
