@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exact import as_rational, binom, binom_gen, compositions, multinom, qpow
+from .exact import _check_integer, as_rational, binom, binom_gen, compositions, multinom, qpow
 from .linalg import RationalMatrix
 from .msn import MsnTable, msn_table, surjection_count
 from .msn1 import Msn1Table, inversion_matrix, msn1_table
@@ -67,6 +67,8 @@ class Context:
     """Shared b-table cache for one battery run."""
 
     def __init__(self, i_max: int = 12, k_set=K_SET, order: int = 12):
+        _check_integer("i_max", i_max, 0)
+        _check_integer("order", order, 0)
         self.i_max = i_max
         self.k_set = tuple(as_rational(k) for k in k_set)
         self.order = order

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterator
 
-from .exact import RationalLike, _check_integer, as_rational, binom, qpow
+from .exact import PreconditionError, RationalLike, _check_integer, as_rational, binom, qpow
 
 
 def msn_direct(i: int, j: int, k: RationalLike) -> Fraction:
@@ -196,8 +196,8 @@ def stirling2_triangle(i_max: int) -> list[list[int]]:
 
 def stirling2(i: int, j: int) -> int:
     """Stirling number of the second kind S(i, j); equals b(i, j, 0) / j!."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
     if j > i:
         return 0
     return stirling2_triangle(i)[i][j]
@@ -236,16 +236,16 @@ def surjection_count(i: int, j: int, k: int) -> int:
     """
     import numpy as np
 
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
     if not isinstance(k, int) or k < 0:
-        raise ValueError("combinatorial count needs integer k >= 0")
+        raise PreconditionError("combinatorial count needs integer k >= 0")
     boxes = j + k
     if boxes > 16:
-        raise ValueError(f"brute force covers at most 16 boxes, got j + k = {boxes}")
+        raise PreconditionError(f"brute force covers at most 16 boxes, got j + k = {boxes}")
     # boxes**25 > 2**24 once boxes >= 2: capping i at 25 forms no huge power
     if boxes ** min(i, 25) > 1 << 24:
-        raise ValueError(f"brute force covers at most 2**24 functions, got {boxes}**{i}")
+        raise PreconditionError(f"brute force covers at most 2**24 functions, got {boxes}**{i}")
     hist = _image_histogram(boxes, i)
     need = (1 << j) - 1
     covering = (np.arange(hist.size) & need) == need

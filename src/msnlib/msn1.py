@@ -39,8 +39,8 @@ def stirling1_triangle(i_max: int) -> list[list[int]]:
 
 def stirling1(i: int, j: int) -> int:
     """Signed Stirling number of the first kind s(i, j)."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
     if j > i:
         return 0
     return stirling1_triangle(i)[i][j]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RationalLike, as_rational, binom_gen, qpow
+from .exact import PreconditionError, RationalLike, _check_integer, as_rational, binom_gen, qpow
 from .msn import msn_direct
 
 
@@ -144,8 +144,8 @@ def ogf_coeffs(j: int, k: RationalLike, order: int) -> TruncatedSeries:
     sidesteps partial fractions entirely (repeated roots occur whenever k+r
     values collide, e.g. for negative integer k).  Coefficient i is b(i, j, k).
     """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
+    _check_integer("j", j, 0)
+    _check_integer("order", order, 0)
     k = as_rational(k)
     series = TruncatedSeries.geometric(k, order)
     for r in range(1, j + 1):
@@ -155,10 +155,10 @@ def ogf_coeffs(j: int, k: RationalLike, order: int) -> TruncatedSeries:
 
 def egf_coeffs(j: int, k: int, order: int) -> TruncatedSeries:
     """Coefficients of (e^x - 1)^j * e^(k x); valid for integer k only."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
+    _check_integer("j", j, 0)
+    _check_integer("order", order, 0)
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"exponential route requires integer k, got {k!r}")
+        raise PreconditionError(f"exponential route requires integer k, got {k!r}")
     em1 = exp_x(order) - TruncatedSeries.constant(1, order)
     return em1.pow(j) * exp_x(order, k)
 
@@ -170,8 +170,7 @@ def binomial_gf_value(i: int, k: RationalLike, x: RationalLike) -> Fraction:
     (n+k)^i = sum_r C(n, r) b(i, r, k) continued from integer n to rational x
     (the continuation is unique because both sides are polynomials in x).
     """
-    if i < 0:
-        raise ValueError("i must be nonnegative")
+    _check_integer("i", i, 0)
     k = as_rational(k)
     x = as_rational(x)
     total = Fraction(0)

@@ -652,6 +652,51 @@ def test_internal_value_error_exits_1(capsys, chain_file, monkeypatch):
     assert (code, out) == (1, "error: shape mismatch")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_invcheck_exits_1_and_keeps_its_payload(capsys, monkeypatch, fmt):
+    from msnlib import cli
+
+    real = cli.inversion_matrix
+    monkeypatch.setattr(cli, "inversion_matrix", lambda b, c, n: real(b, c, n) * 2)
+    code, out = invoke(capsys, "invcheck", "3", "1", "1/2", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[-1] == "FAIL"
+        return
+    doc = json.loads(out)
+    assert doc["status"] == {"code": "error", "message": "verification failed"}
+    assert doc["result"]["pass"] is False
+    assert doc["result"]["product"][0][0] == "2"
+    assert doc["result"]["expected"][0][0] == "1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_identity_exits_1_and_keeps_its_payload(capsys, monkeypatch, fmt):
+    from msnlib import identities
+
+    def planted(ctx):
+        raise identities.IdentityFailure("a8: planted failure")
+
+    checks = [
+        (label, planted if label == "a8" else fn) for label, fn in identities.IDENTITY_CHECKS
+    ]
+    monkeypatch.setattr(identities, "IDENTITY_CHECKS", checks)
+    code, out = invoke(capsys, "identity-suite", "--imax", "2", "--order", "2", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        lines = out.splitlines()
+        assert lines[-1] == "FAILURES PRESENT"
+        assert [line.split()[:2] for line in lines if "FAIL " in line] == [["a8", "FAIL"]]
+        return
+    doc = json.loads(out)
+    assert doc["status"] == {"code": "error", "message": "verification failed"}
+    assert doc["result"]["all_pass"] is False
+    entries = doc["result"]["identities"]
+    assert len(entries) == len(checks)
+    failed = [entry for entry in entries if not entry["ok"]]
+    assert failed == [{"label": "a8", "ok": False, "cases": 0, "detail": "a8: planted failure"}]
+
+
 def test_invalid_json_spec_exits_3(capsys):
     code, out = invoke(capsys, "dist", "--spec", '{"type":', "--m", "1")
     assert (code, out) == (3, "precondition failed: Expecting value: line 1 column 9 (char 8)")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from msnlib.exact import (
+    PreconditionError,
     as_rational,
     binom,
     binom_gen,
@@ -14,6 +16,9 @@ from msnlib.exact import (
     multinom,
     qpow,
 )
+from msnlib.msn import stirling2, surjection_count
+from msnlib.msn1 import stirling1
+from msnlib.series import binomial_gf_value, egf_coeffs, ogf_coeffs
 
 
 class TestQpow:
@@ -167,3 +172,32 @@ def test_binom_gen_degree(x, j):
     # a polynomial identity: C(x, j) * j = C(x, j-1) * (x - j + 1) for j >= 1
     if j >= 1:
         assert binom_gen(x, j) * j == binom_gen(x, j - 1) * (x - j + 1)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (stirling1, (2.5, 1), "indices must be an integer, got 2.5"),
+        (stirling1, (2, -1), "indices must be nonnegative"),
+        (stirling2, (2.5, 1), "indices must be an integer, got 2.5"),
+        (stirling2, (3, Fraction(1, 2)), "indices must be an integer, got 1/2"),
+        (egf_coeffs, (1.5, 1, 3), "j must be an integer, got 1.5"),
+        (egf_coeffs, (1, 1, -1), "order must be nonnegative"),
+        (
+            egf_coeffs,
+            (1, Fraction(1, 2), 3),
+            "exponential route requires integer k, got Fraction(1, 2)",
+        ),
+        (ogf_coeffs, (1, Fraction(1, 2), -1), "order must be nonnegative"),
+        (ogf_coeffs, (Fraction(3, 2), 1, 3), "j must be an integer, got 3/2"),
+        (binomial_gf_value, (2.5, 1, 1), "i must be an integer, got 2.5"),
+        (binomial_gf_value, (-1, 1, 1), "i must be nonnegative"),
+        (surjection_count, (2.5, 1, 0), "indices must be an integer, got 2.5"),
+        (surjection_count, (2, 1.0, 0), "indices must be an integer, got 1.0"),
+        (surjection_count, (2, 1, Fraction(1, 2)), "combinatorial count needs integer k >= 0"),
+        (surjection_count, (2, 17, 0), "brute force covers at most 16 boxes, got j + k = 17"),
+    ],
+)
+def test_public_entry_points_raise_named_preconditions(fn, args, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        fn(*args)

@@ -11,6 +11,7 @@ from msnlib.identities import (
     _expect,
     run_identity_suite,
 )
+from msnlib.exact import PreconditionError
 from msnlib.msn import MsnTable
 
 # in the order the battery runs and prints them
@@ -70,6 +71,20 @@ def test_exception_in_one_check_is_reported_against_it(monkeypatch):
 def test_failure_reporting():
     with pytest.raises(IdentityFailure, match="a99: i=3"):
         _expect(False, "a99", "i=3")
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"i_max": -1}, "i_max must be nonnegative"),
+        ({"i_max": 2.5}, "i_max must be an integer, got 2.5"),
+        ({"order": -3}, "order must be nonnegative"),
+        ({"order": Fraction(8, 3)}, "order must be an integer, got 8/3"),
+    ],
+)
+def test_suite_sizes_are_checked(sizes, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        run_identity_suite(**sizes)
 
 
 def test_context_table_cache_reused():

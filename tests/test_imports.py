@@ -4,6 +4,7 @@
 PEP 562 ``__getattr__``; every other submodule loads with the package.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,31 +17,56 @@ import msnlib
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _fresh(code: str) -> str:
+def _run(code: str, *options: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def _fresh(code: str) -> str:
+    return _run(code).stdout
+
+
+# perfbench/run.py's measure_imports takes the least of numpy's -X importtime
+# lines of a plain "import msnlib", and perfbench/tracing.py's Tracer.install
+# reads the series, identities and _sim_kernels modules out of sys.modules by
+# key: either fails once these load lazily, until ROADMAP item 1 mends the
+# harness
+HARNESS_READS = ("numpy", "msnlib.series", "msnlib.identities", "msnlib._sim_kernels")
+
+
+def _loaded(module: str) -> list[str]:
+    return json.loads(
+        _fresh(f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))")
+    )
 
 
 def test_cli_import_keeps_what_the_harness_reads_and_skips_the_laws():
-    # perfbench/run.py's measure_imports takes the least of numpy's
-    # -X importtime lines, and perfbench/tracing.py's Tracer.install reads
-    # the series, identities and _sim_kernels modules out of sys.modules by
-    # key: either fails once these load lazily, until ROADMAP item 1 mends
-    # the harness
-    loaded = json.loads(
-        _fresh("import json, sys, msnlib.cli; print(json.dumps(sorted(sys.modules)))")
-    )
-    for name in ("numpy", "msnlib.series", "msnlib.identities", "msnlib._sim_kernels"):
+    loaded = _loaded("msnlib.cli")
+    for name in HARNESS_READS:
         assert name in loaded, name
     for name in ("msnlib.distributions", "csv"):
         assert name not in loaded, name
+
+
+def test_package_import_keeps_what_the_harness_reads_and_skips_the_laws():
+    loaded = _loaded("msnlib")
+    for name in HARNESS_READS:
+        assert name in loaded, name
+    assert "msnlib.distributions" not in loaded
+
+
+def test_import_time_reports_every_eager_submodule():
+    lines = _run("import msnlib", "-X", "importtime").stderr.splitlines()
+    reported = {line.rsplit("|", 1)[-1].strip() for line in lines}
+    eager = set(msnlib._EXPORTS.values()) - set(msnlib._LAZY)
+    assert {f"msnlib.{home}" for home in eager} <= reported
 
 
 def test_first_access_binds_every_law_name_once():
@@ -52,7 +78,8 @@ def test_first_access_binds_every_law_name_once():
         "msnlib.__getattr__ = refuse\n"
         "laws = msnlib.distributions\n"
         "assert msnlib.raw_moment is first is laws.raw_moment\n"
-        "assert all(getattr(msnlib, n) is getattr(laws, n) for n in msnlib._DISTRIBUTION_NAMES)\n"
+        "law_names = [n for n, home in msnlib._EXPORTS.items() if home == 'distributions']\n"
+        "assert all(getattr(msnlib, n) is getattr(laws, n) for n in law_names)\n"
         "print('ok')\n"
     )
     assert out == "ok\n"
@@ -68,7 +95,28 @@ def test_from_import_of_a_law_in_a_fresh_process():
 def test_law_names_are_the_distributions_objects():
     assert msnlib.Binomial is msnlib.distributions.Binomial
     assert msnlib.raw_moments is msnlib.distributions.raw_moments
-    assert set(msnlib._DISTRIBUTION_NAMES) <= set(msnlib.__all__) <= set(dir(msnlib))
+    law_names = {n for n, home in msnlib._EXPORTS.items() if home == "distributions"}
+    assert law_names <= set(msnlib.__all__) <= set(dir(msnlib))
+
+
+def test_simulate_is_the_function_after_its_submodule_is_imported():
+    # importing msnlib.simulate binds the module as the package's "simulate";
+    # the package must bind the function of that name afterwards
+    out = _fresh(
+        "import sys, msnlib.simulate\n"
+        "from msnlib.simulate import SimConfig\n"
+        "from msnlib import simulate\n"
+        "assert simulate is sys.modules['msnlib.simulate'].simulate\n"
+        "print(type(simulate).__name__)\n"
+    )
+    assert out == "function\n"
+
+
+def test_every_export_is_the_attribute_of_its_submodule():
+    assert set(msnlib._LAZY) <= set(msnlib._EXPORTS.values())
+    for name, home in msnlib._EXPORTS.items():
+        module = importlib.import_module(f"msnlib.{home}")
+        assert getattr(msnlib, name) is getattr(module, name), name
 
 
 def test_unknown_name_is_an_attribute_error():
