@@ -11,7 +11,10 @@ A check ``check_<code>`` is written as a generator of ``(lhs, rhs, detail)``
 cases, one per parameter point.  The ``@_identity`` decorator registers it
 in :data:`IDENTITY_CHECKS` (in definition order) and turns it into
 ``fn(ctx) -> int``: it counts the cases, raises :class:`IdentityFailure`
-``"<code>: <detail>"`` on the first ``lhs != rhs``, and returns the count.
+``"<code>: <detail>"`` on the first ``lhs != rhs`` or float on either side,
+and returns the count.  :meth:`Context.b` returns an int for every integral
+b value, so most checks sum and compare plain integers; the float guard
+catches an ``int / int`` that would otherwise round.
 
 The binomial-convolution family ``sum_r C(i, r) x_r y_(i-r)`` (a17-a21,
 a23), the k-shift sums (a30, a31) and the multinomial sums of a37 compare
@@ -63,6 +66,10 @@ def _expect(cond: bool, label: str, detail: str):
         raise IdentityFailure(f"{label}: {detail}")
 
 
+def _exact(value: Fraction) -> int | Fraction:
+    return value.numerator if value.denominator == 1 else value
+
+
 class Context:
     """Shared b-table cache for one battery run."""
 
@@ -73,6 +80,7 @@ class Context:
         self.k_set = tuple(as_rational(k) for k in k_set)
         self.order = order
         self._tables: dict[Fraction, MsnTable] = {}
+        self._rows: dict[Fraction, list[list[int | Fraction]]] = {}
         self._c_tables: dict[Fraction, Msn1Table] = {}
         self._scaled: dict[tuple[Fraction, int], list[list[int]]] = {}
 
@@ -86,12 +94,27 @@ class Context:
             self._tables[k] = tab
         return tab
 
-    def b(self, i: int, j: int, k) -> Fraction:
+    def b(self, i: int, j: int, k) -> int | Fraction:
+        """``b(i, j, k)`` off :meth:`table`, as an int when it is integral.
+
+        The checks then sum and compare integers where they can; the table
+        itself stays the battery's subject.
+        """
         # an int k finds its equal Fraction key: equal numbers hash alike
-        tab = self._tables.get(k)
-        if tab is None:
-            tab = self.table(k)
-        return tab.value(i, j)
+        rows = self._rows.get(k)
+        if rows is None:
+            k = as_rational(k)
+            if k not in self._rows:
+                tab = self.table(k)
+                self._rows[k] = [
+                    [_exact(tab.value(row, col)) for col in range(row + 1)]
+                    for row in range(tab.i_max + 1)
+                ]
+            rows = self._rows[k]
+        if 0 <= j <= i < len(rows):
+            return rows[i][j]
+        # raises outside the table; past the diagonal the table holds zeros
+        return _exact(self.table(k).value(i, j))
 
     def scaled(self, k, scale: int) -> list[list[int]]:
         """Integer columns ``cols[j][i] == scale**i * b(i, j, k)`` off :meth:`table`.
@@ -142,7 +165,8 @@ def _identity(cases):
     def check(ctx: Context, *args, **kwargs) -> int:
         count = 0
         for lhs, rhs, detail in cases(ctx, *args, **kwargs):
-            _expect(lhs == rhs, label, detail)
+            # a float is an inexact value, such as an int / int division
+            _expect(lhs == rhs and float not in (type(lhs), type(rhs)), label, detail)
             count += 1
         return count
 

@@ -423,7 +423,7 @@ def is_commutable(chain: PartitionedChain, side: str) -> bool:
     elif side == "Mbar":
         inner, outer, lift, drop = chain.p_m, chain.p_n, chain.p_nm, chain.p_mn
     else:
-        raise ValueError(f"side must be 'M' or 'Mbar', got {side!r}")
+        raise PreconditionError(f"side must be 'M' or 'Mbar', got {side!r}")
     for s in range(inner.rows):
         if s:
             drop = inner @ drop

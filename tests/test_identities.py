@@ -155,3 +155,38 @@ def test_scaled_columns_match_the_table():
     for i in range(ctx.table(k).i_max + 1):
         for j in range(i + 1):
             assert cols[j][i] == 6**i * ctx.b(i, j, k)
+
+
+def test_b_values_are_ints_where_integral():
+    # the checks then sum and compare integers; the table stays Fractions
+    ctx = Context(i_max=6, order=6)
+    for k in K_SET:
+        tab = ctx.table(k)
+        for i in range(tab.i_max + 1):
+            for j in range(tab.i_max + 2):
+                value = ctx.b(i, j, k)
+                assert value == tab.value(i, j)
+                want = int if tab.value(i, j).denominator == 1 else Fraction
+                assert type(value) is want, (i, j, k)
+    assert type(ctx.table(1).value(3, 2)) is Fraction
+    assert ctx.b(3, 2, "1/3") == ctx.b(3, 2, Fraction(1, 3))
+    with pytest.raises(ValueError, match="indices must be nonnegative"):
+        ctx.b(-1, 0, 1)
+    with pytest.raises(IndexError):
+        ctx.b(ctx.table(1).i_max + 1, 0, 1)
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_a_float_case_fails_its_identity(monkeypatch, side):
+    # an int / int of two integral b values is a float, equal or not
+    monkeypatch.setattr(identities, "IDENTITY_CHECKS", [])
+
+    @identities._identity
+    def check_half(ctx):
+        yield Fraction(1, 2), Fraction(1, 2), "exact"
+        half = ctx.b(1, 1, 0) / 2
+        pair = (half, Fraction(1, 2)) if side == "lhs" else (Fraction(1, 2), half)
+        yield *pair, "i=1"
+
+    with pytest.raises(IdentityFailure, match="^half: i=1$"):
+        check_half(Context(i_max=1, order=1))

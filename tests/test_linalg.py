@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_prime_chain, random_chain, scalar_block_chain
-from msnlib.exact import format_rational
+from msnlib.exact import PreconditionError, format_rational
 from msnlib.linalg import (
     ChainError,
     RationalMatrix,
@@ -293,6 +293,10 @@ class TestCommutability:
         for side in ("X", "N"):
             with pytest.raises(ValueError, match="side must be 'M' or 'Mbar'"):
                 is_commutable(two_state_chain, side)
+
+    def test_bad_side_is_a_named_error(self, two_state_chain):
+        with pytest.raises(PreconditionError, match="^side must be 'M' or 'Mbar', got 'N'$"):
+            is_commutable(two_state_chain, "N")
 
 
 # ---------------------------------------------------------------------------

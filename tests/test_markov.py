@@ -411,6 +411,25 @@ class TestRecursiveMoments:
             moment_recursive(two_state_chain, "N2", 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda chain: moment_recursive(chain, "N2", 1),
+            "variable must be one of ('N1', 'R1', 'Nbar1', 'Rbar1'), got 'N2'",
+        ),
+        (
+            lambda chain: moment_k_convolved(chain, "X", 2, 1),
+            "variable must be N, R, Nbar or Rbar, got 'X'",
+        ),
+    ],
+    ids=["recursive", "convolved"],
+)
+def test_unknown_variable_is_a_named_error(two_state_chain, call, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call(two_state_chain)
+
+
 class TestClosedForms:
     def test_mass_term(self, two_state_chain):
         u = (RationalMatrix.identity(1) - two_state_chain.p_m).inverse()
