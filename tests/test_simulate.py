@@ -158,10 +158,8 @@ def _golden_configs():
     f = Fraction
     # the shape of the cli benchmark's chain: every row leaves M = {1} for N
     # with probability 3/7
-    cli = partition(
-        RationalMatrix([[f(4, 7), f(1, 7), f(2, 7)], [f(4, 7), f(2, 7), f(1, 7)], [f(4, 7), f(1, 7), f(2, 7)]]),
-        [1],
-    )
+    rows = [[f(4, 7), f(1, 7), f(2, 7)], [f(4, 7), f(2, 7), f(1, 7)], [f(4, 7), f(1, 7), f(2, 7)]]
+    cli = partition(RationalMatrix(rows), [1])
     five = _weighted_chain(5, [1, 2], lambda r, j: (r + 2 * j) % 4)
     nine = _weighted_chain(9, [1, 2, 3, 4], lambda r, j: (3 * r + j) % 5)
     half = anb_chain(f(1, 2), f(1, 3))
