@@ -292,7 +292,7 @@ def factorial_moments_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
     """
     raw = [as_rational(v) for v in raw]
     if not raw or raw[0] != 1:
-        raise ValueError("raw moment list must start with M_0 = 1")
+        raise PreconditionError("raw moment list must start with M_0 = 1")
     tri = stirling1_triangle(len(raw) - 1)
     return [
         sum((tri[m][j] * raw[j] for j in range(m + 1)), Fraction(0))
@@ -326,7 +326,7 @@ def central_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
     """
     raw = [as_rational(v) for v in raw]
     if not raw or raw[0] != 1:
-        raise ValueError("raw moment list must start with M_0 = 1")
+        raise PreconditionError("raw moment list must start with M_0 = 1")
     mean = raw[1] if len(raw) > 1 else Fraction(0)
     out = []
     for m in range(len(raw)):
@@ -341,9 +341,9 @@ def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction
     """C_m = sum_j b(m, j, -M_1) F_j / j!  with M_1 = F_1, on one b row."""
     factorial = [as_rational(v) for v in factorial]
     if not factorial or factorial[0] != 1:
-        raise ValueError("factorial moment list must start with F_0 = 1")
+        raise PreconditionError("factorial moment list must start with F_0 = 1")
     if m >= len(factorial):
-        raise ValueError(f"need factorial moments up to order {m}")
+        raise PreconditionError(f"need factorial moments up to order {m}")
     mean = factorial[1] if len(factorial) > 1 else Fraction(0)
     return _factorial_b_sums(factorial[: m + 1], [msn_row_scaled(m, -mean)])[0]
 

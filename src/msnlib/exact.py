@@ -112,7 +112,7 @@ def format_rational(value: Fraction) -> str:
 def qpow(base: RationalLike, exp: int) -> Fraction:
     """``base ** exp`` for exp >= 0, with ``qpow(0, 0) == 1``."""
     if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
+        raise PreconditionError(f"exponent must be nonnegative, got {exp}")
     return as_rational(base) ** exp
 
 
@@ -137,7 +137,7 @@ def binom(n: int, r: int) -> int:
 def binom_gen(x: RationalLike, j: int) -> Fraction:
     """Generalized binomial ``x*(x-1)*...*(x-j+1) / j!`` for rational x."""
     if j < 0:
-        raise ValueError(f"lower index must be nonnegative, got {j}")
+        raise PreconditionError(f"lower index must be nonnegative, got {j}")
     x = as_rational(x)
     num = Fraction(1)
     for t in range(j):
@@ -148,11 +148,11 @@ def binom_gen(x: RationalLike, j: int) -> Fraction:
 def multinom(i: int, parts: Sequence[int]) -> int:
     """Multinomial coefficient ``i! / (parts[0]! * ... * parts[-1]!)``."""
     if i < 0:
-        raise ValueError(f"total must be nonnegative, got {i}")
+        raise PreconditionError(f"total must be nonnegative, got {i}")
     if any(p < 0 for p in parts):
-        raise ValueError(f"parts must be nonnegative, got {list(parts)}")
+        raise PreconditionError(f"parts must be nonnegative, got {list(parts)}")
     if sum(parts) != i:
-        raise ValueError(f"parts {list(parts)} do not sum to {i}")
+        raise PreconditionError(f"parts {list(parts)} do not sum to {i}")
     result = math.factorial(i)
     for p in parts:
         result //= math.factorial(p)

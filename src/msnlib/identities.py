@@ -17,11 +17,12 @@ b value, so most checks sum and compare plain integers; the float guard
 catches an ``int / int`` that would otherwise round.
 
 The binomial-convolution family ``sum_r C(i, r) x_r y_(i-r)`` (a17-a21,
-a23), the k-shift sums (a30, a31) and the multinomial sums of a37 compare
-integers.  With k = p/q, the defining sum makes ``Q^i b(i, j, k)`` an
-integer for every multiple Q of q, so :meth:`Context.scaled` reads those
+a23), the k-shift sums (a30, a31) and the multinomial sums of a36 and a37
+compare integers.  With k = p/q, the defining sum makes ``Q^i b(i, j, k)``
+an integer for every multiple Q of q, so :meth:`Context.scaled` reads those
 integer columns off the recurrence-filled table once, and a power ``k^s``
-becomes ``(Q k)^s``.
+becomes ``(Q k)^s``.  The generating-function checks read the integer
+series of :mod:`msnlib.series`.
 
 The default k test set deliberately mixes negative integers, negative and
 positive non-integers, zero, and positive integers, because sign and
@@ -497,19 +498,25 @@ _A36_PAIRS = [
 
 @_identity
 def check_a36(ctx):
+    # over Q, the lcm of the k denominators, each part's Q^part scales
+    # multiply to the Q^i of the left side, so the sums run on ints
+    factorials = [math.factorial(n) for n in range(FIXED_I + 1)]
     for js, ks in _A36_PAIRS + _A36_TRIPLES:
-        j_total = sum(js)
-        k_total = sum(as_rational(k) for k in ks)
+        scale = math.lcm(*(as_rational(k).denominator for k in ks))
+        cols = [ctx.scaled(k_r, scale)[j_r] for j_r, k_r in zip(js, ks)]
+        lhs = ctx.scaled(sum(as_rational(k) for k in ks), scale)[sum(js)]
         for i in range(FIXED_I + 1):
-            total = Fraction(0)
+            total = 0
             for parts in compositions(i, len(js)):
-                prod = Fraction(multinom(i, parts))
-                for part, j_r, k_r in zip(parts, js, ks):
-                    prod *= ctx.b(part, j_r, k_r)
+                prod = factorials[i]
+                for part in parts:
+                    prod //= factorials[part]
+                for part, col in zip(parts, cols):
+                    prod *= col[part]
                     if prod == 0:
                         break
                 total += prod
-            yield ctx.b(i, j_total, k_total), total, f"i={i}, js={js}, ks={ks}"
+            yield lhs[i], total, f"i={i}, js={js}, ks={ks}"
 
 
 @_identity

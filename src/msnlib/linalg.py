@@ -183,9 +183,11 @@ class RationalMatrix:
 
     def __pow__(self, n: int) -> "RationalMatrix":
         if not self.is_square:
-            raise ValueError("matrix power needs a square matrix")
+            raise PreconditionError("matrix power needs a square matrix")
+        if not isinstance(n, int):
+            raise PreconditionError(f"matrix power needs an integer exponent, got {n!r}")
         if n < 0:
-            raise ValueError("negative powers: invert first")
+            raise PreconditionError("negative powers: invert first")
         if n == 0:
             return RationalMatrix.identity(self.rows)
         # square-and-multiply from the lowest set bit: A ** 1 forms no product

@@ -208,17 +208,21 @@ def _image_histogram(boxes: int, i: int):
     """How many of the boxes**i functions {1..i} -> {1..boxes} have each image.
 
     Every function is enumerated: its image is an int bitmask (bit b set when
-    box b+1 is hit), built one argument at a time, so the mask array ends with
-    one entry per function.  The returned array is read-only because the cache
-    hands the same one to every caller.
+    box b+1 is hit), built one argument at a time.  The masks of the first
+    i-1 arguments are formed in full; the last argument is taken one box at a
+    time, and the histograms of those ``boxes`` slices are added, so no array
+    holds one entry per function.  The returned array is read-only because
+    the cache hands the same one to every caller.
     """
     import numpy as np
 
     bits = np.left_shift(np.uint16(1), np.arange(boxes, dtype=np.uint16))
     masks = np.zeros(1, dtype=np.uint16)
-    for _ in range(i):
+    for _ in range(i - 1):
         masks = (masks[:, None] | bits).ravel()
-    hist = np.bincount(masks, minlength=1 << boxes)
+    hist = np.zeros(1 << boxes, dtype=np.intp)
+    for part in (masks | bit for bit in bits) if i else (masks,):
+        hist += np.bincount(part, minlength=1 << boxes)
     hist.flags.writeable = False
     return hist
 

@@ -16,9 +16,15 @@ from msnlib.exact import (
     multinom,
     qpow,
 )
+from msnlib.distributions import (
+    central_from_raw,
+    central_via_factorial,
+    factorial_moments_from_raw,
+)
+from msnlib.linalg import RationalMatrix
 from msnlib.msn import stirling2, surjection_count
 from msnlib.msn1 import stirling1
-from msnlib.series import binomial_gf_value, egf_coeffs, ogf_coeffs
+from msnlib.series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
 
 
 class TestQpow:
@@ -201,3 +207,43 @@ def test_binom_gen_degree(x, j):
 def test_public_entry_points_raise_named_preconditions(fn, args, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         fn(*args)
+
+
+_SQUARE = RationalMatrix([[1, 2], [3, 4]])
+_ROW = RationalMatrix([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TruncatedSeries([1], order=-1), "order must be nonnegative"),
+        (
+            lambda: TruncatedSeries([1], 0) + TruncatedSeries([1, 1], 1),
+            "order mismatch: 0 vs 1",
+        ),
+        (lambda: TruncatedSeries([1, 1]).shift(-1), "shift must be nonnegative"),
+        (lambda: TruncatedSeries([1, 1]).pow(-1), "exponent must be nonnegative"),
+        (lambda: TruncatedSeries([1, 1]).exp(), "exp needs a zero constant term"),
+        (lambda: qpow(0, -1), "exponent must be nonnegative, got -1"),
+        (lambda: binom_gen(Fraction(1, 2), -1), "lower index must be nonnegative, got -1"),
+        (lambda: multinom(-1, []), "total must be nonnegative, got -1"),
+        (lambda: multinom(1, [2, -1]), "parts must be nonnegative, got [2, -1]"),
+        (lambda: multinom(3, [1, 1]), "parts [1, 1] do not sum to 3"),
+        (lambda: central_from_raw([]), "raw moment list must start with M_0 = 1"),
+        (
+            lambda: factorial_moments_from_raw([2, 1]),
+            "raw moment list must start with M_0 = 1",
+        ),
+        (
+            lambda: central_via_factorial([0, 1], 1),
+            "factorial moment list must start with F_0 = 1",
+        ),
+        (lambda: central_via_factorial([1], 5), "need factorial moments up to order 5"),
+        (lambda: _ROW**2, "matrix power needs a square matrix"),
+        (lambda: _SQUARE**-1, "negative powers: invert first"),
+        (lambda: _SQUARE**2.5, "matrix power needs an integer exponent, got 2.5"),
+    ],
+)
+def test_bad_arguments_raise_named_preconditions(call, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call()

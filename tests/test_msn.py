@@ -187,6 +187,17 @@ def _surjection_count_by_digits(i: int, j: int, k: int) -> int:
     return int(covered.sum())
 
 
+def _image_histogram_at_once(boxes: int, i: int):
+    """Reference histogram: the masks of all boxes**i functions in one array."""
+    import numpy as np
+
+    bits = np.left_shift(np.uint16(1), np.arange(boxes, dtype=np.uint16))
+    masks = np.zeros(1, dtype=np.uint16)
+    for _ in range(i):
+        masks = (masks[:, None] | bits).ravel()
+    return np.bincount(masks, minlength=1 << boxes)
+
+
 class TestSurjectionOracle:
     def test_matches_digit_enumeration(self):
         for boxes in range(7):
@@ -239,6 +250,29 @@ class TestSurjectionOracle:
     def test_pure_count_without_constraint(self):
         # j = 0 leaves all (k)^i functions admissible
         assert surjection_count(3, 0, 4) == 64
+
+    def test_image_histogram_matches_the_all_at_once_enumeration(self):
+        import numpy as np
+
+        for boxes in range(8):
+            for i in range(8):
+                got = msn._image_histogram.__wrapped__(boxes, i)
+                want = _image_histogram_at_once(boxes, i)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (boxes, i)
+
+    def test_image_histogram_holds_no_array_one_entry_per_function(self):
+        import tracemalloc
+
+        # 7**7 = 823543 masks cast to intp at once would take 6.6 MB
+        build = msn._image_histogram.__wrapped__
+        build(7, 7)
+        tracemalloc.start()
+        try:
+            build(7, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
 
 @settings(max_examples=60, deadline=None)

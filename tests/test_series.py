@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from msnlib.exact import as_rational, binom_gen, qpow
 from msnlib.msn import msn_direct
 from msnlib.series import (
     TruncatedSeries,
@@ -122,3 +125,147 @@ def test_exp_x_scaling():
     series = exp_x(6, Fraction(-1, 2))
     for n in range(7):
         assert series.coeff(n) == Fraction(-1, 2) ** n / math.factorial(n)
+
+
+class _FractionSeries:
+    """Reference: the series kept as a tuple of Fraction coefficients, each
+    operation done coefficient by coefficient in Fraction arithmetic."""
+
+    def __init__(self, coeffs, order: int | None = None):
+        coeffs = [as_rational(c) for c in coeffs]
+        if order is None:
+            order = len(coeffs) - 1
+        if len(coeffs) < order + 1:
+            coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
+        self.order = order
+        self.coeffs = tuple(coeffs[: order + 1])
+
+    @classmethod
+    def constant(cls, value, order: int):
+        return cls([as_rational(value)], order)
+
+    @classmethod
+    def geometric(cls, c, order: int):
+        c = as_rational(c)
+        return cls([qpow(c, n) for n in range(order + 1)], order)
+
+    def __add__(self, other):
+        return _FractionSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+
+    def __sub__(self, other):
+        return _FractionSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+
+    def __mul__(self, other):
+        if isinstance(other, _FractionSeries):
+            n = self.order
+            out = [Fraction(0)] * (n + 1)
+            for a, ca in enumerate(self.coeffs):
+                if ca == 0:
+                    continue
+                for b in range(n + 1 - a):
+                    cb = other.coeffs[b]
+                    if cb != 0:
+                        out[a + b] += ca * cb
+            return _FractionSeries(out, n)
+        scalar = as_rational(other)
+        return _FractionSeries([scalar * c for c in self.coeffs], self.order)
+
+    def shift(self, j: int):
+        out = [Fraction(0)] * j + list(self.coeffs)
+        return _FractionSeries(out[: self.order + 1], self.order)
+
+    def pow(self, n: int):
+        result = _FractionSeries.constant(1, self.order)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def exp(self):
+        result = _FractionSeries.constant(1, self.order)
+        term = _FractionSeries.constant(1, self.order)
+        for n in range(1, self.order + 1):
+            term = term * self * Fraction(1, n)
+            result = result + term
+        return result
+
+
+def _reference_exp_x(order: int, scale) -> _FractionSeries:
+    scale = as_rational(scale)
+    return _FractionSeries(
+        [qpow(scale, n) / math.factorial(n) for n in range(order + 1)], order
+    )
+
+
+_COEFFS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+_SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def _pairs(draw):
+    """Two coefficient lists of one order 0..8, with zeros among them."""
+    order = draw(st.integers(0, 8))
+    coeffs = st.lists(_COEFFS, min_size=order + 1, max_size=order + 1)
+    return order, draw(coeffs), draw(coeffs)
+
+
+def _same(series: TruncatedSeries, ref: _FractionSeries):
+    """Equal coefficients, equal repr text, and a canonical (num, den)."""
+    assert series.order == ref.order
+    assert series.coeffs == ref.coeffs
+    assert [series.coeff(i) for i in range(series.order + 1)] == list(ref.coeffs)
+    assert repr(series) == f"TruncatedSeries({[str(c) for c in ref.coeffs]})"
+    assert series.den > 0 and math.gcd(series.den, *series.num) == 1
+    assert all(type(v) is int for v in series.num) and type(series.den) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_pairs(), scalar=_SCALARS, j=st.integers(0, 10), n=st.integers(0, 4))
+def test_integer_series_matches_the_fraction_reference(pair, scalar, j, n):
+    order, xs, ys = pair
+    a, b = TruncatedSeries(xs, order), TruncatedSeries(ys, order)
+    ra, rb = _FractionSeries(xs, order), _FractionSeries(ys, order)
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(a * b, ra * rb)
+    _same(a * scalar, ra * scalar)
+    _same(scalar * a, ra * scalar)
+    _same(a.shift(j), ra.shift(j))
+    _same(a.pow(n), ra.pow(n))
+    flat = TruncatedSeries([0] + xs[1:], order)
+    _same(flat.exp(), _FractionSeries([0] + xs[1:], order).exp())
+    _same(TruncatedSeries.geometric(scalar, order), _FractionSeries.geometric(scalar, order))
+    _same(exp_x(order, scalar), _reference_exp_x(order, scalar))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_pairs())
+def test_equal_series_compare_and_hash_alike(pair):
+    order, xs, ys = pair
+    a, b = TruncatedSeries(xs, order), TruncatedSeries(ys, order)
+    for left, right in [
+        (a * b, b * a),
+        ((a + b) - b, a),
+        (a * b, TruncatedSeries((a * b).coeffs, order)),
+        (a.shift(order + 1), TruncatedSeries([], order)),
+    ]:
+        assert left == right and hash(left) == hash(right)
+        assert (left.num, left.den) == (right.num, right.den)
+    assert (a == b) == (a.coeffs == b.coeffs)
+
+
+_RATIONALS = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(i=st.integers(0, 12), k=_RATIONALS, x=_RATIONALS)
+def test_binomial_gf_value_is_the_power_and_the_msn_direct_sum(i, k, x):
+    value = binomial_gf_value(i, k, x)
+    assert type(value) is Fraction
+    assert value == (x + k) ** i
+    assert value == sum(
+        (msn_direct(i, j, k) * binom_gen(x, j) for j in range(i + 1)), Fraction(0)
+    )
