@@ -21,8 +21,7 @@ a23), the k-shift sums (a30, a31) and the multinomial sums of a36 and a37
 compare integers.  With k = p/q, the defining sum makes ``Q^i b(i, j, k)``
 an integer for every multiple Q of q, so :meth:`Context.scaled` reads those
 integer columns off the recurrence-filled table once, and a power ``k^s``
-becomes ``(Q k)^s``.  The generating-function checks read the integer
-series of :mod:`msnlib.series`.
+becomes ``(Q k)^s``.
 
 The default k test set deliberately mixes negative integers, negative and
 positive non-integers, zero, and positive integers, because sign and
