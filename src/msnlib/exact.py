@@ -18,7 +18,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 
@@ -157,26 +157,3 @@ def multinom(i: int, parts: Sequence[int]) -> int:
     for p in parts:
         result //= math.factorial(p)
     return result
-
-
-def compositions(total: int, count: int, positive_prefix: int = 0) -> Iterable[tuple[int, ...]]:
-    """All tuples of `count` nonnegative ints summing to `total`.
-
-    The first `positive_prefix` entries are required to be >= 1.
-    """
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(remaining: int, slots: int, need_positive: int):
-        if slots == 1:
-            if remaining >= (1 if need_positive > 0 else 0):
-                yield (remaining,)
-            return
-        low = 1 if need_positive > 0 else 0
-        for first in range(low, remaining + 1):
-            for rest in rec(remaining - first, slots - 1, max(need_positive - 1, 0)):
-                yield (first,) + rest
-
-    yield from rec(total, count, positive_prefix)

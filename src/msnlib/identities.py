@@ -17,11 +17,13 @@ b value, so most checks sum and compare plain integers; the float guard
 catches an ``int / int`` that would otherwise round.
 
 The binomial-convolution family ``sum_r C(i, r) x_r y_(i-r)`` (a17-a21,
-a23), the k-shift sums (a30, a31) and the multinomial sums of a36 and a37
-compare integers.  With k = p/q, the defining sum makes ``Q^i b(i, j, k)``
-an integer for every multiple Q of q, so :meth:`Context.scaled` reads those
-integer columns off the recurrence-filled table once, and a power ``k^s``
-becomes ``(Q k)^s``.
+a23), the k-shift sums (a30, a31) and the sums of a36, a37 and a38 over
+the ways to write i = r_1 + ... + r_m compare integers.  Those three sums
+are binomial convolutions of m columns, so each folds
+:func:`_binomial_convolution` over its columns.  With k = p/q, the
+defining sum makes ``Q^i b(i, j, k)`` an integer for every multiple Q of
+q, so :meth:`Context.scaled` reads those integer columns off the
+recurrence-filled table once, and a power ``k^s`` becomes ``(Q k)^s``.
 
 The default k test set deliberately mixes negative integers, negative and
 positive non-integers, zero, and positive integers, because sign and
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exact import _check_integer, as_rational, binom, binom_gen, compositions, multinom, qpow
+from .exact import _check_integer, as_rational, binom, binom_gen, qpow
 from .linalg import RationalMatrix
 from .msn import MsnTable, msn_table, surjection_count
 from .msn1 import Msn1Table, inversion_matrix, msn1_table
@@ -178,12 +180,22 @@ def _sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _binomial_convolution(x, y, n: int) -> list[int]:
-    """``sum_r C(i, r) x[r] y[i - r]`` for i = 0..n, over integer sequences."""
-    return [
-        sum(math.comb(i, r) * x[r] * y[i - r] for r in range(i + 1))
-        for i in range(n + 1)
-    ]
+def _binomial_convolution(columns, n: int) -> list[int]:
+    """The binomial convolution of integer sequences, for i = 0..n.
+
+    Entry i is ``sum i! / (r_1! ... r_m!) x_1[r_1] ... x_m[r_m]`` over every
+    ``r_1 + ... + r_m = i`` with nonnegative parts.  That is i! times the
+    x^i coefficient of the product of the columns' exponential generating
+    functions, so the columns fold pairwise by ``sum_r C(i, r) x[r] y[i - r]``.
+    """
+    first, *rest = columns
+    acc = list(first[: n + 1])
+    for col in rest:
+        acc = [
+            sum(math.comb(i, r) * acc[r] * col[i - r] for r in range(i + 1))
+            for i in range(n + 1)
+        ]
+    return acc
 
 
 def _powers(k: Fraction, scale: int, n: int) -> list[int]:
@@ -290,7 +302,7 @@ def check_a17(ctx):
         target = ctx.scaled(k1 + k2, scale)
         for j1 in range(9):
             for j2 in range(9 - j1):
-                conv = _binomial_convolution(x[j1], y[j2], ctx.i_max)
+                conv = _binomial_convolution([x[j1], y[j2]], ctx.i_max)
                 for i in ctx.ij_range():
                     detail = f"i={i}, j1={j1}, j2={j2}, k1={k1}, k2={k2}"
                     yield target[j1 + j2][i], conv[i], detail
@@ -304,7 +316,7 @@ def check_a18(ctx):
         target = ctx.scaled(0, scale)
         for j1 in range(7):
             for j2 in range(7 - j1):
-                conv = _binomial_convolution(x[j1], y[j2], ctx.i_max)
+                conv = _binomial_convolution([x[j1], y[j2]], ctx.i_max)
                 for i in ctx.ij_range():
                     detail = f"i={i}, j1={j1}, j2={j2}, k={k}"
                     yield target[j1 + j2][i], conv[i], detail
@@ -316,7 +328,7 @@ def check_a19(ctx):
         scale = k.denominator
         powers, y = _powers(k, scale, ctx.i_max), ctx.scaled(-k, scale)
         target = ctx.scaled(0, scale)
-        conv = [_binomial_convolution(powers, col, ctx.i_max) for col in y]
+        conv = [_binomial_convolution([powers, col], ctx.i_max) for col in y]
         for i, j in product(ctx.ij_range(), repeat=2):
             yield target[j][i], conv[j][i], f"i={i}, j={j}, k={k}"
 
@@ -327,7 +339,7 @@ def check_a20(ctx):
         scale = k.denominator
         x, powers = ctx.scaled(0, scale), _powers(k, scale, ctx.i_max)
         target = ctx.scaled(k, scale)
-        conv = [_binomial_convolution(col, powers, ctx.i_max) for col in x]
+        conv = [_binomial_convolution([col, powers], ctx.i_max) for col in x]
         for i, j in product(ctx.ij_range(), repeat=2):
             yield target[j][i], conv[j][i], f"i={i}, j={j}, k={k}"
 
@@ -338,7 +350,7 @@ def check_a21(ctx):
         scale = math.lcm(k1.denominator, k2.denominator)
         x, powers = ctx.scaled(k2, scale), _powers(k1, scale, ctx.i_max)
         target = ctx.scaled(k1 + k2, scale)
-        conv = [_binomial_convolution(col, powers, ctx.i_max) for col in x]
+        conv = [_binomial_convolution([col, powers], ctx.i_max) for col in x]
         for i, j in product(ctx.ij_range(), repeat=2):
             yield target[j][i], conv[j][i], f"i={i}, j={j}, k1={k1}, k2={k2}"
 
@@ -351,7 +363,7 @@ def check_a23(ctx):
         scale = k.denominator
         x, powers = ctx.scaled(0, scale), _powers(k, scale, ctx.i_max)
         lhs = ctx.scaled(k + 1, scale)
-        conv = [_binomial_convolution(col[1:], powers, ctx.i_max) for col in x]
+        conv = [_binomial_convolution([col[1:], powers], ctx.i_max) for col in x]
         for i, j in product(ctx.ij_range(), range(1, ctx.i_max + 1)):
             yield j * scale * lhs[j - 1][i], conv[j][i], f"i={i}, j={j}, k={k}"
 
@@ -476,7 +488,7 @@ def check_a34(ctx):
         yield ctx.b(i, j, k + 1), total, f"i={i}, j={j}, k={k}"
 
 
-# --------------------------------------------------- multinomial expansions
+# -------------------------------------------- sums over i = r_1 + ... + r_m
 
 _A36_TRIPLES = [
     ((0, 0, 0), (0, 0, 0)),
@@ -495,61 +507,46 @@ _A36_PAIRS = [
 ]
 
 
+# columns of the parts that weigh every r alike: a free part is all ones,
+# the column of e^x, and a part with r >= 1 is [0, 1, 1, ...], of e^x - 1
+_ONES = [1] * (FIXED_I + 1)
+_POSITIVE = [0] + _ONES[1:]
+
+
 @_identity
 def check_a36(ctx):
     # over Q, the lcm of the k denominators, each part's Q^part scales
     # multiply to the Q^i of the left side, so the sums run on ints
-    factorials = [math.factorial(n) for n in range(FIXED_I + 1)]
     for js, ks in _A36_PAIRS + _A36_TRIPLES:
         scale = math.lcm(*(as_rational(k).denominator for k in ks))
         cols = [ctx.scaled(k_r, scale)[j_r] for j_r, k_r in zip(js, ks)]
         lhs = ctx.scaled(sum(as_rational(k) for k in ks), scale)[sum(js)]
+        total = _binomial_convolution(cols, FIXED_I)
         for i in range(FIXED_I + 1):
-            total = 0
-            for parts in compositions(i, len(js)):
-                prod = factorials[i]
-                for part in parts:
-                    prod //= factorials[part]
-                for part, col in zip(parts, cols):
-                    prod *= col[part]
-                    if prod == 0:
-                        break
-                total += prod
-            yield lhs[i], total, f"i={i}, js={js}, ks={ks}"
+            yield lhs[i], total[i], f"i={i}, js={js}, ks={ks}"
 
 
 @_identity
 def check_a37(ctx):
-    # at k = 0 every b is the integer j! S(i, j), so the sums run on ints
+    # at k = 0 every b is the integer j! S(i, j), so the sums run on ints;
+    # each of the k free parts is an all-ones column
     cols = ctx.scaled(0, 1)
-    factorials = [math.factorial(n) for n in range(FIXED_I + 1)]
     for js in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]:
-        l = len(js)
-        for k, i in product(range(4), range(FIXED_I + 1)):
-            total = 0
-            for parts in compositions(i, l + k):
-                prod = factorials[i]
-                for part in parts:
-                    prod //= factorials[part]
-                for part, j_r in zip(parts[:l], js):
-                    prod *= cols[j_r][part]
-                    if prod == 0:
-                        break
-                total += prod
-            yield ctx.b(i, sum(js), k), total, f"i={i}, js={js}, k={k}"
+        for k in range(4):
+            total = _binomial_convolution([cols[j_r] for j_r in js] + [_ONES] * k, FIXED_I)
+            for i in range(FIXED_I + 1):
+                yield ctx.b(i, sum(js), k), total[i], f"i={i}, js={js}, k={k}"
 
 
 @_identity
 def check_a38(ctx):
+    # i balls into j nonempty boxes and k free ones
     for j, k in product(range(5), range(4)):
         if j + k == 0:
             continue
+        total = _binomial_convolution([_POSITIVE] * j + [_ONES] * k, FIXED_I)
         for i in range(FIXED_I + 1):
-            total = sum(
-                multinom(i, parts)
-                for parts in compositions(i, j + k, positive_prefix=j)
-            )
-            yield ctx.b(i, j, k), total, f"i={i}, j={j}, k={k}"
+            yield ctx.b(i, j, k), total[i], f"i={i}, j={j}, k={k}"
 
 
 # ------------------------------------------------- sums of the j = 1 column

@@ -174,7 +174,7 @@ class RationalMatrix:
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
-            raise ValueError(
+            raise PreconditionError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         return RationalMatrix._reduced(
@@ -220,7 +220,7 @@ class RationalMatrix:
         keep every minor's zero pattern, so pivots are those of ``num``.
         """
         if not self.is_square:
-            raise ValueError("inverse needs a square matrix")
+            raise PreconditionError("inverse needs a square matrix")
         n = self.rows
         gs = [gcd(*row) or 1 for row in self.num]  # a zero row keeps g = 1
         aug = [[v // g for v in row] + [0] * n for row, g in zip(self.num, gs)]

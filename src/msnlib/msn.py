@@ -120,7 +120,7 @@ class MsnTable:
 
     def value(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
-            raise ValueError("indices must be nonnegative")
+            raise PreconditionError("indices must be nonnegative")
         if i > self.i_max:
             raise IndexError(f"row {i} beyond table size {self.i_max}")
         if j > min(i, self.j_max):
@@ -163,12 +163,12 @@ def msn_shift(i: int, j: int, k: int) -> Fraction:
 
     Uses b(i, j, k) = sum_{r=0}^{k} C(k, r) * b(i, j+r, 0).
     """
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"shift route requires integer k, got {k!r}")
+        raise PreconditionError(f"shift route requires integer k, got {k!r}")
     if k < 0:
-        raise ValueError(f"shift route requires k >= 0, got {k}")
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
+        raise PreconditionError(f"shift route requires k >= 0, got {k}")
     base = msn_table(i, Fraction(0))
     total = Fraction(0)
     for r in range(k + 1):

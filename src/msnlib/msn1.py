@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RationalLike, _check_integer, as_rational, binom
+from .exact import PreconditionError, RationalLike, _check_integer, as_rational, binom
 from .linalg import RationalMatrix
 from .msn import MsnTable, msn_table
 
@@ -81,7 +81,7 @@ class Msn1Table:
     def _stored(self, i: int, j: int) -> bool:
         """Whether (i, j) is stored (j <= i); bad indices raise as in MsnTable."""
         if i < 0 or j < 0:
-            raise ValueError("indices must be nonnegative")
+            raise PreconditionError("indices must be nonnegative")
         if i > self.i_max:
             raise IndexError(f"row {i} beyond table size {self.i_max}")
         return j <= i
@@ -116,6 +116,8 @@ def inversion_matrix(btab: MsnTable, ctab: Msn1Table, n: int) -> RationalMatrix:
 
 def inversion_product(i: int, j: int, k1: RationalLike, k2: RationalLike) -> Fraction:
     """Entry (i, j) of :func:`inversion_matrix` at k1, k2."""
-    if not 0 <= j <= i:
-        raise ValueError(f"need 0 <= j <= i, got i={i}, j={j}")
+    _check_integer("indices", i, 0)
+    _check_integer("indices", j, 0)
+    if j > i:
+        raise PreconditionError(f"need 0 <= j <= i, got i={i}, j={j}")
     return inversion_matrix(msn_table(i, k1), msn1_table(i, k2), i + 1)[i, j]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -21,6 +22,28 @@ def positive_composition(rng: random.Random, total: int, parts: int) -> list[int
     cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [total]
     return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+def compositions(total: int, count: int, positive_prefix: int = 0) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``count`` nonnegative ints summing to ``total``, the first
+    ``positive_prefix`` of them >= 1, one by one: the reference walk for the
+    sums the identity battery forms as binomial convolutions."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+
+    def rec(remaining: int, slots: int, need_positive: int):
+        if slots == 1:
+            if remaining >= (1 if need_positive > 0 else 0):
+                yield (remaining,)
+            return
+        low = 1 if need_positive > 0 else 0
+        for first in range(low, remaining + 1):
+            for rest in rec(remaining - first, slots - 1, max(need_positive - 1, 0)):
+                yield (first,) + rest
+
+    yield from rec(total, count, positive_prefix)
 
 
 def random_chain(

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import compositions
 from msnlib.exact import (
     PreconditionError,
     as_rational,
     binom,
     binom_gen,
-    compositions,
     exact_field,
     format_rational,
     multinom,
@@ -22,8 +22,8 @@ from msnlib.distributions import (
     factorial_moments_from_raw,
 )
 from msnlib.linalg import RationalMatrix
-from msnlib.msn import stirling2, surjection_count
-from msnlib.msn1 import stirling1
+from msnlib.msn import msn_shift, msn_table, stirling2, surjection_count
+from msnlib.msn1 import inversion_product, msn1_table, stirling1
 from msnlib.series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
 
 
@@ -92,7 +92,8 @@ class TestMultinom:
             multinom(4, [2, 1])
 
     def test_matches_composition_count(self):
-        # sum of multinomials over all compositions of i into t parts is t**i
+        # sum of multinomials over all compositions of i into t parts is t**i,
+        # with the compositions walked one by one in conftest
         for t in (2, 3):
             for i in range(6):
                 total = sum(multinom(i, parts) for parts in compositions(i, t))
@@ -242,6 +243,20 @@ _ROW = RationalMatrix([[1, 2]])
         (lambda: _ROW**2, "matrix power needs a square matrix"),
         (lambda: _SQUARE**-1, "negative powers: invert first"),
         (lambda: _SQUARE**2.5, "matrix power needs an integer exponent, got 2.5"),
+        (
+            lambda: msn_shift(2, 1, Fraction(1, 2)),
+            "shift route requires integer k, got Fraction(1, 2)",
+        ),
+        (lambda: msn_shift(2, 1, -1), "shift route requires k >= 0, got -1"),
+        (lambda: msn_shift(-2, 1, 1), "indices must be nonnegative"),
+        (lambda: msn_shift(2.5, 1, 1), "indices must be an integer, got 2.5"),
+        (lambda: inversion_product(1, 2, 0, 0), "need 0 <= j <= i, got i=1, j=2"),
+        (lambda: inversion_product(2.5, 1, 0, 0), "indices must be an integer, got 2.5"),
+        (lambda: msn_table(3, 1).value(-1, 0), "indices must be nonnegative"),
+        (lambda: msn1_table(3, 1).s(2, -1), "indices must be nonnegative"),
+        (lambda: msn1_table(3, 1).c(-1, 0), "indices must be nonnegative"),
+        (lambda: _ROW @ _ROW, "dimension mismatch: 1x2 @ 1x2"),
+        (lambda: _ROW.inverse(), "inverse needs a square matrix"),
     ],
 )
 def test_bad_arguments_raise_named_preconditions(call, message):

@@ -1,17 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import compositions
 import msnlib.identities as identities
 from msnlib.identities import (
     Context,
     IDENTITY_CHECKS,
     IdentityFailure,
     K_SET,
+    _binomial_convolution,
     _expect,
     run_identity_suite,
 )
-from msnlib.exact import PreconditionError
+from msnlib.exact import PreconditionError, multinom
 from msnlib.msn import MsnTable
 
 # in the order the battery runs and prints them
@@ -138,6 +143,80 @@ def test_perturbed_k0_entry_fails_a37(monkeypatch):
     (result,) = run_identity_suite(i_max=8, order=8, labels={"a37"})
     assert not result.ok
     assert result.detail == "a37: i=4, js=(2,), k=1"
+
+
+# the first failure of each fold check with one entry moved by 1, captured
+# before the checks folded their columns; None where the check passes
+# because it reads no entry at that k
+FOLD_CASES = {"a36": 90, "a37": 216, "a38": 171}
+
+
+@pytest.mark.parametrize(
+    "entry, details",
+    [
+        (
+            (4, 1, Fraction(1, 3)),
+            {"a36": "a36: i=7, js=(2, 1, 1), ks=(0, Fraction(1, 3), 1)", "a37": None, "a38": None},
+        ),
+        (
+            (5, 2, 1),
+            {
+                "a36": "a36: i=5, js=(1, 1), ks=(Fraction(1, 2), Fraction(1, 2))",
+                "a37": "a37: i=5, js=(2,), k=1",
+                "a38": "a38: i=5, j=2, k=1",
+            },
+        ),
+    ],
+    ids=["b(4,1,1/3)", "b(5,2,1)"],
+)
+def test_perturbed_entry_fails_the_fold_checks_where_they_read_it(monkeypatch, entry, details):
+    monkeypatch.setattr(identities, "msn_table", _perturbed_msn_table(Fraction(1), *entry))
+    results = run_identity_suite(i_max=8, order=8, labels=set(details))
+    for r in results:
+        if details[r.label] is None:
+            assert (r.ok, r.cases) == (True, FOLD_CASES[r.label]), r
+        else:
+            assert (r.ok, r.detail) == (False, details[r.label]), r
+
+
+def _composition_walk(columns, i):
+    """The sum the fold forms, one composition of i at a time."""
+    return sum(
+        multinom(i, parts) * math.prod(col[part] for col, part in zip(columns, parts))
+        for parts in compositions(i, len(columns))
+    )
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(0, 10))
+    # columns may run past n, as a23's shifted ones do; the fold stops at n
+    entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    length = st.integers(n + 1, n + 3)
+    cols = draw(st.lists(length.flatmap(lambda m: st.lists(entry, min_size=m, max_size=m)),
+                         min_size=1, max_size=4))
+    return cols, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns())
+def test_binomial_convolution_is_the_composition_walk(case):
+    columns, n = case
+    assert _binomial_convolution(columns, n) == [
+        _composition_walk(columns, i) for i in range(n + 1)
+    ]
+
+
+def test_a38_columns_make_the_first_parts_positive():
+    ones = [1] * 9
+    for j in range(5):
+        for k in range(0 if j else 1, 4):
+            fold = _binomial_convolution([[0] + ones[1:]] * j + [ones] * k, 8)
+            walk = [
+                sum(multinom(i, parts) for parts in compositions(i, j + k, positive_prefix=j))
+                for i in range(9)
+            ]
+            assert fold == walk, (j, k)
 
 
 def test_non_integer_scaled_value_names_the_entry(monkeypatch):
