@@ -507,8 +507,8 @@ _A36_PAIRS = [
 ]
 
 
-# columns of the parts that weigh every r alike: a free part is all ones,
-# the column of e^x, and a part with r >= 1 is [0, 1, 1, ...], of e^x - 1
+# the column of a free part, all ones (e^x), and of a part that must take
+# at least one of the i, [0, 1, 1, ...] (e^x - 1)
 _ONES = [1] * (FIXED_I + 1)
 _POSITIVE = [0] + _ONES[1:]
 

@@ -92,8 +92,7 @@ class TestMultinom:
             multinom(4, [2, 1])
 
     def test_matches_composition_count(self):
-        # sum of multinomials over all compositions of i into t parts is t**i,
-        # with the compositions walked one by one in conftest
+        # sum of multinomials over all compositions of i into t parts is t**i
         for t in (2, 3):
             for i in range(6):
                 total = sum(multinom(i, parts) for parts in compositions(i, t))

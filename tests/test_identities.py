@@ -145,9 +145,8 @@ def test_perturbed_k0_entry_fails_a37(monkeypatch):
     assert result.detail == "a37: i=4, js=(2,), k=1"
 
 
-# the first failure of each fold check with one entry moved by 1, captured
-# before the checks folded their columns; None where the check passes
-# because it reads no entry at that k
+# the first failure of each fold check with one entry moved by 1, as the
+# composition walks reported it; None where the check reads no entry at that k
 FOLD_CASES = {"a36": 90, "a37": 216, "a38": 171}
 
 
@@ -193,9 +192,8 @@ def _columns(draw):
     # columns may run past n, as a23's shifted ones do; the fold stops at n
     entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
     length = st.integers(n + 1, n + 3)
-    cols = draw(st.lists(length.flatmap(lambda m: st.lists(entry, min_size=m, max_size=m)),
-                         min_size=1, max_size=4))
-    return cols, n
+    column = length.flatmap(lambda m: st.lists(entry, min_size=m, max_size=m))
+    return draw(st.lists(column, min_size=1, max_size=4)), n
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,15 +206,15 @@ def test_binomial_convolution_is_the_composition_walk(case):
 
 
 def test_a38_columns_make_the_first_parts_positive():
-    ones = [1] * 9
+    n = identities.FIXED_I
     for j in range(5):
         for k in range(0 if j else 1, 4):
-            fold = _binomial_convolution([[0] + ones[1:]] * j + [ones] * k, 8)
+            columns = [identities._POSITIVE] * j + [identities._ONES] * k
             walk = [
                 sum(multinom(i, parts) for parts in compositions(i, j + k, positive_prefix=j))
-                for i in range(9)
+                for i in range(n + 1)
             ]
-            assert fold == walk, (j, k)
+            assert _binomial_convolution(columns, n) == walk, (j, k)
 
 
 def test_non_integer_scaled_value_names_the_entry(monkeypatch):
