@@ -22,8 +22,10 @@ the ways to write i = r_1 + ... + r_m compare integers.  Those three sums
 are binomial convolutions of m columns, so each folds
 :func:`_binomial_convolution` over its columns.  With k = p/q, the
 defining sum makes ``Q^i b(i, j, k)`` an integer for every multiple Q of
-q, so :meth:`Context.scaled` reads those integer columns off the
-recurrence-filled table once, and a power ``k^s`` becomes ``(Q k)^s``.
+q.  The b table holds the integer rows ``q^i b(i, ., k)`` of
+:func:`msnlib.msn.msn_row_sweep`, the rows every closed form reads, so
+:meth:`Context.scaled` lifts them by ``(Q/q)^i`` into integer columns once,
+and a power ``k^s`` becomes ``(Q k)^s``.
 
 The default k test set deliberately mixes negative integers, negative and
 positive non-integers, zero, and positive integers, because sign and
@@ -82,7 +84,7 @@ class Context:
         self.k_set = tuple(as_rational(k) for k in k_set)
         self.order = order
         self._tables: dict[Fraction, MsnTable] = {}
-        self._rows: dict[Fraction, list[list[int | Fraction]]] = {}
+        self._rows: dict[Fraction, list | tuple] = {}
         self._c_tables: dict[Fraction, Msn1Table] = {}
         self._scaled: dict[tuple[Fraction, int], list[list[int]]] = {}
 
@@ -100,17 +102,17 @@ class Context:
         """``b(i, j, k)`` off :meth:`table`, as an int when it is integral.
 
         The checks then sum and compare integers where they can; the table
-        itself stays the battery's subject.
+        itself stays the battery's subject.  At an integer k the lists are
+        the table's rows themselves.
         """
         # an int k finds its equal Fraction key: equal numbers hash alike
         rows = self._rows.get(k)
         if rows is None:
             k = as_rational(k)
             if k not in self._rows:
-                tab = self.table(k)
-                self._rows[k] = [
-                    [_exact(tab.value(row, col)) for col in range(row + 1)]
-                    for row in range(tab.i_max + 1)
+                tab, q = self.table(k), k.denominator
+                self._rows[k] = tab.rows if q == 1 else [
+                    [_exact(Fraction(v, q**i)) for v in row] for i, row in enumerate(tab.rows)
                 ]
             rows = self._rows[k]
         if 0 <= j <= i < len(rows):
@@ -121,23 +123,18 @@ class Context:
     def scaled(self, k, scale: int) -> list[list[int]]:
         """Integer columns ``cols[j][i] == scale**i * b(i, j, k)`` off :meth:`table`.
 
-        ``scale`` must be a multiple of k's denominator; a table value that
-        does not scale to an integer is reported as an IdentityFailure.
+        ``scale`` must be a multiple of k's denominator q: the table's row i
+        is ``q**i b(i, ., k)``, and it is lifted by ``(scale // q)**i``.
         """
         k = as_rational(k)
         cols = self._scaled.get((k, scale))
         if cols is None:
-            tab = self.table(k)
+            tab, lift = self.table(k), scale // k.denominator
             n = tab.i_max + 1
-            cols = [[0] * n for _ in range(n)]
-            for i, j in product(range(n), repeat=2):
-                value = tab.value(i, j) * scale**i
-                if value.denominator != 1:
-                    raise IdentityFailure(
-                        f"{scale}^{i} b({i},{j},{k}) = {value} is not an integer"
-                    )
-                cols[j][i] = value.numerator
-            self._scaled[(k, scale)] = cols
+            rows = [
+                [lift**i * v for v in row] + [0] * (n - 1 - i) for i, row in enumerate(tab.rows)
+            ]
+            cols = self._scaled[(k, scale)] = [list(col) for col in zip(*rows)]
         return cols
 
     def c_table(self, k) -> Msn1Table:
@@ -296,13 +293,19 @@ def check_a16(ctx):
 
 @_identity
 def check_a17(ctx):
+    # the cases (k1, k2, j1, j2) and (k2, k1, j2, j1) convolve the same two
+    # columns, and the convolution commutes: the second reads the first's
+    mirrors = {}
     for k1, k2 in product(ctx.k_set, repeat=2):
         scale = math.lcm(k1.denominator, k2.denominator)
         x, y = ctx.scaled(k1, scale), ctx.scaled(k2, scale)
         target = ctx.scaled(k1 + k2, scale)
         for j1 in range(9):
             for j2 in range(9 - j1):
-                conv = _binomial_convolution([x[j1], y[j2]], ctx.i_max)
+                conv = mirrors.pop((k1, k2, j1, j2), None)
+                if conv is None:
+                    conv = _binomial_convolution([x[j1], y[j2]], ctx.i_max)
+                    mirrors[k2, k1, j2, j1] = conv
                 for i in ctx.ij_range():
                     detail = f"i={i}, j1={j1}, j2={j2}, k1={k1}, k2={k2}"
                     yield target[j1 + j2][i], conv[i], detail

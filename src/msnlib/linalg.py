@@ -270,13 +270,13 @@ def combine(terms) -> RationalMatrix:
     shape, live = None, []
     for c, a in terms:
         if shape not in (None, (a.rows, a.cols)):
-            raise ValueError("shape mismatch")
+            raise PreconditionError("shape mismatch")
         shape = (a.rows, a.cols)
         c = c if isinstance(c, (int, Fraction)) else as_rational(c)
         if c:
             live.append((c.numerator, c.denominator * a.den, a))
     if shape is None:
-        raise ValueError("combine needs at least one term")
+        raise PreconditionError("combine needs at least one term")
     den = lcm(*(d for _, d, _ in live))
     acc = [[0] * shape[1] for _ in range(shape[0])]
     for p, d, a in live:

@@ -20,15 +20,18 @@ consecutive shifts k, k+1, ..., k+n takes the one row of k and steps the
 others from it by the shift identity (:func:`msn_shifts`, the only code
 that forms such rows).  Every closed-form b-sum of :mod:`msnlib.markov`
 and :mod:`msnlib.distributions` runs on those integers and divides once.
-Three further, independent routes remain as cross-checks: the defining sum
-(:func:`msn_direct`), a recurrence-filled triangle (:func:`msn_table`), and
-the shift formula over the k == 0 slice (:func:`msn_shift`).
+The triangle :func:`msn_table` holds the first rows of that same sweep,
+kept as the integers they are: the identity battery checks the rows the
+closed forms read.  Two independent routes remain as cross-checks: the
+defining sum (:func:`msn_direct`) and the shift formula over the k == 0
+slice (:func:`msn_shift`).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import islice
 from operator import add, sub
 from typing import Iterator
 
@@ -103,20 +106,22 @@ def msn_row_sweep(k: RationalLike) -> Iterator[tuple[list[int], int]]:
 
 
 class MsnTable:
-    """Dense triangle of b(i, j, k) values for one fixed k.
+    """Dense triangle of b(i, j, k) values for one fixed k = p/q in lowest terms.
 
-    Entries are stored for 0 <= i <= i_max, 0 <= j <= min(i, j_max); the
-    triangle is zero for i < j, and queries beyond j_max return 0 without
-    error.  Instances are immutable after construction.
+    ``rows[i]`` is the integer row (q**i b(i, 0, k), ..., q**i b(i, w, k)),
+    w = min(i, j_max), for 0 <= i <= i_max, as :func:`msn_row_sweep` yields
+    it; the rows are tuples, read-only.  :meth:`value` divides one entry by
+    q**i.  The triangle is zero for i < j, and queries beyond j_max return 0
+    without error.
     """
 
-    __slots__ = ("k", "i_max", "j_max", "_rows")
+    __slots__ = ("k", "i_max", "j_max", "rows")
 
     def __init__(self, k: Fraction, i_max: int, j_max: int, rows: tuple):
         self.k = k
         self.i_max = i_max
         self.j_max = j_max
-        self._rows = rows
+        self.rows = rows
 
     def value(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
@@ -125,43 +130,33 @@ class MsnTable:
             raise IndexError(f"row {i} beyond table size {self.i_max}")
         if j > min(i, self.j_max):
             return Fraction(0)
-        return self._rows[i][j]
+        return Fraction(self.rows[i][j], self.k.denominator**i)
 
     def __repr__(self):
         return f"MsnTable(k={self.k}, i_max={self.i_max}, j_max={self.j_max})"
 
 
 def msn_table(i_max: int, k: RationalLike, j_max: int | None = None) -> MsnTable:
-    """Build the triangle by recurrence.
+    """The triangle of b(i, j, k) for i <= i_max, j <= j_max, off :func:`msn_row_sweep`.
 
-    Base column b(i, 0, k) = k**i and base row b(0, j, k) = [j == 0]; interior
-    entries come from b(i+1, j+1, k) = (j+1)*b(i, j, k) + (j+1+k)*b(i, j+1, k).
-    This is quadratically cheaper than evaluating the defining sum per entry
-    and exercises a different code path than :func:`msn_direct`.
+    Its rows are the sweep's first i_max + 1 scaled integer rows, each cut at
+    j_max (None, or a j_max past i_max, means i_max): the integers every
+    closed form reads, with no recurrence of its own.
     """
     _check_integer("i_max", i_max, 0)
     if j_max is not None:
         _check_integer("j_max", j_max, 0)
     k = as_rational(k)
     j_max = i_max if j_max is None else min(j_max, i_max)
-    zero = Fraction(0)
-    rows = [[Fraction(1)]]
-    for i in range(1, i_max + 1):
-        prev = rows[i - 1]
-        width = min(i, j_max)
-        row = [qpow(k, i)]
-        for j in range(1, width + 1):
-            above_left = prev[j - 1]
-            above = prev[j] if j < len(prev) else zero
-            row.append(j * above_left + (j + k) * above)
-        rows.append(row)
-    return MsnTable(k, i_max, j_max, tuple(tuple(r) for r in rows))
+    sweep = islice(msn_row_sweep(k), i_max + 1)
+    return MsnTable(k, i_max, j_max, tuple(tuple(row[: j_max + 1]) for row, _ in sweep))
 
 
 def msn_shift(i: int, j: int, k: int) -> Fraction:
     """b(i, j, k) for integer k >= 0 via the k == 0 slice.
 
-    Uses b(i, j, k) = sum_{r=0}^{k} C(k, r) * b(i, j+r, 0).
+    Uses b(i, j, k) = sum_{r=0}^{k} C(k, r) * b(i, j+r, 0), over the integer
+    row b(i, ., 0) of :func:`msn_table`; b(i, j+r, 0) is zero past j+r = i.
     """
     _check_integer("indices", i, 0)
     _check_integer("indices", j, 0)
@@ -169,13 +164,8 @@ def msn_shift(i: int, j: int, k: int) -> Fraction:
         raise PreconditionError(f"shift route requires integer k, got {k!r}")
     if k < 0:
         raise PreconditionError(f"shift route requires k >= 0, got {k}")
-    base = msn_table(i, Fraction(0))
-    total = Fraction(0)
-    for r in range(k + 1):
-        if j + r > i:
-            break
-        total += binom(k, r) * base.value(i, j + r)
-    return total
+    row = msn_table(i, 0).rows[i]
+    return Fraction(sum(binom(k, r) * row[j + r] for r in range(min(k, i - j) + 1)))
 
 
 def stirling2_triangle(i_max: int) -> list[list[int]]:

@@ -21,7 +21,7 @@ from msnlib.distributions import (
     central_via_factorial,
     factorial_moments_from_raw,
 )
-from msnlib.linalg import RationalMatrix
+from msnlib.linalg import RationalMatrix, combine
 from msnlib.msn import msn_shift, msn_table, stirling2, surjection_count
 from msnlib.msn1 import inversion_product, msn1_table, stirling1
 from msnlib.series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
@@ -256,6 +256,8 @@ _ROW = RationalMatrix([[1, 2]])
         (lambda: msn1_table(3, 1).c(-1, 0), "indices must be nonnegative"),
         (lambda: _ROW @ _ROW, "dimension mismatch: 1x2 @ 1x2"),
         (lambda: _ROW.inverse(), "inverse needs a square matrix"),
+        (lambda: combine([(1, _ROW), (1, _SQUARE)]), "shape mismatch"),
+        (lambda: combine([]), "combine needs at least one term"),
     ],
 )
 def test_bad_arguments_raise_named_preconditions(call, message):

@@ -331,3 +331,24 @@ def test_row_step_walks_the_defining_sum(i_max, p, q):
     for i, (row, scale) in zip(range(i_max + 1), msn_row_sweep(k)):
         assert scale == q**i
         assert row == [q**i * msn_direct(i, j, k) for j in range(i + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.integers(0, 14),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+def test_table_matches_direct(data, i_max, k):
+    # values past j_max and past the diagonal read 0, as the defining sum does
+    j_max = data.draw(st.none() | st.integers(0, i_max + 2))
+    tab = msn_table(i_max, k, j_max)
+    width = i_max if j_max is None else min(j_max, i_max)
+    assert tab.j_max == width
+    q = k.denominator
+    for i in range(i_max + 1):
+        row = tab.rows[i]
+        assert all(type(v) is int for v in row)
+        assert row == tuple(q**i * msn_direct(i, j, k) for j in range(min(i, width) + 1))
+        for j in range(i_max + 3):
+            assert tab.value(i, j) == (msn_direct(i, j, k) if j <= width else 0), (i, j)
