@@ -14,8 +14,8 @@ imports every submodule of the table except those in ``_LAZY`` and binds
 their names here.  A lazy submodule (:mod:`msnlib.distributions`) loads on
 first use: ``msnlib.distributions``, or any name it exports, imports it
 through the module ``__getattr__`` (PEP 562) below, which binds all of its
-names at once, so a CLI call that reads no law does not pay for building
-its dataclasses.
+names at once, so a CLI call that reads no law does not import it, and
+any submodule that only some calls need can be made lazy the same way.
 """
 
 import sys

@@ -308,9 +308,8 @@ def _cmd_markov(args):
 
 
 def _cmd_dist(args):
-    # imported here, not at the top: building the laws' dataclasses costs
-    # every process that imports the module, and only this subcommand reads
-    # a law
+    # imported here, not at the top: only this subcommand reads a law, so
+    # no other call imports the laws' module
     from .distributions import central_closed, raw_moments, spec_from_dict
 
     try:

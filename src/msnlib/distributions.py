@@ -41,7 +41,6 @@ Conventions worth noting:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
@@ -49,7 +48,7 @@ from operator import floordiv, mul
 from typing import Iterator, Sequence, Union
 
 from .exact import PreconditionError, RationalLike, _check_integer, as_rational, binom
-from .exact import exact_field, qpow
+from .exact import InputTypeError, Record, exact_field, qpow
 from .linalg import ChainError, PartitionedChain, RationalMatrix, _minus_identity
 from .linalg import partition
 from .markov import _check_orders, _horner, _listed, _nb_mixture_sums
@@ -57,7 +56,7 @@ from .msn import msn_row_scaled, msn_row_sweep
 from .msn1 import stirling1_triangle
 
 
-class _Law:
+class _Law(Record):
     """What a law object keeps between calls: under the keys "raw" (shift 0)
     and "central" (shift -M_1, with M_1 order 1 of the raw list) the moments
     E[(X + shift)^m] produced so far and the generator that produces the
@@ -69,95 +68,74 @@ class _Law:
         return {}
 
 
-@dataclass(frozen=True)
 class Binomial(_Law):
-    n: int
-    p: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
-        _check_integer("n", self.n)
-        if not 0 <= self.p <= 1:
-            raise PreconditionError(f"need 0 <= p <= 1, got {self.p}")
+    def __init__(self, n: int, p: Fraction):
+        p = as_rational(p)
+        _check_integer("n", n)
+        if not 0 <= p <= 1:
+            raise PreconditionError(f"need 0 <= p <= 1, got {p}")
+        self.__dict__.update(n=n, p=p)
 
 
-@dataclass(frozen=True)
 class Poisson(_Law):
-    lam: Fraction
+    def __init__(self, lam: Fraction):
+        lam = as_rational(lam)
+        if lam <= 0:
+            raise PreconditionError(f"need lambda > 0, got {lam}")
+        self.__dict__["lam"] = lam
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_rational(self.lam))
-        if self.lam <= 0:
-            raise PreconditionError(f"need lambda > 0, got {self.lam}")
 
-
-@dataclass(frozen=True)
 class NegBinomial(_Law):
-    p: Fraction
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
-        if not 0 < self.p <= 1:
-            raise PreconditionError(f"need 0 < p <= 1, got {self.p}")
-        _check_integer("k", self.k)
+    def __init__(self, p: Fraction, k: int):
+        p = as_rational(p)
+        if not 0 < p <= 1:
+            raise PreconditionError(f"need 0 < p <= 1, got {p}")
+        _check_integer("k", k)
+        self.__dict__.update(p=p, k=k)
 
 
-@dataclass(frozen=True)
 class AltNegBinomial(_Law):
-    p: Fraction
-    q: Fraction
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
-        object.__setattr__(self, "q", as_rational(self.q))
-        if not 0 < self.p <= 1:
-            raise PreconditionError(f"need 0 < p <= 1, got {self.p}")
-        if not 0 <= self.q < 1:
-            raise PreconditionError(f"need 0 <= q < 1, got {self.q}")
-        _check_integer("k", self.k)
+    def __init__(self, p: Fraction, q: Fraction, k: int):
+        p, q = as_rational(p), as_rational(q)
+        if not 0 < p <= 1:
+            raise PreconditionError(f"need 0 < p <= 1, got {p}")
+        if not 0 <= q < 1:
+            raise PreconditionError(f"need 0 <= q < 1, got {q}")
+        _check_integer("k", k)
+        self.__dict__.update(p=p, q=q, k=k)
 
 
-@dataclass(frozen=True)
 class DiscreteUniform(_Law):
-    n: int
+    def __init__(self, n: int):
+        _check_integer("n", n)
+        self.__dict__["n"] = n
 
-    def __post_init__(self):
-        _check_integer("n", self.n)
 
-
-@dataclass(frozen=True)
 class Recurrence(_Law):
-    chain: PartitionedChain
-
-    def __post_init__(self):
-        if len(self.chain.m_indices) != 1:
+    def __init__(self, chain: PartitionedChain):
+        if len(chain.m_indices) != 1:
             raise PreconditionError("recurrence law needs |M| = 1")
+        self.__dict__["chain"] = chain
 
 
-@dataclass(frozen=True)
 class PhaseType(Recurrence):
     """The law Rbar_1 of :meth:`embedded_chain`, which ``chain`` holds."""
 
-    chain: PartitionedChain = field(init=False, repr=False, compare=False)
-    a: RationalMatrix
-    mat: RationalMatrix
-
-    def __post_init__(self):
-        if self.a.rows != 1:
+    def __init__(self, a: RationalMatrix, mat: RationalMatrix):
+        if a.rows != 1:
             raise PreconditionError("initial vector must be a single row")
-        if not self.mat.is_square or self.mat.rows != self.a.cols:
+        if not mat.is_square or mat.rows != a.cols:
             raise PreconditionError("matrix must be square with the same dimension as a")
-        if any(v < 0 for row in self.a.entries for v in row):
+        if any(v < 0 for row in a.entries for v in row):
             raise PreconditionError("initial vector must be nonnegative")
-        if any(v < 0 for row in self.mat.entries for v in row):
+        if any(v < 0 for row in mat.entries for v in row):
             raise PreconditionError("matrix entries must be nonnegative")
-        if sum(self.a.entries[0]) > 1:
+        if sum(a.entries[0]) > 1:
             raise PreconditionError("initial vector mass must not exceed 1")
-        if any(s > 1 for s in self.mat.row_sums()):
+        if any(s > 1 for s in mat.row_sums()):
             raise PreconditionError("matrix row sums must not exceed 1")
-        object.__setattr__(self, "chain", self.embedded_chain().swapped())
+        self.__dict__.update(a=a, mat=mat)
+        self.__dict__["chain"] = self.embedded_chain().swapped()
         # I - mat must be invertible: inverting it here fills the resolvent
         # slot the moments read, and a singular one is a SingularMatrixError
         try:
@@ -183,7 +161,7 @@ DistributionSpec = Union[
 
 def _law(dist: DistributionSpec):
     if not isinstance(dist, _Law):
-        raise TypeError(f"unknown distribution spec: {dist!r}")
+        raise InputTypeError(f"unknown distribution spec: {dist!r}")
     return dist
 
 

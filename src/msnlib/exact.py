@@ -8,8 +8,8 @@ building blocks the rest of the package is written in terms of: integer
 powers with the ``0**0 == 1`` convention, binomial coefficients extended to
 negative upper arguments, the generalized (rational upper argument) binomial,
 and multinomial coefficients.  It also holds :class:`PreconditionError`, the
-base of every error that input given to the CLI can cause, and the integer
-check the other modules share.
+base of every error that input given to the CLI can cause, the integer
+check the other modules share, and the frozen value base :class:`Record`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,52 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 class PreconditionError(ValueError):
-    """An input breaks a stated requirement: a malformed literal, JSON field
-    or matrix, a law or chain outside its domain, a hypothesis a closed form
-    needs, too many truncated walks.  Every error that input given to the
-    CLI can cause derives from it (``ChainError``, ``SingularMatrixError``,
-    ``CommutabilityError``, ``TruncationError``), and the CLI exits 3 on
-    exactly this class and its subclasses; any other exception, a bare
-    ValueError included, is an internal fault."""
+    """An input breaks a stated requirement: a malformed literal, JSON field,
+    matrix or argument type, a law or chain outside its domain, a hypothesis
+    a closed form needs, too many truncated walks.  Every error input given
+    to the CLI can cause derives from it (``ChainError``, ``InputTypeError``,
+    ``SingularMatrixError``, ``CommutabilityError``, ``TruncationError``),
+    and the CLI exits 3 on exactly this class and its subclasses; any other
+    exception, a bare ValueError included, is an internal fault."""
+
+
+class InputTypeError(PreconditionError, TypeError):
+    """An argument of a type the call cannot read, such as a float for a rational."""
+
+
+class Record:
+    """A frozen value whose fields are its ``__init__`` parameters, those
+    named with a leading "_" aside, which ``__init__`` stores through
+    ``__dict__``.  ``==``, ``hash`` and ``repr`` read them in that order, as
+    a frozen dataclass's do, and assigning or deleting one later is an
+    AttributeError.  Unlike a dataclass, a Record generates no code."""
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            names = code.co_varnames[1 : code.co_argcount]
+            cls._fields = tuple(name for name in names if not name.startswith("_"))
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_integer(name: str, value, least: int = 1):
@@ -64,7 +103,7 @@ def as_rational(value: RationalLike) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise PreconditionError(f"zero denominator in rational literal: {value!r}") from None
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
+    raise InputTypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
 def exact_field(value, name: str, integer: bool = False, depth: int = 0):

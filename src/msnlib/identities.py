@@ -38,11 +38,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exact import _check_integer, as_rational, binom, binom_gen, qpow
+from .exact import PreconditionError, Record, _check_integer, as_rational, binom
+from .exact import binom_gen, qpow
 from .linalg import RationalMatrix
 from .msn import MsnTable, msn_table, surjection_count
 from .msn1 import Msn1Table, inversion_matrix, msn1_table
@@ -123,13 +123,17 @@ class Context:
     def scaled(self, k, scale: int) -> list[list[int]]:
         """Integer columns ``cols[j][i] == scale**i * b(i, j, k)`` off :meth:`table`.
 
-        ``scale`` must be a multiple of k's denominator q: the table's row i
-        is ``q**i b(i, ., k)``, and it is lifted by ``(scale // q)**i``.
+        ``scale`` must be a multiple of k's denominator q, or this is a
+        PreconditionError: the table's row i is ``q**i b(i, ., k)``, and it
+        is lifted by ``(scale // q)**i``.
         """
         k = as_rational(k)
         cols = self._scaled.get((k, scale))
         if cols is None:
-            tab, lift = self.table(k), scale // k.denominator
+            lift, rest = divmod(scale, k.denominator)
+            if rest:
+                raise PreconditionError(f"scale {scale} is not a multiple of {k}'s denominator")
+            tab = self.table(k)
             n = tab.i_max + 1
             rows = [
                 [lift**i * v for v in row] + [0] * (n - 1 - i) for i, row in enumerate(tab.rows)
@@ -743,12 +747,9 @@ def check_a44(ctx):
             _expect(lhs_total == rhs_total, "a44", f"summed at x={x}, y={y}, k={k}")
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    label: str
-    ok: bool
-    cases: int
-    detail: str = ""
+class IdentityResult(Record):
+    def __init__(self, label: str, ok: bool, cases: int, detail: str = ""):
+        self.__dict__.update(label=label, ok=ok, cases=cases, detail=detail)
 
 
 def run_identity_suite(

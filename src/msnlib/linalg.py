@@ -36,14 +36,13 @@ closed forms of :mod:`msnlib.markov` keep, for as long as the chain lives,
 its commutability verdict (Q = P_NM P_MN and Qbar = P_MN P_NM, or the
 failure message) and, per scalar form and k, the list of the orders
 computed so far with the sweep that extends it.  The dict takes no part
-in ``==``, ``hash`` or ``repr``, and :meth:`PartitionedChain.swapped` and
-``dataclasses.replace`` start an empty one.
+in ``==``, ``hash`` or ``repr``, and every new chain, such as one
+:meth:`PartitionedChain.swapped` returns, starts an empty one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain as _flatten
@@ -51,7 +50,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import PreconditionError, RationalLike, as_rational, exact_field, format_rational
+from .exact import PreconditionError, RationalLike, Record, as_rational, exact_field
+from .exact import format_rational
 
 
 class SingularMatrixError(PreconditionError):
@@ -299,27 +299,34 @@ def _resolvent(block: RationalMatrix, label: str) -> RationalMatrix:
         raise ChainError(f"{label} is singular; no passage moments exist") from exc
 
 
-@dataclass(frozen=True)
-class PartitionedChain:
+class PartitionedChain(Record):
     """Stochastic matrix split by a 1-based index set M.
 
     ``s_m`` / ``s_n`` are the common row sums of the diagonal blocks when all
     rows agree, else None.  No product of the blocks is stored.
     """
 
-    p: RationalMatrix
-    m_indices: tuple[int, ...]
-    n_indices: tuple[int, ...]
-    p_m: RationalMatrix
-    p_mn: RationalMatrix
-    p_nm: RationalMatrix
-    p_n: RationalMatrix
-    s_m: Fraction | None
-    s_n: Fraction | None
-    # cached (I - p_m)^-1 and (I - p_n)^-1, each inverted on its first read
-    _resolvents: tuple = field(repr=False, compare=False)
-    # what msnlib.markov's closed forms keep between calls on this chain
-    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self, p: RationalMatrix, m_indices: tuple[int, ...], n_indices: tuple[int, ...],
+        p_m: RationalMatrix, p_mn: RationalMatrix, p_nm: RationalMatrix, p_n: RationalMatrix,
+        s_m: Fraction | None, s_n: Fraction | None, _resolvents: tuple,
+    ):
+        # _resolvents: (I - p_m)^-1 and (I - p_n)^-1, each inverted on first read;
+        # _slots: what msnlib.markov's closed forms keep between calls on the chain
+        self.__dict__.update(
+            p=p, m_indices=m_indices, n_indices=n_indices, p_m=p_m, p_mn=p_mn,
+            p_nm=p_nm, p_n=p_n, s_m=s_m, s_n=s_n, _resolvents=_resolvents, _slots={},
+        )
+
+    def __eq__(self, other):
+        # written out, as a dataclass's is: the generic key is slower
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.m_indices, self.n_indices, self.p_m, self.p_mn, self.p_nm,
+                self.p_n, self.s_m, self.s_n) == (other.p, other.m_indices, other.n_indices,
+                other.p_m, other.p_mn, other.p_nm, other.p_n, other.s_m, other.s_n)
+
+    __hash__ = Record.__hash__
 
     @property
     def size(self) -> int:

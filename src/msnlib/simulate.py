@@ -16,13 +16,12 @@ that compared each walk's whole row with its uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._sim_kernels import KERNELS, build_cumulative
-from .exact import PreconditionError, _check_integer, as_rational
+from .exact import PreconditionError, Record, _check_integer, as_rational
 from .linalg import PartitionedChain
 
 _VARIABLES = ("N", "R", "Nbar", "Rbar")
@@ -32,38 +31,35 @@ class TruncationError(PreconditionError, RuntimeError):
     """Too many walks hit max_steps for the estimates to be trusted."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """One simulation request.
 
     `start` is an exact probability row over M (for N, R) or over the
     complement (for Nbar, Rbar); None means uniform over that side.
     """
 
-    chain: PartitionedChain
-    variable: str
-    k: int
-    replications: int
-    seed: int
-    max_steps: int = 10_000
-    start: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if self.variable not in _VARIABLES:
+    def __init__(
+        self, chain: PartitionedChain, variable: str, k: int, replications: int, seed: int,
+        max_steps: int = 10_000, start: tuple[Fraction, ...] | None = None,
+    ):
+        if variable not in _VARIABLES:
             raise PreconditionError(f"variable must be one of {_VARIABLES}")
-        _check_integer("k", self.k)
-        _check_integer("replications", self.replications)
-        _check_integer("max_steps", self.max_steps)
+        _check_integer("k", k)
+        _check_integer("replications", replications)
+        _check_integer("max_steps", max_steps)
+        self.__dict__.update(chain=chain, variable=variable, k=k)
         side = len(self.start_side_indices())
-        if self.start is not None:
-            start = tuple(as_rational(v) for v in self.start)
+        if start is not None:
+            start = tuple(as_rational(v) for v in start)
             if len(start) != side:
                 raise PreconditionError(
                     f"start vector length {len(start)} != side size {side}"
                 )
             if any(v < 0 for v in start) or sum(start) != 1:
                 raise PreconditionError("start must be a probability vector")
-            object.__setattr__(self, "start", start)
+        self.__dict__.update(
+            replications=replications, seed=seed, max_steps=max_steps, start=start
+        )
 
     def start_side_indices(self) -> tuple[int, ...]:
         if self.variable in ("N", "R"):
@@ -76,19 +72,17 @@ class SimConfig:
         return self.chain.m_indices
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    order: int
-    mean: float
-    std_error: float
+class MomentEstimate(Record):
+    def __init__(self, order: int, mean: float, std_error: float):
+        self.__dict__.update(order=order, mean=mean, std_error=std_error)
 
 
-@dataclass(frozen=True)
-class SimResult:
-    estimates: tuple[MomentEstimate, ...]
-    replications: int
-    completed: int
-    truncated: int
+class SimResult(Record):
+    def __init__(self, estimates: tuple, replications: int, completed: int, truncated: int):
+        self.__dict__.update(
+            estimates=estimates, replications=replications, completed=completed,
+            truncated=truncated,
+        )
 
     def mean(self, order: int) -> float:
         return self.estimates[order - 1].mean

@@ -20,6 +20,7 @@ from msnlib.distributions import (
     central_from_raw,
     central_via_factorial,
     factorial_moments_from_raw,
+    raw_moment,
 )
 from msnlib.linalg import RationalMatrix, combine
 from msnlib.msn import msn_shift, msn_table, stirling2, surjection_count
@@ -258,6 +259,8 @@ _ROW = RationalMatrix([[1, 2]])
         (lambda: _ROW.inverse(), "inverse needs a square matrix"),
         (lambda: combine([(1, _ROW), (1, _SQUARE)]), "shape mismatch"),
         (lambda: combine([]), "combine needs at least one term"),
+        (lambda: as_rational(2.5), "cannot interpret float as an exact rational"),
+        (lambda: raw_moment(7, 1), "unknown distribution spec: 7"),
     ],
 )
 def test_bad_arguments_raise_named_preconditions(call, message):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,18 @@ def test_scaled_columns_match_the_table():
     for i in range(ctx.table(k).i_max + 1):
         for j in range(i + 1):
             assert cols[j][i] == 6**i * ctx.b(i, j, k)
+
+
+@pytest.mark.parametrize(
+    "k, scale", [(Fraction(-1, 2), 1), (Fraction(1, 3), 2), (Fraction(5, 6), 9)]
+)
+def test_scale_off_the_denominator_is_a_precondition(k, scale):
+    # floor division would lift by (scale // q)**i and return wrong columns
+    ctx = Context(i_max=3)
+    message = f"scale {scale} is not a multiple of {k}'s denominator"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        ctx.scaled(k, scale)
+    assert ctx.scaled(k, 2 * k.denominator)[1][1] == 2 * k.denominator * ctx.b(1, 1, k)
 
 
 def test_b_values_are_ints_where_integral():

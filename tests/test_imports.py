@@ -51,7 +51,7 @@ def test_cli_import_keeps_what_the_harness_reads_and_skips_the_laws():
     loaded = _loaded("msnlib.cli")
     for name in HARNESS_READS:
         assert name in loaded, name
-    for name in ("msnlib.distributions", "csv"):
+    for name in ("msnlib.distributions", "csv", "dataclasses"):
         assert name not in loaded, name
 
 
@@ -59,7 +59,18 @@ def test_package_import_keeps_what_the_harness_reads_and_skips_the_laws():
     loaded = _loaded("msnlib")
     for name in HARNESS_READS:
         assert name in loaded, name
-    assert "msnlib.distributions" not in loaded
+    for name in ("msnlib.distributions", "dataclasses"):
+        assert name not in loaded, name
+
+
+def test_first_law_access_loads_no_dataclasses():
+    # the value classes are plain exact.Record subclasses: defining one
+    # generates no code, so no import of the package loads dataclasses
+    out = _fresh(
+        "import sys, msnlib\n"
+        "print(msnlib.raw_moment(msnlib.Binomial(3, 1), 2), 'dataclasses' in sys.modules)\n"
+    )
+    assert out == "9 False\n"
 
 
 def test_import_time_reports_every_eager_submodule():
