@@ -318,16 +318,6 @@ class PartitionedChain(Record):
             p_nm=p_nm, p_n=p_n, s_m=s_m, s_n=s_n, _resolvents=_resolvents, _slots={},
         )
 
-    def __eq__(self, other):
-        # written out, as a dataclass's is: the generic key is slower
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.m_indices, self.n_indices, self.p_m, self.p_mn, self.p_nm,
-                self.p_n, self.s_m, self.s_n) == (other.p, other.m_indices, other.n_indices,
-                other.p_m, other.p_mn, other.p_nm, other.p_n, other.s_m, other.s_n)
-
-    __hash__ = Record.__hash__
-
     @property
     def size(self) -> int:
         return self.p.rows

@@ -211,7 +211,8 @@ def test_wide_index_type_keeps_the_stream(monkeypatch):
     monkeypatch.setitem(_sim_kernels.KERNELS, "numpy", spy)
     cfg = _golden_configs()["nine_R_k3"]
     wide = SimConfig(
-        chain=cfg.chain, variable="R", k=3, replications=20_000, seed=9, max_steps=2**31
+        cfg.chain, cfg.variable, cfg.k, cfg.replications, cfg.seed, max_steps=2**31,
+        start=cfg.start,
     )
     assert repr(simulate(wide)) == GOLDEN["nine_R_k3"]
     assert set(seen) == {np.dtype(np.int64)}
