@@ -11,12 +11,21 @@ found by bisection in log2(width) steps over the flat matrix (L. Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. III.2).  It is the count
 that comparing the whole row with ``u`` at once gives, so every walk lands
 where that broadcast kernel put it.  Each step's temporaries are one walk
-wide, so a round costs the same few bytes per walk at any chain size.
+wide, and a round runs it over the live walks in blocks of ``_BLOCK``, so
+a round's temporaries are the same size at any chain size and walk count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# walks per block: 200 000 walks run within 5% of the fastest size, at a 1.9 MB peak
+_BLOCK = 1 << 14
+
+
+def blocks(array):
+    """Consecutive views of ``array``, ``_BLOCK`` long (the last one shorter)."""
+    return (array[lo:lo + _BLOCK] for lo in range(0, array.size, _BLOCK))
 
 
 def advance_round_numpy(states, visits, u, cum, target, k):
@@ -52,5 +61,23 @@ def build_cumulative(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
-# a table looked up at call time, so an external tracer can wrap its entries
-KERNELS = {"numpy": advance_round_numpy}
+def advance_round(states, visits, rng, cum, target, k):
+    """One round of every live walk, block by block; returns the live count.
+
+    Each block draws its own uniforms, in order: PCG64 spends one output on
+    each double, so they are the stream of one draw over every live walk.
+    The walks still running move, in order, to the front of ``states`` and
+    ``visits``: a block's survivors land at or before its own start.
+    """
+    live = 0
+    for block, seen in zip(blocks(states), blocks(visits)):
+        running = ~advance_round_numpy(block, seen, rng.random(block.size), cum, target, k)
+        kept = block[running]
+        states[live:live + kept.size], visits[live:live + kept.size] = kept, seen[running]
+        live += kept.size
+    return live
+
+
+# a table looked up at call time, so an external tracer can wrap its entries:
+# one call per round
+KERNELS = {"numpy": advance_round}

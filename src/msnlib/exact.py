@@ -78,7 +78,7 @@ class Record:
 
 def _check_integer(name: str, value, least: int = 1):
     """A PreconditionError naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, int):
+    if type(value) is not int:  # a bool is an int subclass, not a count
         raise PreconditionError(f"{name} must be an integer, got {value}")
     if value < least:
         bound = f">= {least}" if least else "nonnegative"

@@ -115,9 +115,10 @@ class Context:
                     [_exact(Fraction(v, q**i)) for v in row] for i, row in enumerate(tab.rows)
                 ]
             rows = self._rows[k]
-        if 0 <= j <= i < len(rows):
-            return rows[i][j]
-        # raises outside the table; past the diagonal the table holds zeros
+        if 0 <= i < len(rows) and 0 <= j:
+            # row i holds j <= i; past the diagonal the table holds zeros
+            return rows[i][j] if j <= i else 0
+        # raises outside the table and on a negative index
         return _exact(self.table(k).value(i, j))
 
     def scaled(self, k, scale: int) -> list[list[int]]:

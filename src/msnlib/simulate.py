@@ -7,20 +7,23 @@ passage/recurrence times are sampled with numpy's PCG64 generator
 bit-for-bit.  All walks advance in lockstep rounds, one uniform per active
 walk per round, through the vectorized numpy kernel of
 :mod:`msnlib._sim_kernels`, which finds each next state by bisection over
-the walk's +inf-padded cumulative row.  Its per-walk arrays are int32 where
-the chain, ``max_steps`` and the replications fit, so a run holds under 50
-bytes per walk at its peak, at any chain size.  A seed draws the same
-uniforms and lands every walk on the same states as the broadcast kernel
-that compared each walk's whole row with its uniform.
+the walk's +inf-padded cumulative row, in fixed-size blocks.  Only the live
+walks' states and visit counts are kept, int32 where the chain,
+``max_steps`` and the replications fit: about 10 bytes per walk at the
+peak, at any chain size.  The estimates come from exact integer power sums
+of the per-step completion counts.  A seed draws the same uniforms and lands
+every walk on the same states as the broadcast kernel that compared each
+walk's whole row with its uniform.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from ._sim_kernels import KERNELS, build_cumulative
+from ._sim_kernels import KERNELS, blocks, build_cumulative
 from .exact import PreconditionError, Record, _check_integer, as_rational
 from .linalg import PartitionedChain
 
@@ -117,51 +120,39 @@ def simulate(cfg: SimConfig) -> SimResult:
     start_cum[-1] = np.inf
     reps = cfg.replications
     # one index type for every per-walk array: int32 when the flat indices
-    # into cum, the step count and the walk numbers all fit
+    # into cum, the step count and the walk count all fit
     wide = max(cum.size, cfg.max_steps, reps) > np.iinfo(np.int32).max
     index = np.int64 if wide else np.int32
     side_states = np.array([i - 1 for i in side], dtype=index)
 
     rng = np.random.default_rng(cfg.seed)
-    # the count of start edges <= u, the kernel's predicate
-    states = side_states.take(
-        np.searchsorted(start_cum, rng.random(reps), side="right")
-    )
+    states = np.empty(reps, dtype=index)
+    for part in blocks(states):
+        # the count of start edges <= u, the kernel's predicate
+        part[:] = side_states.take(np.searchsorted(start_cum, rng.random(part.size), side="right"))
     visits = np.zeros(reps, dtype=index)
-    alive = np.arange(reps, dtype=index)
-    times = np.full(reps, -1, dtype=index)
 
-    step = 0
-    while alive.size and step < cfg.max_steps:
-        step += 1
-        done = kernel(states, visits, rng.random(alive.size), cum, target, cfg.k)
-        if done.any():
-            times[alive[done]] = step
-            keep = np.flatnonzero(~done)
-            states = states.take(keep)
-            visits = visits.take(keep)
-            alive = alive.take(keep)
+    # done_at[t - 1] walks finished at step t; the live ones lead states and visits
+    done_at, live = [], reps
+    while live and len(done_at) < cfg.max_steps:
+        running = kernel(states[:live], visits[:live], rng, cum, target, cfg.k)
+        done_at.append(live - running)
+        live = running
 
-    truncated = int(alive.size)
+    truncated = live
     completed = reps - truncated
     if truncated > 0.01 * reps:
         raise TruncationError(
             f"{truncated} of {reps} walks exceeded max_steps={cfg.max_steps}"
         )
 
-    finished = times[times >= 0].astype(np.float64)
-    estimates = []
-    for order in range(1, 5):
-        powered = finished**order
-        mean = float(powered.mean())
-        if finished.size > 1:
-            se = float(powered.std(ddof=1) / np.sqrt(finished.size))
-        else:
-            se = 0.0
-        estimates.append(MomentEstimate(order=order, mean=mean, std_error=se))
-    return SimResult(
-        estimates=tuple(estimates),
-        replications=reps,
-        completed=completed,
-        truncated=truncated,
+    # exact power sums S_m of the completion steps; int / int is correctly rounded
+    s = [sum(c * t**m for t, c in enumerate(done_at, 1)) for m in range(9)]
+    n = completed
+    estimates = tuple(
+        MomentEstimate(
+            m, s[m] / n, math.sqrt((n * s[2 * m] - s[m] ** 2) / (n * n * (n - 1))) if n > 1 else 0.0
+        )
+        for m in range(1, 5)
     )
+    return SimResult(estimates, reps, completed, truncated)

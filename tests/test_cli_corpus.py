@@ -6,7 +6,7 @@ written as ``repr((argv, exit code, stdout))`` and hashed; the section hash
 of a subcommand is the sha256 of its calls' hashes, one per line.  A short
 prefix of each call's hash is committed beside it, so a mismatch names the
 first call whose output changed, not only the section.  The chain files that
-``markov`` reads are written to a temporary directory that is the working
+``markov`` and ``simulate`` read are written to a temporary directory that is the working
 directory of the run, so argv and the JSON echo name them by a fixed
 relative path, wherever that directory lies.
 
@@ -119,6 +119,12 @@ MARKOV = [
     ]
 ]
 
+# one run on a fixed chain file; its means and completed line are the ones
+# the float64 moment formulas gave before the estimates came from exact sums
+SIMULATE = [
+    ["--chain", "three-state.json", "--var", "R", "--k", "2", "--reps", "20000", "--seed", "8601"],
+]
+
 CORPUS = {
     "gf-check": (GF_CHECK, ("text", "json")),
     "identity-suite": (IDENTITY_SUITE, ("text", "json")),
@@ -128,6 +134,7 @@ CORPUS = {
     "msn1": (MSN1, ("text", "json")),
     "dist": (DIST, ("text", "json")),
     "markov": (MARKOV, ("text", "json")),
+    "simulate": (SIMULATE, ("text", "json")),
 }
 
 DIGESTS = {
@@ -139,6 +146,7 @@ DIGESTS = {
     "msn1": "a80287ab8bde04988570d7dbe72c278198ab82e8d24d4d167d6b3f28347e7768",
     "dist": "56c34e0422b3ccbcab81e217729fe10693e29d864bd5904a2b7ded99e9a09ac0",
     "markov": "7ecb8f58f95c12b8a46b2a93c771562d68de839f6431c354f3d013e861852a0d",
+    "simulate": "c17377f06c0a16740a667c9decef6f0671f7411cf25ec049444cfd0833a551f8",
 }
 
 # the first 12 hex digits of each call's hash, in corpus order
@@ -190,6 +198,7 @@ CALLS = {
         "594f8be664d6", "1bf12e83e00e", "1af6042a1cc7", "e6f3a48ad559", "122388d3696f",
         "44cfa98946ec", "3c3490817d5e",
     ),
+    "simulate": ("ee98938be6f9", "4d0fdc812272"),
 }
 
 

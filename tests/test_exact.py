@@ -17,15 +17,17 @@ from msnlib.exact import (
     qpow,
 )
 from msnlib.distributions import (
+    Binomial,
     central_from_raw,
     central_via_factorial,
     factorial_moments_from_raw,
     raw_moment,
 )
-from msnlib.linalg import RationalMatrix, combine
+from msnlib.linalg import RationalMatrix, combine, partition
 from msnlib.msn import msn_shift, msn_table, stirling2, surjection_count
 from msnlib.msn1 import inversion_product, msn1_table, stirling1
 from msnlib.series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
+from msnlib.simulate import SimConfig
 
 
 class TestQpow:
@@ -212,6 +214,7 @@ def test_public_entry_points_raise_named_preconditions(fn, args, message):
 
 _SQUARE = RationalMatrix([[1, 2], [3, 4]])
 _ROW = RationalMatrix([[1, 2]])
+_TWO_STATE = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
 
 
 @pytest.mark.parametrize(
@@ -261,6 +264,12 @@ _ROW = RationalMatrix([[1, 2]])
         (lambda: combine([]), "combine needs at least one term"),
         (lambda: as_rational(2.5), "cannot interpret float as an exact rational"),
         (lambda: raw_moment(7, 1), "unknown distribution spec: 7"),
+        # a bool is an int subclass, not a count
+        (lambda: Binomial(True, "1/2"), "n must be an integer, got True"),
+        (
+            lambda: SimConfig(partition(_TWO_STATE, [1]), "N", True, True, 1),
+            "k must be an integer, got True",
+        ),
     ],
 )
 def test_bad_arguments_raise_named_preconditions(call, message):

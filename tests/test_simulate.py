@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -177,13 +178,31 @@ def _golden_configs():
 
 
 # repr(simulate(cfg)) as the broadcast kernel computed it; the bisection
-# kernel must draw the same uniforms and land every walk on the same states
+# kernel must draw the same uniforms and land every walk on the same states.
+# Each std_error is the square root of its exact quotient, correctly rounded.
 GOLDEN = {
     "cli_N_k2": "SimResult(estimates=(MomentEstimate(order=1, mean=4.6679, std_error=0.01756134674633404), MomentEstimate(order=2, mean=27.957, std_error=0.24109832842680287), MomentEstimate(order=3, mean=210.7355, std_error=3.3928582163614376), MomentEstimate(order=4, mean=1944.1038, std_error=56.18192372070332)), replications=20000, completed=20000, truncated=0)",
-    "five_Rbar_start": "SimResult(estimates=(MomentEstimate(order=1, mean=3.4942, std_error=0.011864246963790027), MomentEstimate(order=2, mean=15.0245, std_error=0.11884700761088142), MomentEstimate(order=3, mean=79.5712, std_error=1.1455233488301912), MomentEstimate(order=4, mean=508.2137, std_error=12.311989834965765)), replications=20000, completed=20000, truncated=0)",
-    "nine_R_k3": "SimResult(estimates=(MomentEstimate(order=1, mean=6.86585, std_error=0.020752450989849472), MomentEstimate(order=2, mean=55.75275, std_error=0.37173265948848444), MomentEstimate(order=3, mean=531.39425, std_error=6.212961285509803), MomentEstimate(order=4, mean=5871.93435, std_error=112.13524354824527)), replications=20000, completed=20000, truncated=0)",
-    "two_truncating": "SimResult(estimates=(MomentEstimate(order=1, mean=1.958396065442136, std_error=0.009275290465196389), MomentEstimate(order=2, mean=5.549483087423467, std_error=0.05986010471306192), MomentEstimate(order=3, mean=21.425424069055506, std_error=0.38231641234855956), MomentEstimate(order=4, mean=102.19266285255445, std_error=2.6077536303656057)), replications=20000, completed=19926, truncated=74)",
+    "five_Rbar_start": "SimResult(estimates=(MomentEstimate(order=1, mean=3.4942, std_error=0.011864246963790027), MomentEstimate(order=2, mean=15.0245, std_error=0.1188470076108814), MomentEstimate(order=3, mean=79.5712, std_error=1.145523348830191), MomentEstimate(order=4, mean=508.2137, std_error=12.311989834965765)), replications=20000, completed=20000, truncated=0)",
+    "nine_R_k3": "SimResult(estimates=(MomentEstimate(order=1, mean=6.86585, std_error=0.020752450989849472), MomentEstimate(order=2, mean=55.75275, std_error=0.37173265948848444), MomentEstimate(order=3, mean=531.39425, std_error=6.212961285509804), MomentEstimate(order=4, mean=5871.93435, std_error=112.13524354824528)), replications=20000, completed=20000, truncated=0)",
+    "two_truncating": "SimResult(estimates=(MomentEstimate(order=1, mean=1.958396065442136, std_error=0.009275290465196387), MomentEstimate(order=2, mean=5.549483087423467, std_error=0.059860104713061926), MomentEstimate(order=3, mean=21.425424069055506, std_error=0.38231641234855956), MomentEstimate(order=4, mean=102.19266285255445, std_error=2.6077536303656057)), replications=20000, completed=19926, truncated=74)",
 }
+
+# the std_error of each GOLDEN run as numpy's float64 std(ddof=1) of the
+# powered steps gave it, before the estimates came from exact sums
+NUMPY_STD_ERRORS = {
+    "cli_N_k2": (0.01756134674633404, 0.24109832842680287, 3.3928582163614376, 56.18192372070332),
+    "five_Rbar_start": (0.011864246963790027, 0.11884700761088142, 1.1455233488301912, 12.311989834965765),
+    "nine_R_k3": (0.020752450989849472, 0.37173265948848444, 6.212961285509803, 112.13524354824527),
+    "two_truncating": (0.009275290465196389, 0.05986010471306192, 0.38231641234855956, 2.6077536303656057),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_std_errors_are_within_an_ulp_of_numpy(name):
+    new = [float(v) for v in re.findall(r"std_error=([^,)]+)", GOLDEN[name])]
+    assert len(new) == len(NUMPY_STD_ERRORS[name])
+    for got, old in zip(new, NUMPY_STD_ERRORS[name]):
+        assert abs(got - old) <= math.ulp(old)
 
 
 @pytest.mark.parametrize("name", GOLDEN)
@@ -203,10 +222,11 @@ def test_truncation_error_is_pinned():
 def test_wide_index_type_keeps_the_stream(monkeypatch):
     # a max_steps past int32 switches every per-walk array to int64
     seen = []
+    kernel = _sim_kernels.KERNELS["numpy"]
 
     def spy(states, *args):
         seen.append(states.dtype)
-        return advance_round_numpy(states, *args)
+        return kernel(states, *args)
 
     monkeypatch.setitem(_sim_kernels.KERNELS, "numpy", spy)
     cfg = _golden_configs()["nine_R_k3"]
@@ -226,6 +246,58 @@ def _broadcast_round(states, visits, u, cum, target, k):
     states[:] = nxt
     visits += target[nxt]
     return visits >= k
+
+
+def _per_walk_run(cfg):
+    """simulate's draws with the broadcast round over arrays of every walk:
+    the per-walk completion steps and the truncated count."""
+    chain = cfg.chain
+    probs = np.array([[float(v) for v in row] for row in chain.p.entries])
+    edges = np.cumsum(probs, axis=1)
+    edges[:, -1] = np.inf
+    target = np.isin(np.arange(1, chain.size + 1), cfg.target_indices())
+    side = np.array(cfg.start_side_indices()) - 1
+    start = [float(v) for v in cfg.start] if cfg.start else [1 / side.size] * side.size
+    start_edges = np.cumsum(start)
+    start_edges[-1] = np.inf
+    rng = np.random.default_rng(cfg.seed)
+    reps = cfg.replications
+    states = side[np.searchsorted(start_edges, rng.random(reps), side="right")]
+    visits = np.zeros(reps, dtype=np.int64)
+    alive = np.arange(reps)
+    times = np.full(reps, -1)
+    for step in range(1, cfg.max_steps + 1):
+        if not alive.size:
+            break
+        done = _broadcast_round(states, visits, rng.random(alive.size), edges, target, cfg.k)
+        times[alive[done]] = step
+        states, visits, alive = states[~done], visits[~done], alive[~done]
+    return times[times >= 0], alive.size
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_simulate_matches_a_per_walk_oracle(name):
+    cfg = _golden_configs()[name]
+    times, truncated = _per_walk_run(cfg)
+    result = simulate(cfg)
+    n = times.size
+    assert (result.completed, result.truncated) == (n, truncated)
+    steps = [int(t) for t in times]
+    for est in result.estimates:
+        powered = [t**est.order for t in steps]
+        total, squares = sum(powered), sum(p * p for p in powered)
+        assert est.mean == float(np.mean(times.astype(np.float64) ** est.order))
+        assert est.std_error == math.sqrt((n * squares - total**2) / (n * n * (n - 1)))
+
+
+# one walk per block runs a Python loop per walk, about 8 s over all four
+# runs, so only the shortest run, which also truncates, takes it
+@pytest.mark.parametrize(
+    "block, name", [(1, "two_truncating")] + [(b, name) for b in (7, 4096) for name in GOLDEN]
+)
+def test_block_size_does_not_move_the_stream(block, name, monkeypatch):
+    monkeypatch.setattr(_sim_kernels, "_BLOCK", block)
+    assert repr(simulate(_golden_configs()[name])) == GOLDEN[name]
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,17 +339,21 @@ def test_bisection_round_matches_the_broadcast_round(size, walks, zero_share, wi
 
 @pytest.mark.parametrize("size", [3, 8, 32])
 def test_peak_memory_per_walk_does_not_grow_with_the_chain(size):
-    # the broadcast kernel peaked at 68, 113 and 329 bytes per walk here
+    # the broadcast kernel peaked at 68, 113 and 329 bytes per walk here, the
+    # bisection kernel over arrays of every walk at 34 to 38, and live walks
+    # in blocks peak at about 12
     reps = 100_000
     chain = random_chain(random.Random(size), size // 2, size - size // 2, denom=4 * size)
     cfg = SimConfig(chain=chain, variable="R", k=2, replications=reps, seed=size)
+    # numpy imports numpy.random on first use, about 0.6 MB of it that no walk holds
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         simulate(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 60 * reps, peak / reps
+    assert peak <= 20 * reps, peak / reps
 
 
 def test_unknown_variable_is_a_named_error(two_state_chain):
