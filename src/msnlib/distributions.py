@@ -317,6 +317,7 @@ def central_from_raw(raw: Sequence[RationalLike]) -> list[Fraction]:
 
 def central_via_factorial(factorial: Sequence[RationalLike], m: int) -> Fraction:
     """C_m = sum_j b(m, j, -M_1) F_j / j!  with M_1 = F_1, on one b row."""
+    _check_orders(m)
     factorial = [as_rational(v) for v in factorial]
     if not factorial or factorial[0] != 1:
         raise PreconditionError("factorial moment list must start with F_0 = 1")

@@ -10,6 +10,11 @@ negative upper arguments, the generalized (rational upper argument) binomial,
 and multinomial coefficients.  It also holds :class:`PreconditionError`, the
 base of every error that input given to the CLI can cause, the integer
 check the other modules share, and the frozen value base :class:`Record`.
+
+The argument contract: a public entry point checks each integer argument
+with :func:`_check_integer` and reads each rational through
+:func:`as_rational`, so a float, a bool or a count below its bound is a
+PreconditionError.  :func:`binom` and the integer kernels check nothing.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def as_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # a bool is no number
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -134,7 +139,7 @@ def format_rational(value: Fraction) -> str:
     Python's limit on int-to-str conversion guards the parsing of untrusted
     text, so it is lifted only while a longer value is rendered.
     """
-    value = Fraction(value)
+    value = as_rational(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)
@@ -150,8 +155,7 @@ def format_rational(value: Fraction) -> str:
 
 def qpow(base: RationalLike, exp: int) -> Fraction:
     """``base ** exp`` for exp >= 0, with ``qpow(0, 0) == 1``."""
-    if exp < 0:
-        raise PreconditionError(f"exponent must be nonnegative, got {exp}")
+    _check_integer("exponent", exp, 0)
     return as_rational(base) ** exp
 
 
@@ -175,8 +179,7 @@ def binom(n: int, r: int) -> int:
 
 def binom_gen(x: RationalLike, j: int) -> Fraction:
     """Generalized binomial ``x*(x-1)*...*(x-j+1) / j!`` for rational x."""
-    if j < 0:
-        raise PreconditionError(f"lower index must be nonnegative, got {j}")
+    _check_integer("lower index", j, 0)
     x = as_rational(x)
     num = Fraction(1)
     for t in range(j):
@@ -186,10 +189,9 @@ def binom_gen(x: RationalLike, j: int) -> Fraction:
 
 def multinom(i: int, parts: Sequence[int]) -> int:
     """Multinomial coefficient ``i! / (parts[0]! * ... * parts[-1]!)``."""
-    if i < 0:
-        raise PreconditionError(f"total must be nonnegative, got {i}")
-    if any(p < 0 for p in parts):
-        raise PreconditionError(f"parts must be nonnegative, got {list(parts)}")
+    _check_integer("total", i, 0)
+    for p in parts:
+        _check_integer("parts", p, 0)
     if sum(parts) != i:
         raise PreconditionError(f"parts {list(parts)} do not sum to {i}")
     result = math.factorial(i)

@@ -50,8 +50,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import PreconditionError, RationalLike, Record, as_rational, exact_field
-from .exact import format_rational
+from .exact import PreconditionError, RationalLike, Record, _check_integer, as_rational
+from .exact import exact_field, format_rational
 
 
 class SingularMatrixError(PreconditionError):
@@ -184,10 +184,7 @@ class RationalMatrix:
     def __pow__(self, n: int) -> "RationalMatrix":
         if not self.is_square:
             raise PreconditionError("matrix power needs a square matrix")
-        if not isinstance(n, int):
-            raise PreconditionError(f"matrix power needs an integer exponent, got {n!r}")
-        if n < 0:
-            raise PreconditionError("negative powers: invert first")
+        _check_integer("exponent", n, 0)
         if n == 0:
             return RationalMatrix.identity(self.rows)
         # square-and-multiply from the lowest set bit: A ** 1 forms no product

@@ -57,8 +57,7 @@ def msn_row_scaled(i: int, k: RationalLike) -> tuple[list[int], int]:
     so q**i b(i, j, k) is the j-th forward difference of the integers
     (q*r + p)**i at r = 0: one difference table over r = 0..i.
     """
-    if i < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_integer("indices", i, 0)
     k = as_rational(k)
     p, q = k.numerator, k.denominator
     diffs = [(q * r + p) ** i for r in range(i + 1)]
@@ -124,8 +123,8 @@ class MsnTable:
         self.rows = rows
 
     def value(self, i: int, j: int) -> Fraction:
-        if i < 0 or j < 0:
-            raise PreconditionError("indices must be nonnegative")
+        _check_integer("indices", i, 0)
+        _check_integer("indices", j, 0)
         if i > self.i_max:
             raise IndexError(f"row {i} beyond table size {self.i_max}")
         if j > min(i, self.j_max):
@@ -160,10 +159,7 @@ def msn_shift(i: int, j: int, k: int) -> Fraction:
     """
     _check_integer("indices", i, 0)
     _check_integer("indices", j, 0)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise PreconditionError(f"shift route requires integer k, got {k!r}")
-    if k < 0:
-        raise PreconditionError(f"shift route requires k >= 0, got {k}")
+    _check_integer("k", k, 0)
     row = msn_table(i, 0).rows[i]
     return Fraction(sum(binom(k, r) * row[j + r] for r in range(min(k, i - j) + 1)))
 
@@ -232,8 +228,7 @@ def surjection_count(i: int, j: int, k: int) -> int:
 
     _check_integer("indices", i, 0)
     _check_integer("indices", j, 0)
-    if not isinstance(k, int) or k < 0:
-        raise PreconditionError("combinatorial count needs integer k >= 0")
+    _check_integer("k", k, 0)
     boxes = j + k
     if boxes > 16:
         raise PreconditionError(f"brute force covers at most 16 boxes, got j + k = {boxes}")

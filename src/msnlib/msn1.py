@@ -80,8 +80,8 @@ class Msn1Table:
 
     def _stored(self, i: int, j: int) -> bool:
         """Whether (i, j) is stored (j <= i); bad indices raise as in MsnTable."""
-        if i < 0 or j < 0:
-            raise PreconditionError("indices must be nonnegative")
+        _check_integer("indices", i, 0)
+        _check_integer("indices", j, 0)
         if i > self.i_max:
             raise IndexError(f"row {i} beyond table size {self.i_max}")
         return j <= i

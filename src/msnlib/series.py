@@ -63,8 +63,7 @@ class TruncatedSeries:
         coeffs = [as_rational(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
-        if order < 0:
-            raise PreconditionError("order must be nonnegative")
+        _check_integer("order", order, 0)
         coeffs = coeffs[: order + 1]
         # the lcm of reduced denominators leaves gcd(den, *num) == 1
         den = math.lcm(*(c.denominator for c in coeffs))
@@ -124,14 +123,12 @@ class TruncatedSeries:
 
     def shift(self, j: int) -> "TruncatedSeries":
         """Multiply by x**j (coefficients past the order fall off)."""
-        if j < 0:
-            raise PreconditionError("shift must be nonnegative")
+        _check_integer("shift", j, 0)
         num = ((0,) * j + self.num)[: self.order + 1]
         return _series(num, self.den)
 
     def pow(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise PreconditionError("exponent must be nonnegative")
+        _check_integer("exponent", n, 0)
         num = [1] + [0] * self.order
         for _ in range(n):
             num = _convolve(num, self.num)
@@ -171,6 +168,7 @@ class TruncatedSeries:
 
 def exp_x(order: int, scale: RationalLike = 1) -> TruncatedSeries:
     """Truncation of e^(scale * x): p^n q^(N-n) N!/n! over N! q^N for scale = p/q."""
+    _check_integer("order", order, 0)
     scale = as_rational(scale)
     p, q = scale.numerator, scale.denominator
     top = math.factorial(order)
@@ -200,7 +198,7 @@ def egf_coeffs(j: int, k: int, order: int) -> TruncatedSeries:
     """Coefficients of (e^x - 1)^j * e^(k x); valid for integer k only."""
     _check_integer("j", j, 0)
     _check_integer("order", order, 0)
-    if not isinstance(k, int) or isinstance(k, bool):
+    if type(k) is not int:
         raise PreconditionError(f"exponential route requires integer k, got {k!r}")
     em1 = exp_x(order) - TruncatedSeries.constant(1, order)
     return em1.pow(j) * exp_x(order, k)

@@ -50,6 +50,7 @@ class SimConfig(Record):
         _check_integer("k", k)
         _check_integer("replications", replications)
         _check_integer("max_steps", max_steps)
+        _check_integer("seed", seed, 0)
         self.__dict__.update(chain=chain, variable=variable, k=k)
         side = len(self.start_side_indices())
         if start is not None:

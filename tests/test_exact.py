@@ -1,11 +1,14 @@
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import compositions
+import msnlib
 from msnlib.exact import (
     PreconditionError,
     as_rational,
@@ -24,9 +27,9 @@ from msnlib.distributions import (
     raw_moment,
 )
 from msnlib.linalg import RationalMatrix, combine, partition
-from msnlib.msn import msn_shift, msn_table, stirling2, surjection_count
+from msnlib.msn import msn_row_scaled, msn_shift, msn_table, stirling2, surjection_count
 from msnlib.msn1 import inversion_product, msn1_table, stirling1
-from msnlib.series import TruncatedSeries, binomial_gf_value, egf_coeffs, ogf_coeffs
+from msnlib.series import TruncatedSeries, binomial_gf_value, egf_coeffs, exp_x, ogf_coeffs
 from msnlib.simulate import SimConfig
 
 
@@ -183,6 +186,33 @@ def test_binom_gen_degree(x, j):
         assert binom_gen(x, j) * j == binom_gen(x, j - 1) * (x - j + 1)
 
 
+_SQUARE = RationalMatrix([[1, 2], [3, 4]])
+_ROW = RationalMatrix([[1, 2]])
+_CHAIN = partition(RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]]), [1])
+
+# every integer argument that _check_integer guards, as a call of that argument
+_INTEGER_ARGUMENTS = [
+    ("exponent", lambda n: qpow(2, n)),
+    ("lower index", lambda j: binom_gen(Fraction(1, 2), j)),
+    ("total", lambda i: multinom(i, [])),
+    ("parts", lambda p: multinom(3, [p, 1])),
+    ("exponent", lambda n: _SQUARE**n),
+    ("indices", lambda i: msn_row_scaled(i, 1)),
+    ("indices", lambda i: msn_table(3, 1).value(i, 0)),
+    ("indices", lambda j: msn_table(3, 1).value(2, j)),
+    ("k", lambda k: msn_shift(2, 1, k)),
+    ("k", lambda k: surjection_count(2, 1, k)),
+    ("indices", lambda i: msn1_table(3, 1).s(i, 0)),
+    ("indices", lambda j: msn1_table(3, 1).c(2, j)),
+    ("order", lambda order: TruncatedSeries([1, 1], order)),
+    ("shift", lambda j: TruncatedSeries([1, 1]).shift(j)),
+    ("exponent", lambda n: TruncatedSeries([1, 1]).pow(n)),
+    ("seed", lambda seed: SimConfig(_CHAIN, "N", 1, 1, seed)),
+    ("order", exp_x),
+    ("moment order", lambda m: central_via_factorial([1, 0, 1], m)),
+]
+
+
 @pytest.mark.parametrize(
     "fn, args, message",
     [
@@ -203,18 +233,23 @@ def test_binom_gen_degree(x, j):
         (binomial_gf_value, (-1, 1, 1), "i must be nonnegative"),
         (surjection_count, (2.5, 1, 0), "indices must be an integer, got 2.5"),
         (surjection_count, (2, 1.0, 0), "indices must be an integer, got 1.0"),
-        (surjection_count, (2, 1, Fraction(1, 2)), "combinatorial count needs integer k >= 0"),
+        (surjection_count, (2, 1, Fraction(1, 2)), "k must be an integer, got 1/2"),
         (surjection_count, (2, 17, 0), "brute force covers at most 16 boxes, got j + k = 17"),
+        (surjection_count, (2, 1, -1), "k must be nonnegative"),
+        (msn_row_scaled, (-1, 1), "indices must be nonnegative"),
+        (exp_x, (-1,), "order must be nonnegative"),
+        (central_via_factorial, ([1, 0, 1], -1), "moment order must be nonnegative"),
+        (SimConfig, (_CHAIN, "N", 1, 1, -1), "seed must be nonnegative"),
+    ]
+    + [
+        (call, (value,), f"{name} must be an integer, got {value}")
+        for name, call in _INTEGER_ARGUMENTS
+        for value in (2.5, Fraction(5, 2), True)
     ],
 )
 def test_public_entry_points_raise_named_preconditions(fn, args, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         fn(*args)
-
-
-_SQUARE = RationalMatrix([[1, 2], [3, 4]])
-_ROW = RationalMatrix([[1, 2]])
-_TWO_STATE = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
 
 
 @pytest.mark.parametrize(
@@ -228,10 +263,10 @@ _TWO_STATE = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
         (lambda: TruncatedSeries([1, 1]).shift(-1), "shift must be nonnegative"),
         (lambda: TruncatedSeries([1, 1]).pow(-1), "exponent must be nonnegative"),
         (lambda: TruncatedSeries([1, 1]).exp(), "exp needs a zero constant term"),
-        (lambda: qpow(0, -1), "exponent must be nonnegative, got -1"),
-        (lambda: binom_gen(Fraction(1, 2), -1), "lower index must be nonnegative, got -1"),
-        (lambda: multinom(-1, []), "total must be nonnegative, got -1"),
-        (lambda: multinom(1, [2, -1]), "parts must be nonnegative, got [2, -1]"),
+        (lambda: qpow(0, -1), "exponent must be nonnegative"),
+        (lambda: binom_gen(Fraction(1, 2), -1), "lower index must be nonnegative"),
+        (lambda: multinom(-1, []), "total must be nonnegative"),
+        (lambda: multinom(1, [2, -1]), "parts must be nonnegative"),
         (lambda: multinom(3, [1, 1]), "parts [1, 1] do not sum to 3"),
         (lambda: central_from_raw([]), "raw moment list must start with M_0 = 1"),
         (
@@ -244,13 +279,10 @@ _TWO_STATE = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
         ),
         (lambda: central_via_factorial([1], 5), "need factorial moments up to order 5"),
         (lambda: _ROW**2, "matrix power needs a square matrix"),
-        (lambda: _SQUARE**-1, "negative powers: invert first"),
-        (lambda: _SQUARE**2.5, "matrix power needs an integer exponent, got 2.5"),
-        (
-            lambda: msn_shift(2, 1, Fraction(1, 2)),
-            "shift route requires integer k, got Fraction(1, 2)",
-        ),
-        (lambda: msn_shift(2, 1, -1), "shift route requires k >= 0, got -1"),
+        (lambda: _SQUARE**-1, "exponent must be nonnegative"),
+        (lambda: _SQUARE**2.5, "exponent must be an integer, got 2.5"),
+        (lambda: msn_shift(2, 1, Fraction(1, 2)), "k must be an integer, got 1/2"),
+        (lambda: msn_shift(2, 1, -1), "k must be nonnegative"),
         (lambda: msn_shift(-2, 1, 1), "indices must be nonnegative"),
         (lambda: msn_shift(2.5, 1, 1), "indices must be an integer, got 2.5"),
         (lambda: inversion_product(1, 2, 0, 0), "need 0 <= j <= i, got i=1, j=2"),
@@ -266,12 +298,36 @@ _TWO_STATE = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
         (lambda: raw_moment(7, 1), "unknown distribution spec: 7"),
         # a bool is an int subclass, not a count
         (lambda: Binomial(True, "1/2"), "n must be an integer, got True"),
+        (lambda: SimConfig(_CHAIN, "N", True, True, 1), "k must be an integer, got True"),
+        (lambda: qpow(2, Fraction(1, 2)), "exponent must be an integer, got 1/2"),
+        # a bool is no rational either, and a float is not read as one
+        (lambda: Binomial(3, True), "cannot interpret bool as an exact rational"),
         (
-            lambda: SimConfig(partition(_TWO_STATE, [1]), "N", True, True, 1),
-            "k must be an integer, got True",
+            lambda: RationalMatrix([[True, False], [False, True]]),
+            "cannot interpret bool as an exact rational",
         ),
+        (lambda: format_rational(0.1), "cannot interpret float as an exact rational"),
     ],
 )
 def test_bad_arguments_raise_named_preconditions(call, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_integer_arguments_are_checked_in_one_place():
+    """No module tests ``isinstance(x, int)`` or ``isinstance(x, bool)`` by
+    hand: an integer argument goes through ``_check_integer``.  A tuple of
+    types, such as ``combine``'s ``(int, Fraction)`` dispatch, is no check."""
+    found = []
+    for path in sorted(Path(msnlib.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and isinstance(node.args[1], ast.Name)
+                and node.args[1].id in ("int", "bool")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
