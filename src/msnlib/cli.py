@@ -21,11 +21,19 @@ subclasses (a malformed chain file or spec, a chain or law outside a
 method's hypotheses, too many truncated walks).  Rational arguments accept
 only exact literals ("a/b" or an integer); decimals would need a rounding
 policy, which this tool refuses to have.
+
+Only :func:`main`, the console script, calls ``gc.freeze()``: it owns its
+process, and the tens of thousands of objects that the imports (numpy's,
+mostly) leave tracked hold no garbage (a full collection right after them
+frees nothing), so every later collection, the ones at exit included,
+skips them.  :func:`run` is the in-process API that tests and embedding
+callers use, and it freezes nothing: their heap stays collectable.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import re
@@ -424,6 +432,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    gc.freeze()
     sys.exit(run())
 
 

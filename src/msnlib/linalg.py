@@ -269,7 +269,7 @@ def combine(terms) -> RationalMatrix:
         if shape not in (None, (a.rows, a.cols)):
             raise PreconditionError("shape mismatch")
         shape = (a.rows, a.cols)
-        c = c if isinstance(c, (int, Fraction)) else as_rational(c)
+        c = c if type(c) is int or type(c) is Fraction else as_rational(c)
         if c:
             live.append((c.numerator, c.denominator * a.den, a))
     if shape is None:

@@ -90,7 +90,8 @@ class TruncatedSeries:
         return tuple(Fraction(v, den) for v in self.num)
 
     def coeff(self, i: int) -> Fraction:
-        if not 0 <= i <= self.order:
+        _check_integer("index", i, 0)
+        if i > self.order:
             raise IndexError(f"coefficient {i} outside order {self.order}")
         return Fraction(self.num[i], self.den)
 

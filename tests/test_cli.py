@@ -606,7 +606,8 @@ def test_zero_denominator_in_spec_exits_3(capsys):
     assert out == "precondition failed: zero denominator in rational literal: '3/0'"
 
 
-def test_console_entry_point():
+def _child(*args):
+    """A fresh interpreter running ``python *args`` on this checkout's src."""
     import os
     import subprocess
     from pathlib import Path
@@ -614,14 +615,60 @@ def test_console_entry_point():
     # the child does not see pytest's pythonpath setting, so hand it src
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "msnlib.cli", "msn", "5", "3", "0"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(capsys):
+    """``main`` freezes the heap and exits; the frozen heap drops no output
+    and changes no exit code against the same argv through ``run``."""
+    proc = _child("-m", "msnlib.cli", "msn", "5", "3", "0")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "150"
+    for argv, code in [
+        (["msn", "5", "3", "1/2", "--format", "json"], 0),
+        (["msn", "3", "2", "0.5"], 2),
+        (["dist", "--spec", '{"type":"poisson","lambda":"3/0"}', "--m", "1"], 3),
+    ]:
+        proc = _child("-m", "msnlib.cli", *argv)
+        try:
+            in_process = run(argv)
+        except SystemExit as exc:  # argparse's usage error
+            in_process = exc.code
+        assert (proc.returncode, proc.stdout) == (in_process, capsys.readouterr().out)
+        assert proc.returncode == code
+
+
+def test_main_freezes_the_import_time_heap():
+    """``main`` owns its process, so it moves the heap that the imports made
+    out of every later collection; importing ``cli`` freezes nothing."""
+    proc = _child(
+        "-c",
+        "import gc, sys\n"
+        "from msnlib import cli\n"
+        "print(gc.get_freeze_count())\n"
+        "sys.argv = ['msnlib', 'msn', '3', '2', '1']\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count())\n",
+    )
+    before, value, code, after = proc.stdout.split()
+    assert (before, value, code) == ("0", "12", "0")
+    assert int(after) > 0
+
+
+def test_run_freezes_nothing(capsys):
+    """``run`` is the in-process API: the caller's heap stays collectable."""
+    import gc
+
+    before = gc.get_freeze_count()
+    assert invoke(capsys, "msn", "3", "2", "1") == (0, "12")
+    assert gc.get_freeze_count() == before
 
 
 def test_exit_3_errors_share_one_base():

@@ -210,6 +210,7 @@ _INTEGER_ARGUMENTS = [
     ("seed", lambda seed: SimConfig(_CHAIN, "N", 1, 1, seed)),
     ("order", exp_x),
     ("moment order", lambda m: central_via_factorial([1, 0, 1], m)),
+    ("index", lambda i: TruncatedSeries([1, 2, 3]).coeff(i)),
 ]
 
 
@@ -262,6 +263,7 @@ def test_public_entry_points_raise_named_preconditions(fn, args, message):
         ),
         (lambda: TruncatedSeries([1, 1]).shift(-1), "shift must be nonnegative"),
         (lambda: TruncatedSeries([1, 1]).pow(-1), "exponent must be nonnegative"),
+        (lambda: TruncatedSeries([1, 1]).coeff(-1), "index must be nonnegative"),
         (lambda: TruncatedSeries([1, 1]).exp(), "exp needs a zero constant term"),
         (lambda: qpow(0, -1), "exponent must be nonnegative"),
         (lambda: binom_gen(Fraction(1, 2), -1), "lower index must be nonnegative"),
@@ -311,6 +313,8 @@ def test_public_entry_points_raise_named_preconditions(fn, args, message):
             lambda: RationalMatrix([[True, False], [False, True]]),
             "cannot interpret bool as an exact rational",
         ),
+        (lambda: _SQUARE * True, "cannot interpret bool as an exact rational"),
+        (lambda: combine([(True, _SQUARE)]), "cannot interpret bool as an exact rational"),
         (lambda: format_rational(0.1), "cannot interpret float as an exact rational"),
     ],
 )
@@ -322,7 +326,7 @@ def test_bad_arguments_raise_named_preconditions(call, message):
 def test_integer_arguments_are_checked_in_one_place():
     """No module tests ``isinstance(x, int)`` or ``isinstance(x, bool)`` by
     hand: an integer argument goes through ``_check_integer``.  A tuple of
-    types, such as ``combine``'s ``(int, Fraction)`` dispatch, is no check."""
+    types, such as a dispatch on ``(int, Fraction)``, is no check."""
     found = []
     for path in sorted(Path(msnlib.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

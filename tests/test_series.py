@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnlib.exact import as_rational, binom_gen, qpow
+from msnlib.exact import PreconditionError, as_rational, binom_gen, qpow
 from msnlib.msn import msn_direct
 from msnlib.series import (
     TruncatedSeries,
@@ -48,6 +48,14 @@ class TestTruncatedSeries:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries([1], order=0) + TruncatedSeries([1, 1], order=1)
+
+    def test_coeff_past_the_order_is_an_index_error(self):
+        """As ``MsnTable.value`` past ``i_max``: an IndexError, no precondition."""
+        series = TruncatedSeries([1, 2, 3])
+        assert series.coeff(2) == 3
+        with pytest.raises(IndexError, match="^coefficient 3 outside order 2$") as exc:
+            series.coeff(3)
+        assert not isinstance(exc.value, PreconditionError)
 
 
 class TestOgf:
